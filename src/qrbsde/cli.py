@@ -16,18 +16,16 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import lab
-from .forward import euler_simulate, make_grid, sample_increments
-from .model import (PRESET_NAMES, ProblemSpec, TruncationRadius, build_preset,
-                    validate_assumptions)
+from .forward import make_grid
+from .model import ProblemSpec, build_preset, validate_assumptions
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec
-from .scheme import estimate_Mz_auto, solve_backward
 
 SCHEMA_VERSION = 1
 ARTIFACT_VERSION = "1"
@@ -239,16 +237,7 @@ def _mc_config(cfg: RunConfig) -> lab.MCConfig:
 
 
 def _solve_parts(cfg: RunConfig):
-    spec = cfg.spec
-    grid, sched = make_grid(cfg.N, spec.T, cfg.reflection)
-    bundle = euler_simulate(
-        spec, sample_increments(grid, cfg.paths, cfg.seed, spec.m))
-    if cfg.M_z is not None:
-        radius = TruncationRadius(cfg.M_z, "user-supplied")
-    else:
-        radius = estimate_Mz_auto(spec, grid, sched, bundle, cfg.basis)
-    sol = solve_backward(spec, grid, sched, bundle, cfg.basis, radius)
-    return grid, sched, bundle, sol
+    return lab._solve_mc(cfg.spec, cfg.N, _mc_config(cfg), cfg.reflection)
 
 
 def _run_solve(cfg: RunConfig):

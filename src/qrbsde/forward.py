@@ -65,9 +65,6 @@ class ReflectionSchedule:
     def mesh(self) -> float:
         return float(np.max(np.diff(self.times)))
 
-    def is_reflection_step(self, i: int) -> bool:
-        return bool(np.isin(i, self.indices))
-
 
 def make_grid(N: int, T: float,
               reflection: Union[str, tuple, Sequence[float]] = "all"):

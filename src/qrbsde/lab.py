@@ -17,12 +17,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .forward import (PathBundle, ReflectionSchedule, TimeGrid, euler_simulate,
-                      exact_simulate, make_grid, sample_increments)
+from .forward import (PathBundle, TimeGrid, euler_simulate, exact_simulate,
+                      make_grid, sample_increments)
 from .model import ProblemSpec, TruncationRadius, y_bound
-from .oracle import (GridSolution, build_space_grid, exact_scheme_solve,
-                     snell_cole_hopf)
-from .regress import BasisSpec, build_basis, evaluate_fit, fit_least_squares
+from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
+from .regress import (BasisSpec, build_basis, evaluate_fit, fit_least_squares,
+                      localize_basis)
 from .scheme import SchemeSolution, estimate_Mz_auto, solve_backward
 
 
@@ -442,11 +442,7 @@ def run_diagnostics(spec: ProblemSpec, N: int, mc: MCConfig,
         if i == 0:
             fitted = np.full(mc.n_paths, float(np.mean(tails[:, i])))
         else:
-            b = mc.basis
-            if b.kind == "polynomial" and b.domain is None:
-                b = dataclasses.replace(
-                    b, domain=(float(np.quantile(xs, 0.005)),
-                               float(np.quantile(xs, 0.995))))
+            b = localize_basis(mc.basis, xs)
             phi = build_basis(b, xs)
             fit = fit_least_squares(phi, xs, tails[:, i], ridge=b.ridge)
             fitted = evaluate_fit(fit, xs)

@@ -9,6 +9,13 @@ time-discretization error from the Monte Carlo / regression error of the
 path solver.  For the pure-quadratic driver the exponential change of
 variable turns the same discrete problem into a Snell envelope recursion,
 giving an independent closed-form-in-structure oracle.
+
+The lattice and tree engines differ from the path solver only in how they
+take conditional expectations: each backward step goes through the scheme's
+own kernel (``implicit_y_step`` then ``reflect_step``), so all three engines
+raise the same errors on a non-contracting or non-finite driver.  The Snell
+recursion keeps its own transition and expectation code on purpose: it is
+the independent cross-check of that kernel.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.interpolate import PchipInterpolator
 
 from .forward import ReflectionSchedule, TimeGrid
-from .model import ProblemSpec, TruncationRadius, smooth_truncation, y_bound
-from .scheme import PICARD_MAX_ITER, PICARD_TOL
+from .model import ProblemSpec, TruncationRadius, y_bound
+from .scheme import implicit_y_step, reflect_step
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,6 @@ class GridSolution:
     z: Optional[np.ndarray] = None    # (N, J, m)
     dk: Optional[np.ndarray] = None   # (N+1, J)
     x0: float = 0.0
-    interpolation: str = "pchip-constant-extrapolation"
 
     def y_at(self, i: int, x):
         interp = PchipInterpolator(self.space.nodes, self.y[i], extrapolate=False)
@@ -94,6 +100,25 @@ def _std_normal_quadrature(q: int):
     # Gauss-Hermite for weight e^{-u^2} mapped to the standard normal density
     h, w = hermgauss(q)
     return h * math.sqrt(2.0), w / math.sqrt(math.pi)
+
+
+def _transition_points(spec: ProblemSpec, ti: float, dti: float, x, u):
+    """Quadrature nodes of the Euler transition from each state x, shape (len(x), q)."""
+    mean = x + np.asarray(spec.drift(ti, x), dtype=float) * dti
+    return mean[:, None] + spec.sigma_norm(ti) * math.sqrt(dti) * u[None, :]
+
+
+def _conditional_moments(spec: ProblemSpec, ti: float, dti: float, vals, u, w):
+    """E[Y_{i+1} | x] and the Z projection E[Y_{i+1} dW | x] / dt from the
+    next-step values at the transition points, vals of shape (len(x), q)."""
+    s = spec.sigma_norm(ti)
+    e = vals @ w
+    z = np.zeros((vals.shape[0], spec.m))
+    if s > 0:
+        eu = (vals * u[None, :]) @ w
+        sig = np.asarray(spec.vol(ti), dtype=float)
+        z = eu[:, None] * (sig[None, :] / (s * math.sqrt(dti)))
+    return e, z
 
 
 def _interp_slice(nodes, values, pts, warn_state):
@@ -128,31 +153,11 @@ def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSc
     for i in range(N - 1, -1, -1):
         ti = grid.times[i]
         dti = grid.dt[i]
-        s = spec.sigma_norm(ti)
-        sig = np.asarray(spec.vol(ti), dtype=float)
-        mean = nodes + np.asarray(spec.drift(ti, nodes), dtype=float) * dti
-        pts = mean[:, None] + s * math.sqrt(dti) * u[None, :]
+        pts = _transition_points(spec, ti, dti, nodes, u)
         vals = _interp_slice(nodes, y[i + 1], pts, warn_state)   # (J, q)
-        e = vals @ w
-        eu = (vals * u[None, :]) @ w
-        if s > 0:
-            z[i] = eu[:, None] * (sig[None, :] / (s * math.sqrt(dti)))
-        hz = z[i] if radius is None else smooth_truncation(z[i], radius.M_z)
-
-        yi = e.copy()
-        for _ in range(PICARD_MAX_ITER):
-            y_new = e + dti * np.asarray(
-                spec.generator(ti, nodes, yi, hz), dtype=float)
-            if float(np.max(np.abs(y_new - yi))) <= PICARD_TOL:
-                yi = y_new
-                break
-            yi = y_new
-        yi = np.clip(yi, -M, M)
-        if refl[i]:
-            y[i] = np.maximum(yi, g_nodes)
-            dk[i] = y[i] - yi
-        else:
-            y[i] = yi
+        e, z[i] = _conditional_moments(spec, ti, dti, vals, u, w)
+        yi, _ = implicit_y_step(e, z[i], spec, ti, nodes, dti, radius, M)
+        y[i], dk[i] = reflect_step(yi, g_nodes, bool(refl[i]))
 
     return GridSolution(grid=grid, space=space, y=y, z=z, dk=dk, x0=spec.x0)
 
@@ -218,34 +223,16 @@ def brute_force_tiny(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSche
     # forward pass: states[i] has shape (q^i,)
     states = [np.array([spec.x0])]
     for i in range(N):
-        ti = grid.times[i]
-        dti = grid.dt[i]
-        s = spec.sigma_norm(ti)
-        x = states[-1]
-        mean = x + np.asarray(spec.drift(ti, x), dtype=float) * dti
-        states.append((mean[:, None] + s * math.sqrt(dti) * u[None, :]).ravel())
+        states.append(_transition_points(
+            spec, grid.times[i], grid.dt[i], states[-1], u).ravel())
 
     yv = np.asarray(spec.obstacle(states[N]), dtype=float)
     for i in range(N - 1, -1, -1):
         ti = grid.times[i]
         dti = grid.dt[i]
-        s = spec.sigma_norm(ti)
-        sig = np.asarray(spec.vol(ti), dtype=float)
         x = states[i]
-        child = yv.reshape(x.size, u.size)
-        e = child @ w
-        eu = (child * u[None, :]) @ w
-        z = np.zeros((x.size, spec.m))
-        if s > 0:
-            z = eu[:, None] * (sig[None, :] / (s * math.sqrt(dti)))
-        hz = z if radius is None else smooth_truncation(z, radius.M_z)
-        yi = e.copy()
-        for _ in range(PICARD_MAX_ITER):
-            y_new = e + dti * np.asarray(spec.generator(ti, x, yi, hz), dtype=float)
-            if float(np.max(np.abs(y_new - yi))) <= PICARD_TOL:
-                yi = y_new
-                break
-            yi = y_new
-        yi = np.clip(yi, -M, M)
-        yv = np.maximum(yi, np.asarray(spec.obstacle(x), dtype=float)) if refl[i] else yi
+        e, z = _conditional_moments(spec, ti, dti, yv.reshape(x.size, u.size), u, w)
+        yi, _ = implicit_y_step(e, z, spec, ti, x, dti, radius, M)
+        yv, _ = reflect_step(yi, np.asarray(spec.obstacle(x), dtype=float),
+                             bool(refl[i]))
     return float(yv[0])

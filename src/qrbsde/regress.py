@@ -8,6 +8,7 @@ augmentation) and every fit carries its condition number and in-sample RMSE.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,6 +98,20 @@ class RegressionFit:
 
 def build_basis(spec: BasisSpec, xs) -> DesignEvaluator:
     return DesignEvaluator(spec, np.asarray(xs, dtype=float))
+
+
+def localize_basis(spec: BasisSpec, xs) -> BasisSpec:
+    """Clip a domain-free polynomial basis to the central 99% of xs.
+
+    The domain becomes the 0.5%/99.5% quantiles of the sample, so outside
+    that box the fit continues as a constant; this keeps the tail
+    oscillation of a global polynomial out of the reflection step.  Other
+    bases are returned unchanged.
+    """
+    if spec.kind != "polynomial" or spec.domain is not None:
+        return spec
+    return dataclasses.replace(spec, domain=(float(np.quantile(xs, 0.005)),
+                                             float(np.quantile(xs, 0.995))))
 
 
 def fit_least_squares(phi: DesignEvaluator, xs, ys, ridge: float = 0.0,

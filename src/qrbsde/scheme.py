@@ -9,16 +9,16 @@ are least-squares regressions on a spatial basis of the current Euler state.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .forward import PathBundle, ReflectionSchedule, TimeGrid
 from .model import ProblemSpec, TruncationRadius, smooth_truncation, y_bound
-from .regress import BasisSpec, build_basis, evaluate_fit, fit_least_squares
+from .regress import (BasisSpec, build_basis, evaluate_fit, fit_least_squares,
+                      localize_basis)
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
@@ -99,14 +99,19 @@ def z_projection_step(y_next, dW_i, dt_i, phi, xs, ridge=0.0, clamp=None):
 
 
 def implicit_y_step(e, zbar, spec: ProblemSpec, t_i: float, x_i, dt: float,
-                    radius: TruncationRadius, M: float):
+                    radius: Optional[TruncationRadius], M: float):
     """Solve y = e + dt f(t_i, x, y, h_{M_z}(zbar)) by Picard iteration.
 
-    Contraction requires L*dt < 1, which callers enforce at configuration
-    time.  Returns the clamped solution and the iteration count.
+    ``radius=None`` leaves Z untruncated.  Contraction requires L*dt < 1,
+    which callers enforce at configuration time.  Returns the solution
+    clamped to [-M, M] and the iteration count; raises RuntimeError if the
+    iteration does not converge and FloatingPointError on a non-finite
+    driver value.
     """
     e = np.asarray(e, dtype=float)
-    hz = smooth_truncation(np.asarray(zbar, dtype=float), radius.M_z)
+    hz = np.asarray(zbar, dtype=float)
+    if radius is not None:
+        hz = smooth_truncation(hz, radius.M_z)
     y = e.copy()
     for k in range(1, PICARD_MAX_ITER + 1):
         fy = np.asarray(spec.generator(t_i, x_i, y, hz), dtype=float)
@@ -174,15 +179,8 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
         # cross-path mean (constant basis)
         if i == 0:
             step_basis = BasisSpec(kind="polynomial", degree=0, ridge=basis.ridge)
-        elif basis.kind == "polynomial" and basis.domain is None:
-            # localize the global polynomial to the central 99% of the path
-            # cloud; outside the box the fit continues as a constant, which
-            # keeps tail oscillation out of the reflection step
-            step_basis = dataclasses.replace(
-                basis, domain=(float(np.quantile(xs, 0.005)),
-                               float(np.quantile(xs, 0.995))))
         else:
-            step_basis = basis
+            step_basis = localize_basis(basis, xs)
         phi = build_basis(step_basis, xs)
 
         Zbar[:, i, :] = z_projection_step(

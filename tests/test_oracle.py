@@ -166,3 +166,23 @@ def test_grid_solution_deterministic():
     b = exact_scheme_solve(spec, grid, sched, space)
     np.testing.assert_array_equal(a.y, b.y)
     np.testing.assert_array_equal(a.z, b.z)
+
+
+def test_oracles_raise_when_picard_does_not_contract():
+    # f = 3y at N=2 gives L*dt = 1.5: the implicit step has no contraction,
+    # and both quadrature engines must say so instead of returning a value
+    spec = dataclasses.replace(build_preset("P3-lipschitz"),
+                               generator=lambda t, x, y, z: 3.0 * np.asarray(y))
+    grid, sched = make_grid(2, spec.T)
+    with pytest.raises(RuntimeError, match="Picard"):
+        exact_scheme_solve(spec, grid, sched, build_space_grid(spec))
+    with pytest.raises(RuntimeError, match="Picard"):
+        brute_force_tiny(spec, grid, sched)
+
+
+def test_exact_scheme_raises_on_non_finite_driver():
+    spec = dataclasses.replace(_zero_driver(_p1()),
+                               generator=lambda t, x, y, z: np.full(np.shape(y), np.nan))
+    grid, sched = make_grid(4, spec.T)
+    with pytest.raises(FloatingPointError):
+        exact_scheme_solve(spec, grid, sched, build_space_grid(spec))
