@@ -413,7 +413,7 @@ def run(cfg: RunConfig, out_dir: str, dump_paths: bool = False,
     stage parallelizes internally, so results never depend on it.
     """
     os.makedirs(out_dir, exist_ok=True)
-    t_start = time.time()
+    t_start = time.perf_counter()
     timings = {}
     outputs = []
 
@@ -426,9 +426,9 @@ def run(cfg: RunConfig, out_dir: str, dump_paths: bool = False,
     error = None
     flags = {}
     try:
-        t0 = time.time()
+        t0 = time.perf_counter()
         summary, tables, flags, bundle = _RUNNERS[cfg.kind](cfg)
-        timings["experiment"] = time.time() - t0
+        timings["experiment"] = time.perf_counter() - t0
     except (FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:
         status = "failed"
         error = f"{type(exc).__name__}: {exc}"
@@ -440,7 +440,7 @@ def run(cfg: RunConfig, out_dir: str, dump_paths: bool = False,
         error = f"{type(exc).__name__}: {exc}"
         summary, tables, bundle = {"error": error}, {}, None
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "experiment": cfg.kind,
@@ -461,14 +461,14 @@ def run(cfg: RunConfig, out_dir: str, dump_paths: bool = False,
                   p, arr, delimiter=",", comments="",
                   header=",".join(f"t{i}" for i in range(arr.shape[1]))),
               bundle.X_euler)
-    timings["write"] = time.time() - t0
+    timings["write"] = time.perf_counter() - t0
 
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "config_hash": config_hash(cfg.normalized),
         "status": status,
         "error": error,
-        "wall_clock_s": time.time() - t_start,
+        "wall_clock_s": time.perf_counter() - t_start,
         "timings_s": timings,
         "seeds": [cfg.seed],
         "threads": threads,
@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; affects speed only, never results")
+                       help="recorded in the manifest; no effect on the computation")
         p.add_argument("--dump-paths", action="store_true",
                        help="also write the simulated paths as CSV")
     return parser

@@ -21,8 +21,7 @@ from .forward import (PathBundle, TimeGrid, euler_simulate, exact_simulate,
                       make_grid, sample_increments)
 from .model import ProblemSpec, TruncationRadius, y_bound
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
-from .regress import (BasisSpec, build_basis, evaluate_fit, fit_least_squares,
-                      localize_basis)
+from .regress import BasisSpec, build_basis, fit_least_squares, localize_basis
 from .scheme import SchemeSolution, estimate_Mz_auto, solve_backward
 
 
@@ -439,13 +438,9 @@ def run_diagnostics(spec: ProblemSpec, N: int, mc: MCConfig,
     tail_max = 0.0
     for i in range(grid.N):
         xs = X[:, i]
-        if i == 0:
-            fitted = np.full(mc.n_paths, float(np.mean(tails[:, i])))
-        else:
-            b = localize_basis(mc.basis, xs)
-            phi = build_basis(b, xs)
-            fit = fit_least_squares(phi, xs, tails[:, i], ridge=b.ridge)
-            fitted = evaluate_fit(fit, xs)
+        b = localize_basis(mc.basis, xs)
+        fitted = fit_least_squares(build_basis(b, xs), xs, tails[:, i],
+                                   ridge=b.ridge).fitted
         tail_max = max(tail_max, float(np.quantile(fitted, 0.99)))
 
     bound = bmo_bound_value(spec)

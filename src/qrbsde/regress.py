@@ -3,14 +3,16 @@
 Two basis families: standardized global polynomials for smooth problems and
 piecewise-constant cell indicators as a robust fallback.  Fitting goes
 through an orthogonal decomposition (SVD-based lstsq, ridge by row
-augmentation) and every fit carries its condition number and in-sample RMSE.
+augmentation); all targets on one sample share one design and one
+factorization, and every fit carries its condition number, per-column
+in-sample RMSE and in-sample values.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -90,10 +92,10 @@ class DesignEvaluator:
 @dataclass(frozen=True)
 class RegressionFit:
     evaluator: DesignEvaluator
-    coef: np.ndarray
+    coef: np.ndarray                 # (d,) or (d, k)
     cond: float
-    rmse: float
-    clamp: Optional[tuple] = None
+    rmse: Union[float, np.ndarray]   # float, or (k,) per column
+    fitted: np.ndarray               # in-sample values phi(xs) @ coef
 
 
 def build_basis(spec: BasisSpec, xs) -> DesignEvaluator:
@@ -105,18 +107,20 @@ def localize_basis(spec: BasisSpec, xs) -> BasisSpec:
 
     The domain becomes the 0.5%/99.5% quantiles of the sample, so outside
     that box the fit continues as a constant; this keeps the tail
-    oscillation of a global polynomial out of the reflection step.  Other
-    bases are returned unchanged.
+    oscillation of a global polynomial out of the reflection step.  A sample
+    without spread (the deterministic X_0) gets the constant basis, so its
+    fit is the cross-path mean.  Other bases are returned unchanged.
     """
+    if np.ptp(xs) == 0:
+        return BasisSpec(kind="polynomial", degree=0, ridge=spec.ridge)
     if spec.kind != "polynomial" or spec.domain is not None:
         return spec
     return dataclasses.replace(spec, domain=(float(np.quantile(xs, 0.005)),
                                              float(np.quantile(xs, 0.995))))
 
 
-def fit_least_squares(phi: DesignEvaluator, xs, ys, ridge: float = 0.0,
-                      clamp: Optional[tuple] = None) -> RegressionFit:
-    """Ridge-regularized least squares of ys on phi(xs)."""
+def fit_least_squares(phi: DesignEvaluator, xs, ys, ridge: float = 0.0) -> RegressionFit:
+    """Ridge-regularized least squares of ys, (P,) or (P, k), on phi(xs)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape[0] != ys.shape[0]:
@@ -127,7 +131,7 @@ def fit_least_squares(phi: DesignEvaluator, xs, ys, ridge: float = 0.0,
         raise ValueError("need at least as many samples as basis functions")
     if ridge > 0.0:
         A_aug = np.vstack([A, np.sqrt(ridge) * np.eye(d)])
-        y_aug = np.concatenate([ys, np.zeros(d)])
+        y_aug = np.concatenate([ys, np.zeros((d,) + ys.shape[1:])])
     else:
         A_aug, y_aug = A, ys
     coef, _, rank, sv = np.linalg.lstsq(A_aug, y_aug, rcond=None)
@@ -135,9 +139,11 @@ def fit_least_squares(phi: DesignEvaluator, xs, ys, ridge: float = 0.0,
         raise np.linalg.LinAlgError(
             "rank-deficient design matrix; supply a positive ridge parameter")
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    resid = ys - A @ coef
-    rmse = float(np.sqrt(np.mean(resid ** 2)))
-    return RegressionFit(evaluator=phi, coef=coef, cond=cond, rmse=rmse, clamp=clamp)
+    fitted = A @ coef
+    rmse = np.sqrt(np.mean((ys - fitted) ** 2, axis=0))
+    rmse = float(rmse) if ys.ndim == 1 else rmse
+    return RegressionFit(evaluator=phi, coef=coef, cond=cond, rmse=rmse,
+                         fitted=fitted)
 
 
 def evaluate_fit(fit: RegressionFit, x, clamp: Optional[tuple] = None):
@@ -145,7 +151,6 @@ def evaluate_fit(fit: RegressionFit, x, clamp: Optional[tuple] = None):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     v = fit.evaluator(x) @ fit.coef
-    clamp = clamp if clamp is not None else fit.clamp
     if clamp is not None:
         v = np.clip(v, clamp[0], clamp[1])
     return float(v[0]) if scalar else v

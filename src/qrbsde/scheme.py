@@ -1,10 +1,11 @@
 """Truncated discrete-time backward scheme on simulated paths.
 
 Backward recursion per time step: project the next-step value onto the
-Brownian increment to get Z, regress the conditional mean, solve the
-implicit fixed point in y with the driver evaluated at the truncated Z, then
-apply discrete reflection against the obstacle.  Conditional expectations
-are least-squares regressions on a spatial basis of the current Euler state.
+Brownian increment to get Z and regress the conditional mean (one fit with
+m+1 columns), solve the implicit fixed point in y with the driver evaluated
+at the truncated Z, then apply discrete reflection against the obstacle.
+Conditional expectations are least-squares regressions on a spatial basis
+of the current Euler state.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from .forward import PathBundle, ReflectionSchedule, TimeGrid
 from .model import ProblemSpec, TruncationRadius, smooth_truncation, y_bound
-from .regress import (BasisSpec, build_basis, evaluate_fit, fit_least_squares,
-                      localize_basis)
+from .regress import BasisSpec, build_basis, fit_least_squares, localize_basis
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
@@ -39,8 +39,8 @@ class SchemeSolution:
     y0_mean: float
     y0_se: float
     picard_counts: np.ndarray  # (N,)
-    fit_conds: np.ndarray      # (N,) condition numbers of the mean fits
-    fit_rmses: np.ndarray
+    fit_conds: np.ndarray      # (N,) cond of each step's design (Z and mean share it)
+    fit_rmses: np.ndarray      # (N,) in-sample RMSE of the mean column
 
     @property
     def K_terminal(self) -> np.ndarray:
@@ -81,18 +81,15 @@ class SchemeSolution:
 
 
 def z_projection_step(y_next, dW_i, dt_i, phi, xs, ridge=0.0, clamp=None):
-    """Regress y_next * dW / dt componentwise on phi(xs); return per-path values."""
+    """Regress all components of y_next * dW / dt on phi(xs) in one solve."""
     if dt_i <= 0:
         raise ValueError("dt must be positive")
     y_next = np.asarray(y_next, dtype=float)
     dW_i = np.atleast_2d(np.asarray(dW_i, dtype=float))
     if dW_i.shape[0] != y_next.shape[0]:
         dW_i = dW_i.T
-    m = dW_i.shape[1]
-    out = np.empty((y_next.shape[0], m))
-    for c in range(m):
-        fit = fit_least_squares(phi, xs, y_next * dW_i[:, c] / dt_i, ridge=ridge)
-        out[:, c] = evaluate_fit(fit, xs)
+    out = fit_least_squares(phi, xs, y_next[:, None] * dW_i / dt_i,
+                            ridge=ridge).fitted
     if clamp is not None:
         out = np.clip(out, clamp[0], clamp[1])
     return out
@@ -170,30 +167,24 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
     Ybar[:, N] = gT
     Ytilde[:, N] = gT
 
-    mean_fit0 = None
     for i in range(N - 1, -1, -1):
         ti = grid.times[i]
         dti = grid.dt[i]
         xs = X[:, i]
-        # X_0 is deterministic, so the step-0 regression degenerates to the
-        # cross-path mean (constant basis)
-        if i == 0:
-            step_basis = BasisSpec(kind="polynomial", degree=0, ridge=basis.ridge)
-        else:
-            step_basis = localize_basis(basis, xs)
+        step_basis = localize_basis(basis, xs)
         phi = build_basis(step_basis, xs)
 
-        Zbar[:, i, :] = z_projection_step(
-            Ybar[:, i + 1], bundle.dW[:, i, :], dti, phi, xs,
-            ridge=step_basis.ridge, clamp=z_clamp)
-
-        mean_fit = fit_least_squares(phi, xs, Ybar[:, i + 1],
-                                     ridge=step_basis.ridge, clamp=(-M, M))
-        conds[i] = mean_fit.cond
-        rmses[i] = mean_fit.rmse
-        e = evaluate_fit(mean_fit, xs, clamp=(-M, M))
-        if i == 0:
-            mean_fit0 = mean_fit
+        # Z (first m columns) and the conditional mean (last column) are
+        # projections onto the same space: one design, one solve
+        y_next = Ybar[:, i + 1]
+        fit = fit_least_squares(
+            phi, xs,
+            np.column_stack([y_next[:, None] * bundle.dW[:, i, :] / dti, y_next]),
+            ridge=step_basis.ridge)
+        Zbar[:, i, :] = np.clip(fit.fitted[:, :m], z_clamp[0], z_clamp[1])
+        e = np.clip(fit.fitted[:, m], -M, M)
+        conds[i] = fit.cond
+        rmses[i] = fit.rmse[m]
 
         Ytilde[:, i], picard[i] = implicit_y_step(
             e, Zbar[:, i, :], spec, ti, xs, dti, radius, M)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qrbsde.regress import (BasisSpec, build_basis, evaluate_fit,
-                            fit_least_squares)
+                            fit_least_squares, localize_basis)
 
 
 def test_basis_spec_validation():
@@ -126,3 +126,28 @@ def test_needs_enough_samples():
     xs = np.array([0.0, 1.0])
     with pytest.raises(ValueError):
         fit_least_squares(build_basis(BasisSpec(degree=6), xs), xs, xs)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-8])
+def test_multi_column_fit_matches_separate_fits(ridge):
+    rng = np.random.default_rng(5)
+    xs = rng.normal(size=2000)
+    ys = np.column_stack([np.sin(xs), xs ** 2, np.exp(-xs ** 2)])
+    ys = ys + 0.1 * rng.normal(size=ys.shape)
+    phi = build_basis(BasisSpec(degree=5), xs)
+    fit = fit_least_squares(phi, xs, ys, ridge=ridge)
+    assert fit.coef.shape == (6, 3) and fit.rmse.shape == (3,)
+    np.testing.assert_array_equal(fit.fitted, evaluate_fit(fit, xs))
+    for c in range(3):
+        one = fit_least_squares(phi, xs, ys[:, c], ridge=ridge)
+        np.testing.assert_allclose(fit.coef[:, c], one.coef, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fit.fitted[:, c], one.fitted, rtol=0, atol=1e-12)
+        assert fit.rmse[c] == pytest.approx(one.rmse, rel=1e-12)
+        assert fit.cond == one.cond
+
+
+def test_localize_basis_zero_spread_sample_is_constant():
+    for spec in (BasisSpec(degree=6, ridge=1e-6),
+                 BasisSpec(kind="piecewise-constant", cells=20, ridge=1e-6)):
+        assert localize_basis(spec, np.full(50, 1.0)) == \
+            BasisSpec(kind="polynomial", degree=0, ridge=1e-6)

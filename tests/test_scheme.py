@@ -7,7 +7,8 @@ from numpy.polynomial.hermite import hermgauss
 
 from qrbsde.forward import euler_simulate, make_grid, sample_increments
 from qrbsde.model import TruncationRadius, build_preset, clip_obstacle
-from qrbsde.regress import BasisSpec, build_basis
+from qrbsde import scheme
+from qrbsde.regress import BasisSpec, DesignEvaluator, build_basis
 from qrbsde.scheme import (estimate_Mz_auto, implicit_y_step, reflect_step,
                            solve_backward, z_projection_step)
 
@@ -215,3 +216,24 @@ def test_picard_counts_small_for_smooth_drivers():
     spec = build_preset("P2-mixed-quadratic")
     _, _, _, sol = _solved(spec, N=8, P=3000, seed=11)
     assert int(np.max(sol.picard_counts)) <= 10
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_one_design_and_one_fit_per_step(monkeypatch, m):
+    calls = {"design": 0, "fit": 0}
+    design, fit = DesignEvaluator.__call__, scheme.fit_least_squares
+
+    def counted_design(self, x):
+        calls["design"] += 1
+        return design(self, x)
+
+    def counted_fit(*args, **kwargs):
+        calls["fit"] += 1
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(DesignEvaluator, "__call__", counted_design)
+    monkeypatch.setattr(scheme, "fit_least_squares", counted_fit)
+    spec = build_preset("P1-pure-quadratic", {"m": m})
+    _, _, _, sol = _solved(spec, N=6, P=2000, seed=12)
+    assert sol.Zbar.shape == (2000, 6, m)
+    assert calls == {"design": 6, "fit": 6}
