@@ -185,13 +185,9 @@ def parse_config(source) -> RunConfig:
 
     b = cfg["mc"]["basis"]
     try:
-        basis = BasisSpec(
-            kind=b.get("kind", "polynomial"),
-            degree=int(b.get("degree", 6)),
-            cells=int(b.get("cells", 50)),
-            domain=tuple(b["domain"]) if b.get("domain") is not None else None,
-            ridge=float(b.get("ridge", 1e-8)),
-        )
+        basis = BasisSpec(**dict(
+            b, ridge=float(b["ridge"]),
+            domain=tuple(b["domain"]) if "domain" in b else None))
     except ValueError as exc:
         raise ConfigError(f"/mc/basis: {exc}") from exc
 
@@ -329,11 +325,11 @@ def _run_oracle(cfg: RunConfig):
         gap = abs(exact.y0 - snell.y0)
         summary.update(snell_y0=snell.y0, cross_gap=gap)
         flags["cross_agreement"] = gap <= 1e-3
-    rows = [{"x": float(x),
-             "y0_exact_scheme": float(exact.y_at(0, x)),
-             **({"y0_snell": float(snell.y_at(0, x))}
-                if spec.pure_quadratic else {})}
-            for x in space.nodes]
+    y_exact = exact.y_at(0, space.nodes)
+    y_snell = snell.y_at(0, space.nodes) if spec.pure_quadratic else None
+    rows = [{"x": float(x), "y0_exact_scheme": float(y_exact[j]),
+             **({"y0_snell": float(y_snell[j])} if y_snell is not None else {})}
+            for j, x in enumerate(space.nodes)]
     return summary, {"oracle_slice": rows}, flags, None
 
 

@@ -177,10 +177,10 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
         z_terms = np.zeros(mc.n_paths)
         mc_z_terms = np.zeros(mc.n_paths)
         for i in range(N):
-            y_ref_i = np.asarray(ref.y_at(stride * i, X[:, i]), dtype=float)
-            y_orc_i = np.asarray(orc.y_at(i, X[:, i]), dtype=float)
-            z_ref_i = np.asarray(ref.z_at(stride * i, X[:, i]), dtype=float)
-            z_orc_i = np.asarray(orc.z_at(i, X[:, i]), dtype=float)
+            v = space.interpolate(np.column_stack(
+                [ref.y[stride * i], orc.y[i], ref.z[stride * i], orc.z[i]]), X[:, i])
+            y_ref_i, y_orc_i = v[:, 0], v[:, 1]
+            z_ref_i, z_orc_i = v[:, 2:2 + spec.m], v[:, 2 + spec.m:]
             sup_y = max(sup_y, float(np.sqrt(np.mean((y_orc_i - y_ref_i) ** 2))))
             mc_sup_y = max(mc_sup_y,
                            float(np.sqrt(np.mean((sol.Ybar[:, i] - y_orc_i) ** 2))))

@@ -222,7 +222,7 @@ def smooth_truncation(z, n: float):
     zv = np.atleast_1d(z)
     r = np.sqrt(np.sum(zv * zv, axis=-1, keepdims=True))
     rho = n + 1.0 - np.exp(np.minimum(n - r, 0.0))  # only used where r > n
-    scale = np.where(r > n, rho / np.maximum(r, 1e-300), 1.0)
+    scale = np.divide(rho, r, out=np.ones_like(r), where=r > n)
     out = zv * scale
     return float(out[0]) if scalar else out.reshape(z.shape)
 

@@ -10,6 +10,11 @@ path solver.  For the pure-quadratic driver the exponential change of
 variable turns the same discrete problem into a Snell envelope recursion,
 giving an independent closed-form-in-structure oracle.
 
+Every lookup of a value slice in space goes through ``SpaceGrid.interpolate``:
+monotone cubic (PCHIP) interpolation along the nodes, one interpolant for all
+columns of a slice, held constant beyond the grid.  The lattice solvers count
+the quadrature points that leave the grid and warn once with that count.
+
 The lattice and tree engines differ from the path solver only in how they
 take conditional expectations: each backward step goes through the scheme's
 own kernel (``implicit_y_step`` then ``reflect_step``), so all three engines
@@ -53,6 +58,11 @@ class SpaceGrid:
     def J(self) -> int:
         return self.nodes.size
 
+    def interpolate(self, values, x):
+        """PCHIP of values (J, ...) along the nodes at x, constant beyond the grid."""
+        interp = PchipInterpolator(self.nodes, values, axis=0, extrapolate=False)
+        return interp(np.clip(x, self.nodes[0], self.nodes[-1]))
+
 
 def build_space_grid(spec: ProblemSpec, J: int = 401, quad_order: int = 15,
                      n_sigmas: float = 6.0) -> SpaceGrid:
@@ -77,19 +87,12 @@ class GridSolution:
     x0: float = 0.0
 
     def y_at(self, i: int, x):
-        interp = PchipInterpolator(self.space.nodes, self.y[i], extrapolate=False)
-        xc = np.clip(x, self.space.nodes[0], self.space.nodes[-1])
-        return interp(xc)
+        return self.space.interpolate(self.y[i], x)
 
     def z_at(self, i: int, x):
         if self.z is None:
             raise ValueError("this solution does not carry a Z component")
-        xc = np.clip(x, self.space.nodes[0], self.space.nodes[-1])
-        out = np.empty(np.shape(xc) + (self.z.shape[2],))
-        for c in range(self.z.shape[2]):
-            out[..., c] = PchipInterpolator(
-                self.space.nodes, self.z[i, :, c], extrapolate=False)(xc)
-        return out
+        return self.space.interpolate(self.z[i], x)
 
     @property
     def y0(self) -> float:
@@ -121,15 +124,10 @@ def _conditional_moments(spec: ProblemSpec, ti: float, dti: float, vals, u, w):
     return e, z
 
 
-def _interp_slice(nodes, values, pts, warn_state):
-    lo, hi = nodes[0], nodes[-1]
-    if np.any(pts < lo) or np.any(pts > hi):
-        if not warn_state.get("warned"):
-            warnings.warn("quadrature points left the space grid; using "
-                          "constant extrapolation at the edges", RuntimeWarning)
-            warn_state["warned"] = True
-    interp = PchipInterpolator(nodes, values, extrapolate=False)
-    return interp(np.clip(pts, lo, hi))
+def _warn_off_grid(count: int, total: int):
+    if count:
+        warnings.warn(f"quadrature points left the space grid: {count} of {total}; "
+                      "using constant extrapolation at the edges", RuntimeWarning)
 
 
 def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
@@ -142,7 +140,7 @@ def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSc
     M = y_bound(spec).M
     refl = np.zeros(N + 1, dtype=bool)
     refl[schedule.indices] = True
-    warn_state: dict = {}
+    off = 0
 
     g_nodes = np.asarray(spec.obstacle(nodes), dtype=float)
     y = np.empty((N + 1, J))
@@ -154,11 +152,13 @@ def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSc
         ti = grid.times[i]
         dti = grid.dt[i]
         pts = _transition_points(spec, ti, dti, nodes, u)
-        vals = _interp_slice(nodes, y[i + 1], pts, warn_state)   # (J, q)
+        off += np.count_nonzero((pts < nodes[0]) | (pts > nodes[-1]))
+        vals = space.interpolate(y[i + 1], pts)   # (J, q)
         e, z[i] = _conditional_moments(spec, ti, dti, vals, u, w)
         yi, _ = implicit_y_step(e, z[i], spec, ti, nodes, dti, radius, M)
         y[i], dk[i] = reflect_step(yi, g_nodes, bool(refl[i]))
 
+    _warn_off_grid(off, N * J * u.size)
     return GridSolution(grid=grid, space=space, y=y, z=z, dk=dk, x0=spec.x0)
 
 
@@ -185,7 +185,7 @@ def snell_cole_hopf(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSched
     u, w = _std_normal_quadrature(space.quad_order)
     refl = np.zeros(N + 1, dtype=bool)
     refl[schedule.indices] = True
-    warn_state: dict = {}
+    off = 0
 
     payoff = np.exp(spec.alpha * np.asarray(spec.obstacle(nodes), dtype=float))
     S = np.empty((N + 1, space.J))
@@ -196,9 +196,11 @@ def snell_cole_hopf(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSched
         s = spec.sigma_norm(ti)
         mean = nodes + np.asarray(spec.drift(ti, nodes), dtype=float) * dti
         pts = mean[:, None] + s * math.sqrt(dti) * u[None, :]
-        cont = _interp_slice(nodes, S[i + 1], pts, warn_state) @ w
+        off += np.count_nonzero((pts < nodes[0]) | (pts > nodes[-1]))
+        cont = space.interpolate(S[i + 1], pts) @ w
         S[i] = np.maximum(payoff, cont) if refl[i] else cont
 
+    _warn_off_grid(off, N * space.J * u.size)
     return GridSolution(grid=grid, space=space, y=np.log(S) / spec.alpha, x0=spec.x0)
 
 

@@ -1,8 +1,10 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and the oracle's space
+interpolation rule has one home.
 
-A stdlib-``ast`` check, so it needs no linter: for each module except the
+Stdlib-``ast`` checks, so they need no linter: for each module except the
 re-exporting ``__init__.py``, every name bound by a top-level ``import`` or
-``from ... import`` must be read somewhere in that module.
+``from ... import`` must be read somewhere in that module; and across the
+package ``PchipInterpolator`` is constructed in exactly one function.
 """
 
 import ast
@@ -37,3 +39,36 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _pchip_builders(source: str, prefix: str = "") -> list:
+    """Qualified names of the functions that call ``PchipInterpolator``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", getattr(child.func, "attr", None))
+                    == "PchipInterpolator"):
+                found.append(prefix + ".".join(scope or ["<module>"]))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_checker_finds_every_pchip_builder():
+    source = ("from scipy.interpolate import PchipInterpolator\n"
+              "class A:\n    def f(self):\n        return PchipInterpolator(1, 2)\n"
+              "def g():\n    return [scipy.interpolate.PchipInterpolator(x, y)]\n")
+    assert _pchip_builders(source) == ["A.f", "g"]
+
+
+def test_pchip_is_constructed_in_exactly_one_function():
+    builders = [b for path in MODULES
+                for b in _pchip_builders(path.read_text(), path.stem + ".")]
+    assert builders == ["oracle.SpaceGrid.interpolate"]

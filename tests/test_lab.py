@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qrbsde import lab
+from qrbsde import lab, oracle
 from qrbsde.model import build_preset
 from qrbsde.regress import BasisSpec
 
@@ -55,6 +55,28 @@ def test_convergence_validates_inputs():
     with pytest.raises(ValueError):
         lab.run_convergence(build_preset("P3-lipschitz"), [8, 16, 32, 64],
                             SMALL_MC, oracle="snell")
+
+
+def test_convergence_evaluates_each_oracle_step_once(monkeypatch):
+    # one PCHIP evaluation on the path cloud per step: Y and Z of the
+    # reference and of the same-N oracle are columns of one interpolant
+    mc = lab.MCConfig(n_paths=1000, seed=0, basis=BasisSpec(degree=3))
+    Ns = [4, 8, 16, 32]
+    evals = []
+    original = oracle.PchipInterpolator
+
+    def counted(*args, **kwargs):
+        interp = original(*args, **kwargs)
+
+        def evaluate(x):
+            if np.size(x) == mc.n_paths:
+                evals.append(1)
+            return interp(x)
+        return evaluate
+
+    monkeypatch.setattr(oracle, "PchipInterpolator", counted)
+    lab.run_convergence(build_preset("P1-pure-quadratic"), Ns, mc)
+    assert len(evals) == sum(Ns)
 
 
 def test_convergence_small_run_shapes_and_monotonicity():

@@ -1,13 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrbsde.forward import euler_simulate, make_grid, sample_increments
 from qrbsde.model import (CloudConfig, TruncationRadius, build_preset,
                           clip_obstacle, smooth_truncation, soft_clip_obstacle,
                           truncate_generator, validate_assumptions, y_bound)
+from qrbsde.regress import BasisSpec
+from qrbsde.scheme import estimate_Mz_auto
 
 PRESETS = ("P1-pure-quadratic", "P2-mixed-quadratic", "P3-lipschitz")
 
@@ -70,6 +74,19 @@ def test_truncation_pointwise_values():
     assert smooth_truncation(3.0, 1.0) == pytest.approx(2.0 - math.exp(-2.0))
     far = smooth_truncation(100.0, 1.0)   # 2 - e^{-99}: rounds to the cap
     assert 1.0 < far <= 2.0
+
+
+def test_truncation_at_zero_with_huge_radius_does_not_overflow():
+    # the pilot's radius is 1e9: rows with |z| = 0 must not warn of overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(smooth_truncation(np.zeros((4, 2)), 1e9), 0.0)
+        spec = build_preset("P2-mixed-quadratic")
+        grid, sched = make_grid(16, spec.T)
+        bundle = euler_simulate(spec, sample_increments(grid, 3000, 7, spec.m))
+        radius = estimate_Mz_auto(spec, grid, sched, bundle,
+                                  BasisSpec(kind="piecewise-constant", cells=20))
+    assert radius.M_z > 0
 
 
 def test_truncation_rejects_nonpositive_radius():

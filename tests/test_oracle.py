@@ -1,13 +1,19 @@
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
+from scipy.interpolate import PchipInterpolator
+
+from qrbsde import oracle
 from qrbsde.forward import make_grid
 from qrbsde.model import build_preset, clip_obstacle
-from qrbsde.oracle import (SpaceGrid, brute_force_tiny, build_space_grid,
+from qrbsde.oracle import (SpaceGrid, _std_normal_quadrature, _transition_points,
+                           brute_force_tiny, build_space_grid,
                            exact_scheme_solve, snell_cole_hopf)
 
 pytestmark = pytest.mark.filterwarnings(
@@ -186,3 +192,56 @@ def test_exact_scheme_raises_on_non_finite_driver():
     grid, sched = make_grid(4, spec.T)
     with pytest.raises(FloatingPointError):
         exact_scheme_solve(spec, grid, sched, build_space_grid(spec))
+
+
+def test_interpolate_serves_all_columns_with_one_interpolant():
+    space = build_space_grid(_p1())
+    rng = np.random.default_rng(3)
+    values = np.cumsum(rng.normal(size=(space.J, 3)), axis=0)
+    x = np.concatenate([rng.uniform(space.nodes[0], space.nodes[-1], 500),
+                        [space.nodes[0] - 1.0, space.nodes[-1] + 2.0]])
+    got = space.interpolate(values, x)
+    assert got.shape == (x.size, 3)
+    for c in range(3):
+        want = PchipInterpolator(space.nodes, values[:, c], extrapolate=False)(
+            np.clip(x, space.nodes[0], space.nodes[-1]))
+        np.testing.assert_array_equal(got[:, c], want)
+    # constant beyond the grid: the values at the end nodes
+    ends = space.interpolate(values, space.nodes[[0, -1]])
+    np.testing.assert_array_equal(got[-2:], ends)
+    np.testing.assert_allclose(ends, values[[0, -1]], rtol=1e-14, atol=1e-14)
+
+
+def test_z_at_builds_one_interpolant_for_all_components(monkeypatch):
+    spec = build_preset("P1-pure-quadratic", {"m": 2})
+    grid, sched = make_grid(4, spec.T)
+    sol = exact_scheme_solve(spec, grid, sched, build_space_grid(spec))
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return PchipInterpolator(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "PchipInterpolator", counted)
+    z = sol.z_at(1, np.linspace(0.0, 2.0, 7))
+    assert z.shape == (7, 2)
+    assert len(builds) == 1
+
+
+def test_off_grid_points_are_counted_into_one_warning():
+    spec = _p1()
+    grid, sched = make_grid(16, spec.T)
+    space = build_space_grid(spec)
+    u, _ = _std_normal_quadrature(space.quad_order)
+    want = sum(int(np.count_nonzero(
+        (pts < space.nodes[0]) | (pts > space.nodes[-1])))
+        for pts in (_transition_points(spec, grid.times[i], grid.dt[i], space.nodes, u)
+                    for i in range(grid.N)))
+    assert want > 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exact_scheme_solve(spec, grid, sched, space)
+    msgs = [str(w.message) for w in caught
+            if str(w.message).startswith("quadrature points left the space grid")]
+    assert len(msgs) == 1
+    assert int(re.search(r"grid: (\d+) of", msgs[0]).group(1)) == want
