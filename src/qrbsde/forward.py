@@ -108,9 +108,22 @@ class PathBundle:
     n_paths: int
     seed: int
     m: int
+    # path arrays come from path_array: each time slice X[:, i] or
+    # dW[:, i, :] is one contiguous column-major block
     dW: np.ndarray                      # (P, N, m)
     X_euler: Optional[np.ndarray] = None  # (P, N+1)
     X_exact: Optional[np.ndarray] = None  # (P, N+1)
+
+
+def path_array(P: int, *tail: int) -> np.ndarray:
+    """Zeroed path-indexed array of shape (P, *tail), path axis fastest.
+
+    Every engine walks the paths one time slice at a time, so each index of
+    the first tail axis owns one contiguous block in which the path axis
+    runs fastest: a (P, N+1) array is column-major, and a (P, N, m) slice
+    [:, i, :] is a column-major (P, m) block.
+    """
+    return np.moveaxis(np.zeros(tail + (P,)), -1, 0)
 
 
 def _step_rng(seed: int, i: int, stream: int) -> np.random.Generator:
@@ -127,10 +140,10 @@ def sample_increments(grid: TimeGrid, P: int, seed: int, m: int = 1) -> PathBund
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     N = grid.N
-    dW = np.empty((P, N, m))
+    dW = path_array(P, N, m)
     for i, dti in enumerate(grid.dt):
         rng = _step_rng(seed, i, _STREAM_EULER)
-        dW[:, i, :] = rng.standard_normal((P, m)) * math.sqrt(dti)
+        np.multiply(rng.standard_normal((P, m)), math.sqrt(dti), out=dW[:, i, :])
     return PathBundle(grid=grid, n_paths=P, seed=seed, m=m, dW=dW)
 
 
@@ -138,7 +151,7 @@ def euler_simulate(spec: ProblemSpec, bundle: PathBundle) -> PathBundle:
     """Left-endpoint Euler recursion for X^pi on the bundle's grid."""
     grid = bundle.grid
     P, N = bundle.n_paths, grid.N
-    X = np.empty((P, N + 1))
+    X = path_array(P, N + 1)
     X[:, 0] = spec.x0
     for i in range(N):
         ti = grid.times[i]
@@ -186,7 +199,7 @@ def exact_simulate(spec: ProblemSpec, bundle: PathBundle) -> PathBundle:
     s2 = float(sig0 @ sig0)
 
     P, N = bundle.n_paths, grid.N
-    X = np.empty((P, N + 1))
+    X = path_array(P, N + 1)
     X[:, 0] = spec.x0
     for i in range(N):
         dti = grid.dt[i]

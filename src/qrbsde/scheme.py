@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .forward import PathBundle, ReflectionSchedule, TimeGrid
+from .forward import PathBundle, ReflectionSchedule, TimeGrid, path_array
 from .model import ProblemSpec, TruncationRadius, smooth_truncation, y_bound
 from .regress import BasisSpec, build_basis, fit_least_squares, localize_basis
 
@@ -31,6 +31,8 @@ class SchemeSolution:
     grid: TimeGrid
     schedule: ReflectionSchedule
     radius: TruncationRadius
+    # path arrays come from forward.path_array: each time slice Ybar[:, i]
+    # or Zbar[:, i, :] is one contiguous column-major block
     Ybar: np.ndarray          # (P, N+1)
     Ytilde: np.ndarray        # (P, N+1)
     Zbar: np.ndarray          # (P, N, m)
@@ -155,10 +157,10 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
     refl = np.zeros(N + 1, dtype=bool)
     refl[schedule.indices] = True
 
-    Ybar = np.empty((P, N + 1))
-    Ytilde = np.empty((P, N + 1))
-    Zbar = np.zeros((P, N, m))
-    dK = np.zeros((P, N + 1))
+    Ybar = path_array(P, N + 1)
+    Ytilde = path_array(P, N + 1)
+    Zbar = path_array(P, N, m)
+    dK = path_array(P, N + 1)
     picard = np.zeros(N, dtype=int)
     conds = np.zeros(N)
     rmses = np.zeros(N)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,44 @@ def test_rank_deficiency_names_ridge():
     spec = BasisSpec(kind="piecewise-constant", cells=4, domain=(0.0, 1.0), ridge=0.0)
     with pytest.raises(np.linalg.LinAlgError, match="ridge"):
         fit_least_squares(build_basis(spec, xs), xs, np.ones(6))
+
+
+def test_collinear_polynomial_design_names_ridge():
+    xs = np.repeat([0.0, 1.0], 10)     # two distinct values cannot fix a cubic
+    spec = BasisSpec(degree=3, ridge=0.0)
+    with pytest.raises(np.linalg.LinAlgError, match="ridge"):
+        fit_least_squares(build_basis(spec, xs), xs, np.ones(20))
+
+
+def _svd_reference(A, ys, ridge):
+    """Least squares of the ridge-augmented system [A; sqrt(ridge) I] by SVD."""
+    d = A.shape[1]
+    A_aug = np.vstack([A, np.sqrt(ridge) * np.eye(d)])
+    y_aug = np.concatenate([ys, np.zeros((d,) + ys.shape[1:])])
+    coef, _, _, sv = np.linalg.lstsq(A_aug, y_aug, rcond=None)
+    return coef, A @ coef, sv[0] / sv[-1]
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-8])
+@pytest.mark.parametrize("spec", [
+    BasisSpec(degree=0), BasisSpec(degree=6), BasisSpec(degree=12),
+    BasisSpec(kind="piecewise-constant", cells=20)],
+    ids=["degree0", "degree6", "degree12", "cells20"])
+def test_fit_matches_svd_reference(spec, ridge):
+    rng = np.random.default_rng(6)
+    xs = rng.normal(size=3000)
+    ys = np.column_stack([np.sin(2.0 * xs), np.exp(-xs ** 2)])
+    ys = ys + 0.1 * rng.normal(size=ys.shape)
+    # localized as the backward scheme fits it
+    spec = localize_basis(dataclasses.replace(spec, ridge=ridge), xs)
+    phi = build_basis(spec, xs)
+    fit = fit_least_squares(phi, xs, ys, ridge=ridge)
+    coef, fitted, cond = _svd_reference(phi(xs), ys, ridge)
+    np.testing.assert_allclose(fit.coef, coef, rtol=0,
+                               atol=1e-10 * np.max(np.abs(coef)))
+    np.testing.assert_allclose(fit.fitted, fitted, rtol=0,
+                               atol=1e-10 * np.max(np.abs(fitted)))
+    assert fit.cond == pytest.approx(cond, rel=1e-5)
 
 
 def test_clamp_applies():

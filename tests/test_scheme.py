@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-from qrbsde.forward import euler_simulate, make_grid, sample_increments
+from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
+                            sample_increments)
 from qrbsde.model import TruncationRadius, build_preset, clip_obstacle
 from qrbsde import scheme
 from qrbsde.regress import BasisSpec, DesignEvaluator, build_basis
@@ -237,3 +238,21 @@ def test_one_design_and_one_fit_per_step(monkeypatch, m):
     _, _, _, sol = _solved(spec, N=6, P=2000, seed=12)
     assert sol.Zbar.shape == (2000, 6, m)
     assert calls == {"design": 6, "fit": 6}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_every_time_slice_is_contiguous(m):
+    # the backward loop reads and writes one time slice per step; each must
+    # be one contiguous block, not P strided reads
+    spec = build_preset("P1-pure-quadratic", {"m": m})
+    grid, sched = make_grid(6, spec.T)
+    bundle = sample_increments(grid, 500, 13, m)
+    bundle = exact_simulate(spec, euler_simulate(spec, bundle))
+    sol = solve_backward(spec, grid, sched, bundle, BasisSpec(degree=3),
+                         TruncationRadius(5.0))
+    for i in range(grid.N + 1):
+        for X in (bundle.X_euler, bundle.X_exact, sol.Ybar, sol.Ytilde, sol.dK):
+            assert X[:, i].flags.contiguous
+    for i in range(grid.N):
+        for dW_or_Z in (bundle.dW, sol.Zbar):
+            assert dW_or_Z[:, i, :].flags.f_contiguous
