@@ -54,7 +54,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ReflectionSchedule:
-    indices: np.ndarray  # indices into the grid, always containing 0 and N
+    indices: np.ndarray  # sorted indices into the grid, always containing 0 and N
     times: np.ndarray
 
     @property
@@ -64,6 +64,13 @@ class ReflectionSchedule:
     @property
     def mesh(self) -> float:
         return float(np.max(np.diff(self.times)))
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Boolean (N+1,) flag per grid index, True at reflection times."""
+        mask = np.zeros(self.indices[-1] + 1, dtype=bool)   # indices end at N
+        mask[self.indices] = True
+        return mask
 
 
 def make_grid(N: int, T: float,

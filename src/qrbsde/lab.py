@@ -38,16 +38,14 @@ class MCConfig:
             raise ValueError("need at least one path")
 
 
-def _resolve_radius(spec, grid, schedule, bundle, mc: MCConfig) -> TruncationRadius:
-    if mc.M_z is not None:
-        return TruncationRadius(float(mc.M_z), "user-supplied")
-    return estimate_Mz_auto(spec, grid, schedule, bundle, mc.basis)
-
-
 def _solve_mc(spec, N, mc: MCConfig, reflection="all"):
+    """Monte Carlo leg of a runner: grid, Euler bundle, truncation radius, solve."""
     grid, sched = make_grid(N, spec.T, reflection)
     bundle = euler_simulate(spec, sample_increments(grid, mc.n_paths, mc.seed, spec.m))
-    radius = _resolve_radius(spec, grid, sched, bundle, mc)
+    if mc.M_z is not None:
+        radius = TruncationRadius(float(mc.M_z), "user-supplied")
+    else:
+        radius = estimate_Mz_auto(spec, grid, sched, bundle, mc.basis)
     sol = solve_backward(spec, grid, sched, bundle, mc.basis, radius)
     return grid, sched, bundle, sol
 
@@ -90,6 +88,18 @@ def slope_fit(points: Sequence[tuple]) -> SlopeFit:
     else:
         band = 0.0
     return SlopeFit(slope=slope, intercept=intercept, band95=band, n_points=n)
+
+
+def _slopes(cells, x_key: str, keys: Sequence[str]) -> dict:
+    """slope_fit of each key against x_key over the cells where it is positive;
+    None for a key with too few such cells to fit."""
+    slopes = {}
+    for key in keys:
+        try:
+            slopes[key] = slope_fit([(c[x_key], c[key]) for c in cells if c[key] > 0])
+        except ValueError:
+            slopes[key] = None
+    return slopes
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +213,8 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
             "M_z": sol.radius.M_z,
         })
 
-    def _fit(key):
-        try:
-            return slope_fit([(c["mesh"], c[key]) for c in cells if c[key] > 0])
-        except ValueError:
-            return None
-
-    slopes = {"y0_err": _fit("y0_err"), "y_sup_err": _fit("y_sup_err"),
-              "z_err": _fit("z_err"), "mc_y0_gap": _fit("mc_y0_gap"),
-              "mc_z_gap": _fit("mc_z_gap")}
+    slopes = _slopes(cells, "mesh",
+                     ("y0_err", "y_sup_err", "z_err", "mc_y0_gap", "mc_z_gap"))
     floor = min(c["mc_y0_gap"] for c in cells) <= 3.0 * max(c["y0_se"] for c in cells)
     return ConvergenceReport(kind="grid-refinement", x_name="mesh",
                              cells=tuple(cells), slopes=slopes,
@@ -256,14 +259,9 @@ def run_discrete_reflection_sweep(spec: ProblemSpec, N: int,
 
     nondecreasing = all(b["y0"] >= a["y0"] - 1e-10
                         for a, b in zip(cells, cells[1:]))
-    try:
-        fit = slope_fit([(c["reflection_mesh"], c["gap"]) for c in cells
-                         if c["gap"] > 0])
-    except ValueError:
-        fit = None
     return ConvergenceReport(
         kind="reflection-sweep", x_name="reflection_mesh",
-        cells=tuple(cells), slopes={"gap": fit},
+        cells=tuple(cells), slopes=_slopes(cells, "reflection_mesh", ("gap",)),
         reference={"engine": engine, "N": N, "y0_full_reflection": y0_ref,
                    "monotone_nondecreasing": nondecreasing})
 
@@ -299,7 +297,7 @@ def _dw_checksum(bundle: PathBundle) -> str:
 
 def _deltas(grid: TimeGrid, XA, XB, solA: SchemeSolution, solB: SchemeSolution):
     """Path-wise coupled differences between two solved legs on one grid."""
-    dx4 = np.max((XA - XB) ** 4, axis=1)
+    dx4 = np.max(np.square(np.square(XA - XB)), axis=1)
     dY = np.max((solA.Ybar - solB.Ybar) ** 2, axis=1)
     dZ = np.sum(np.sum((solA.Zbar - solB.Zbar) ** 2, axis=-1) * grid.dt[None, :],
                 axis=1)
@@ -326,11 +324,7 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
         eps = [float(e) for e in levels]
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps levels must be strictly decreasing")
-        grid, sched = make_grid(N, spec.T, "all")
-        bundle = euler_simulate(spec, sample_increments(grid, mc.n_paths, mc.seed, spec.m))
-        # one radius shared by every leg so deltas never cross a truncation edge
-        radius = _resolve_radius(spec, grid, sched, bundle, mc)
-        sol0 = solve_backward(spec, grid, sched, bundle, mc.basis, radius)
+        grid, sched, bundle, sol0 = _solve_mc(spec, N, mc)
         checksum = _dw_checksum(bundle)
 
         cells = []
@@ -344,10 +338,10 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
             bundle_e = euler_simulate(spec_e, dataclasses.replace(
                 bundle, X_euler=None, X_exact=None))
             assert _dw_checksum(bundle_e) == checksum
-            sol_e = solve_backward(spec_e, grid, sched, bundle_e, mc.basis, radius)
+            # one radius shared by every leg so deltas never cross a truncation edge
+            sol_e = solve_backward(spec_e, grid, sched, bundle_e, mc.basis, sol0.radius)
             d = _deltas(grid, bundle.X_euler, bundle_e.X_euler, sol0, sol_e)
             d["eps"] = e
-            d["ratio_Y"] = d["D_Y"] / d["dx_proxy"] if d["dx_proxy"] > 0 else 0.0
             cells.append(d)
 
         x_key, x_name = "eps", "eps"
@@ -358,31 +352,22 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
         cells = []
         checksum = ""
         for n in Ns:
-            grid, sched = make_grid(n, spec.T, "all")
-            bundle = sample_increments(grid, mc.n_paths, mc.seed, spec.m)
-            bundle = exact_simulate(spec, euler_simulate(spec, bundle))
+            grid, sched, bundle, sol_e = _solve_mc(spec, n, mc)
+            bundle = exact_simulate(spec, bundle)
             checksum = _dw_checksum(bundle)
-            radius = _resolve_radius(spec, grid, sched, bundle, mc)
-            sol_e = solve_backward(spec, grid, sched, bundle, mc.basis, radius)
             exact_leg = dataclasses.replace(bundle, X_euler=bundle.X_exact)
-            sol_x = solve_backward(spec, grid, sched, exact_leg, mc.basis, radius)
+            sol_x = solve_backward(spec, grid, sched, exact_leg, mc.basis, sol_e.radius)
             d = _deltas(grid, bundle.X_exact, bundle.X_euler, sol_x, sol_e)
             d["N"] = n
             d["mesh"] = grid.mesh
-            d["ratio_Y"] = d["D_Y"] / d["dx_proxy"] if d["dx_proxy"] > 0 else 0.0
             cells.append(d)
         x_key, x_name = "mesh", "mesh"
     else:
         raise ValueError(f"unknown stability kind {kind!r}")
 
-    def _fit(key):
-        try:
-            return slope_fit([(c[x_key], c[key]) for c in cells if c[key] > 0])
-        except ValueError:
-            return None
-
-    slopes = {"dx_proxy": _fit("dx_proxy"), "D_Y": _fit("D_Y"),
-              "D_Z": _fit("D_Z"), "D_K": _fit("D_K")}
+    for d in cells:
+        d["ratio_Y"] = d["D_Y"] / d["dx_proxy"] if d["dx_proxy"] > 0 else 0.0
+    slopes = _slopes(cells, x_key, ("dx_proxy", "D_Y", "D_Z", "D_K"))
     return StabilityReport(kind=kind, x_name=x_name, cells=tuple(cells),
                            slopes=slopes, dw_checksum=checksum)
 

@@ -138,8 +138,7 @@ def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSc
     J, N, m = space.J, grid.N, spec.m
     u, w = _std_normal_quadrature(space.quad_order)
     M = y_bound(spec).M
-    refl = np.zeros(N + 1, dtype=bool)
-    refl[schedule.indices] = True
+    refl = schedule.mask
     off = 0
 
     g_nodes = np.asarray(spec.obstacle(nodes), dtype=float)
@@ -183,8 +182,7 @@ def snell_cole_hopf(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSched
     nodes = space.nodes
     N = grid.N
     u, w = _std_normal_quadrature(space.quad_order)
-    refl = np.zeros(N + 1, dtype=bool)
-    refl[schedule.indices] = True
+    refl = schedule.mask
     off = 0
 
     payoff = np.exp(spec.alpha * np.asarray(spec.obstacle(nodes), dtype=float))
@@ -219,8 +217,7 @@ def brute_force_tiny(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSche
         raise ValueError("brute force is restricted to quadrature order <= 9")
     u, w = _std_normal_quadrature(quad_order)
     M = y_bound(spec).M
-    refl = np.zeros(N + 1, dtype=bool)
-    refl[schedule.indices] = True
+    refl = schedule.mask
 
     # forward pass: states[i] has shape (q^i,)
     states = [np.array([spec.x0])]

@@ -39,7 +39,7 @@ class SchemeSolution:
     dK: np.ndarray            # (P, N+1), nonzero only at reflection steps
     y0_fit: float
     y0_mean: float
-    y0_se: float
+    y0_se: float              # std(Ybar[:, 1]) / sqrt(P); not the SE of y0_fit
     picard_counts: np.ndarray  # (N,)
     fit_conds: np.ndarray      # (N,) cond of each step's design (Z and mean share it)
     fit_rmses: np.ndarray      # (N,) in-sample RMSE of the mean column
@@ -50,8 +50,7 @@ class SchemeSolution:
 
     def skorokhod_flags(self, spec: ProblemSpec, X: np.ndarray) -> dict:
         """Exact discrete Skorokhod conditions (zero tolerance)."""
-        refl = np.zeros(self.grid.N + 1, dtype=bool)
-        refl[self.schedule.indices] = True
+        refl = self.schedule.mask
         g = np.asarray(spec.obstacle(X), dtype=float)
         flags = {
             "dK_nonnegative": bool(np.all(self.dK >= 0.0)),
@@ -82,19 +81,16 @@ class SchemeSolution:
         }
 
 
-def z_projection_step(y_next, dW_i, dt_i, phi, xs, ridge=0.0, clamp=None):
-    """Regress all components of y_next * dW / dt on phi(xs) in one solve."""
+def z_projection_step(y_next, dW_i, dt_i, phi, xs, ridge=0.0):
+    """The step's one projection: the RegressionFit on phi(xs) of Z, the m
+    columns y_next * dW_i / dt_i (dW_i of shape (P, m)), and last the mean
+    column y_next, with one design and one solve."""
     if dt_i <= 0:
         raise ValueError("dt must be positive")
     y_next = np.asarray(y_next, dtype=float)
-    dW_i = np.atleast_2d(np.asarray(dW_i, dtype=float))
-    if dW_i.shape[0] != y_next.shape[0]:
-        dW_i = dW_i.T
-    out = fit_least_squares(phi, xs, y_next[:, None] * dW_i / dt_i,
-                            ridge=ridge).fitted
-    if clamp is not None:
-        out = np.clip(out, clamp[0], clamp[1])
-    return out
+    return fit_least_squares(
+        phi, xs, np.column_stack([y_next[:, None] * dW_i / dt_i, y_next]),
+        ridge=ridge)
 
 
 def implicit_y_step(e, zbar, spec: ProblemSpec, t_i: float, x_i, dt: float,
@@ -154,8 +150,7 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
     m = bundle.m
     M = y_bound(spec).M
     z_clamp = (-(radius.M_z + 1.0), radius.M_z + 1.0)
-    refl = np.zeros(N + 1, dtype=bool)
-    refl[schedule.indices] = True
+    refl = schedule.mask
 
     Ybar = path_array(P, N + 1)
     Ytilde = path_array(P, N + 1)
@@ -176,13 +171,8 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
         step_basis = localize_basis(basis, xs)
         phi = build_basis(step_basis, xs)
 
-        # Z (first m columns) and the conditional mean (last column) are
-        # projections onto the same space: one design, one solve
-        y_next = Ybar[:, i + 1]
-        fit = fit_least_squares(
-            phi, xs,
-            np.column_stack([y_next[:, None] * bundle.dW[:, i, :] / dti, y_next]),
-            ridge=step_basis.ridge)
+        fit = z_projection_step(Ybar[:, i + 1], bundle.dW[:, i, :], dti, phi, xs,
+                                ridge=step_basis.ridge)
         Zbar[:, i, :] = np.clip(fit.fitted[:, :m], z_clamp[0], z_clamp[1])
         e = np.clip(fit.fitted[:, m], -M, M)
         conds[i] = fit.cond

@@ -1,10 +1,12 @@
 """Every module-level import in the package is used, and the oracle's space
-interpolation rule has one home.
+interpolation rule and the least-squares fit each have their homes.
 
 Stdlib-``ast`` checks, so they need no linter: for each module except the
 re-exporting ``__init__.py``, every name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere in that module; and across the
-package ``PchipInterpolator`` is constructed in exactly one function.
+package ``PchipInterpolator`` is constructed in exactly one function and
+``fit_least_squares`` is called only by the step's projection and the
+diagnostics' tail-sum regression.
 """
 
 import ast
@@ -41,8 +43,8 @@ def test_no_unused_module_level_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _pchip_builders(source: str, prefix: str = "") -> list:
-    """Qualified names of the functions that call ``PchipInterpolator``."""
+def _callers(source: str, name: str, prefix: str = "") -> list:
+    """Qualified names of the functions that call ``name``."""
     found = []
 
     def visit(node, scope):
@@ -53,7 +55,7 @@ def _pchip_builders(source: str, prefix: str = "") -> list:
                 continue
             if (isinstance(child, ast.Call)
                     and getattr(child.func, "id", getattr(child.func, "attr", None))
-                    == "PchipInterpolator"):
+                    == name):
                 found.append(prefix + ".".join(scope or ["<module>"]))
             visit(child, scope)
 
@@ -65,10 +67,17 @@ def test_checker_finds_every_pchip_builder():
     source = ("from scipy.interpolate import PchipInterpolator\n"
               "class A:\n    def f(self):\n        return PchipInterpolator(1, 2)\n"
               "def g():\n    return [scipy.interpolate.PchipInterpolator(x, y)]\n")
-    assert _pchip_builders(source) == ["A.f", "g"]
+    assert _callers(source, "PchipInterpolator") == ["A.f", "g"]
 
 
-def test_pchip_is_constructed_in_exactly_one_function():
-    builders = [b for path in MODULES
-                for b in _pchip_builders(path.read_text(), path.stem + ".")]
-    assert builders == ["oracle.SpaceGrid.interpolate"]
+HOMES = {
+    "PchipInterpolator": ["oracle.SpaceGrid.interpolate"],
+    "fit_least_squares": ["lab.run_diagnostics", "scheme.z_projection_step"],
+}
+
+
+@pytest.mark.parametrize("name", HOMES)
+def test_one_home(name):
+    callers = [c for path in MODULES
+               for c in _callers(path.read_text(), name, path.stem + ".")]
+    assert callers == HOMES[name]

@@ -108,6 +108,13 @@ def test_truncation_bound_and_identity(z1, z2, n):
         assert float(np.linalg.norm(h)) <= r + 1e-12
 
 
+def test_truncation_is_identity_where_the_norm_rounds_up_to_the_radius():
+    # sqrt(sum(z*z)) rounds one ulp above np.linalg.norm(z) = n here
+    z = np.array([1e-9, 0.1])
+    assert float(np.linalg.norm(z)) <= 0.1
+    np.testing.assert_array_equal(smooth_truncation(z, 0.1), z)
+
+
 def test_truncation_one_lipschitz_random_pairs():
     rng = np.random.default_rng(0)
     z = rng.normal(scale=5.0, size=(10 ** 5, 2))

@@ -44,7 +44,7 @@ def test_z_projection_recovers_linear_coefficient():
     y_next = a + b * dW[:, 0]
     xs = np.full(P, 1.0)
     phi = build_basis(BasisSpec(degree=0), xs)
-    z = z_projection_step(y_next, dW, dt, phi, xs)
+    z = z_projection_step(y_next, dW, dt, phi, xs).fitted
     se = 4.0 * (abs(a) + abs(b)) / math.sqrt(P * dt)
     assert abs(z[0, 0] - b) <= se
 
@@ -55,7 +55,7 @@ def test_z_projection_constant_integrand_vanishes():
     dW = rng.normal(scale=math.sqrt(dt), size=(P, 1))
     xs = np.full(P, 1.0)
     phi = build_basis(BasisSpec(degree=0), xs)
-    z = z_projection_step(np.full(P, 0.8), dW, dt, phi, xs)
+    z = z_projection_step(np.full(P, 0.8), dW, dt, phi, xs).fitted
     assert abs(z[0, 0]) <= 4.0 * 0.8 / math.sqrt(P * dt)
 
 
@@ -65,7 +65,7 @@ def test_z_projection_component_separation():
     dW = rng.normal(scale=math.sqrt(dt), size=(P, 2))
     xs = np.full(P, 0.0)
     phi = build_basis(BasisSpec(degree=0), xs)
-    z = z_projection_step(dW[:, 0], dW, dt, phi, xs)
+    z = z_projection_step(dW[:, 0], dW, dt, phi, xs).fitted
     assert abs(z[0, 0] - 1.0) < 0.05 and abs(z[0, 1]) < 0.05
 
 
@@ -221,8 +221,9 @@ def test_picard_counts_small_for_smooth_drivers():
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_one_design_and_one_fit_per_step(monkeypatch, m):
-    calls = {"design": 0, "fit": 0}
+    calls = {"design": 0, "fit": 0, "z_projection_step": 0}
     design, fit = DesignEvaluator.__call__, scheme.fit_least_squares
+    projection = scheme.z_projection_step
 
     def counted_design(self, x):
         calls["design"] += 1
@@ -232,12 +233,17 @@ def test_one_design_and_one_fit_per_step(monkeypatch, m):
         calls["fit"] += 1
         return fit(*args, **kwargs)
 
+    def counted_projection(*args, **kwargs):
+        calls["z_projection_step"] += 1
+        return projection(*args, **kwargs)
+
     monkeypatch.setattr(DesignEvaluator, "__call__", counted_design)
     monkeypatch.setattr(scheme, "fit_least_squares", counted_fit)
+    monkeypatch.setattr(scheme, "z_projection_step", counted_projection)
     spec = build_preset("P1-pure-quadratic", {"m": m})
     _, _, _, sol = _solved(spec, N=6, P=2000, seed=12)
     assert sol.Zbar.shape == (2000, 6, m)
-    assert calls == {"design": 6, "fit": 6}
+    assert calls == {"design": 6, "fit": 6, "z_projection_step": 6}
 
 
 @pytest.mark.parametrize("m", [1, 2])
