@@ -318,7 +318,8 @@ def _run_oracle(cfg: RunConfig):
     space = build_space_grid(spec)
     exact = exact_scheme_solve(spec, grid, sched, space)
     summary = {"exact_scheme_y0": exact.y0, "N": cfg.N,
-               "space_nodes": space.J, "quad_order": space.quad_order}
+               "space_nodes": space.J, "quad_order": space.quad_order,
+               "off_grid": list(exact.off_grid)}
     flags = {}
     if spec.pure_quadratic:
         snell = snell_cole_hopf(spec, grid, sched, space)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .forward import (PathBundle, TimeGrid, euler_simulate, exact_simulate,
                       make_grid, sample_increments)
@@ -82,11 +82,8 @@ def slope_fit(points: Sequence[tuple]) -> SlopeFit:
     slope = float(np.sum((lx - lx.mean()) * (ly - ly.mean())) / sxx)
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)
-    if n > 2:
-        s2 = float(np.sum(resid ** 2) / (n - 2))
-        band = float(stats.t.ppf(0.975, n - 2) * math.sqrt(s2 / sxx))
-    else:
-        band = 0.0
+    s2 = float(np.sum(resid ** 2) / (n - 2))
+    band = float(stdtrit(n - 2, 0.975) * math.sqrt(s2 / sxx))
     return SlopeFit(slope=slope, intercept=intercept, band95=band, n_points=n)
 
 
@@ -169,9 +166,10 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
     y0_ref = ref.y0
     reference = {"y0_oracle": "exact-scheme", "N_ref": N_ref,
                  "exact_scheme_y0": y0_ref}
+    lattice = [ref]
     if spec.pure_quadratic:
-        snell_y0 = snell_cole_hopf(spec, grid_ref, sched_ref, space).y0
-        reference["snell_y0"] = snell_y0
+        lattice.append(snell_cole_hopf(spec, grid_ref, sched_ref, space))
+        snell_y0 = reference["snell_y0"] = lattice[-1].y0
         if oracle in ("auto", "snell"):
             reference["y0_oracle"] = "snell"
             y0_ref = snell_y0
@@ -182,6 +180,7 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
         grid, sched, bundle, sol = _solve_mc(spec, N, mc)
         X = bundle.X_euler
         orc = exact_scheme_solve(spec, grid, sched, space)
+        lattice.append(orc)
         y0_orc = orc.y0
 
         sup_y = 0.0           # quadrature-at-N vs fine reference
@@ -216,6 +215,8 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
     slopes = _slopes(cells, "mesh",
                      ("y0_err", "y_sup_err", "z_err", "mc_y0_gap", "mc_z_gap"))
     floor = min(c["mc_y0_gap"] for c in cells) <= 3.0 * max(c["y0_se"] for c in cells)
+    # quadrature points off the space grid, of all points, over every lattice solve
+    reference["off_grid"] = [sum(s.off_grid[k] for s in lattice) for k in (0, 1)]
     return ConvergenceReport(kind="grid-refinement", x_name="mesh",
                              cells=tuple(cells), slopes=slopes,
                              reference=reference, floor_limited=bool(floor))

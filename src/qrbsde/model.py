@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 PRESET_NAMES = ("P1-pure-quadratic", "P2-mixed-quadratic", "P3-lipschitz")
 
@@ -283,6 +282,9 @@ def validate_assumptions(spec: ProblemSpec, cloud: CloudConfig = CloudConfig()) 
     check passes iff the worst ratio over the cloud is <= 1 + 1e-6.  Failures
     are report content, never exceptions.
     """
+    # imported at its one use, so that `import qrbsde` never loads scipy.stats
+    from scipy.stats import qmc
+
     n = cloud.n_points
     sob = qmc.Sobol(d=7, scramble=False, seed=0)
     u = sob.random(n)

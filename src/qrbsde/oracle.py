@@ -13,7 +13,8 @@ giving an independent closed-form-in-structure oracle.
 Every lookup of a value slice in space goes through ``SpaceGrid.interpolate``:
 monotone cubic (PCHIP) interpolation along the nodes, one interpolant for all
 columns of a slice, held constant beyond the grid.  The lattice solvers count
-the quadrature points that leave the grid and warn once with that count.
+the quadrature points that leave the grid, warn once with that count and
+keep it as ``GridSolution.off_grid``.
 
 The lattice and tree engines differ from the path solver only in how they
 take conditional expectations: each backward step goes through the scheme's
@@ -85,6 +86,7 @@ class GridSolution:
     z: Optional[np.ndarray] = None    # (N, J, m)
     dk: Optional[np.ndarray] = None   # (N+1, J)
     x0: float = 0.0
+    off_grid: tuple = (0, 0)          # (quadrature points off the grid, all points)
 
     def y_at(self, i: int, x):
         return self.space.interpolate(self.y[i], x)
@@ -124,10 +126,12 @@ def _conditional_moments(spec: ProblemSpec, ti: float, dti: float, vals, u, w):
     return e, z
 
 
-def _warn_off_grid(count: int, total: int):
+def _off_grid(count: int, total: int) -> tuple:
+    """The (count, total) report field; warns once if any point left the grid."""
     if count:
         warnings.warn(f"quadrature points left the space grid: {count} of {total}; "
                       "using constant extrapolation at the edges", RuntimeWarning)
+    return int(count), int(total)
 
 
 def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
@@ -157,8 +161,8 @@ def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSc
         yi, _ = implicit_y_step(e, z[i], spec, ti, nodes, dti, radius, M)
         y[i], dk[i] = reflect_step(yi, g_nodes, bool(refl[i]))
 
-    _warn_off_grid(off, N * J * u.size)
-    return GridSolution(grid=grid, space=space, y=y, z=z, dk=dk, x0=spec.x0)
+    return GridSolution(grid=grid, space=space, y=y, z=z, dk=dk, x0=spec.x0,
+                        off_grid=_off_grid(off, N * J * u.size))
 
 
 def _require_pure_quadratic(spec: ProblemSpec):
@@ -198,8 +202,8 @@ def snell_cole_hopf(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSched
         cont = space.interpolate(S[i + 1], pts) @ w
         S[i] = np.maximum(payoff, cont) if refl[i] else cont
 
-    _warn_off_grid(off, N * space.J * u.size)
-    return GridSolution(grid=grid, space=space, y=np.log(S) / spec.alpha, x0=spec.x0)
+    return GridSolution(grid=grid, space=space, y=np.log(S) / spec.alpha, x0=spec.x0,
+                        off_grid=_off_grid(off, N * space.J * u.size))
 
 
 def brute_force_tiny(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,

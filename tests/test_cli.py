@@ -134,6 +134,8 @@ def test_oracle_subcommand(tmp_path):
     assert code == EXIT_OK
     res = json.loads((out / "summary.json").read_text())["results"]
     assert abs(res["exact_scheme_y0"] - res["snell_y0"]) <= 1e-3
+    count, total = res["off_grid"]
+    assert 0 < count < total == 16 * res["space_nodes"] * res["quad_order"]
 
 
 def test_config_error_exit_codes(tmp_path):

@@ -6,11 +6,15 @@ re-exporting ``__init__.py``, every name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere in that module; and across the
 package ``PchipInterpolator`` is constructed in exactly one function and
 ``fit_least_squares`` is called only by the step's projection and the
-diagnostics' tail-sum regression.
+diagnostics' tail-sum regression.  A fresh interpreter that imports the
+package and runs a small convergence study never loads ``scipy.stats``.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -81,3 +85,22 @@ def test_one_home(name):
     callers = [c for path in MODULES
                for c in _callers(path.read_text(), name, path.stem + ".")]
     assert callers == HOMES[name]
+
+
+_COLD_START = """
+import sys
+import qrbsde, qrbsde.cli
+loaded = ["scipy.stats" in sys.modules]
+qrbsde.run_convergence(qrbsde.build_preset("P1-pure-quadratic"), [4, 8, 16, 32],
+                       qrbsde.MCConfig(n_paths=2000, seed=0))
+loaded.append("scipy.stats" in sys.modules)
+print(loaded)
+"""
+
+
+def test_import_and_convergence_do_not_load_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", _COLD_START],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[False, False]"

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qrbsde import lab, oracle
 from qrbsde.model import build_preset
@@ -31,6 +32,20 @@ def test_slope_fit_rejects_bad_inputs():
         lab.slope_fit([(0.1, 1.0), (0.2, 0.0), (0.4, 2.0)])  # zero error
     with pytest.raises(ValueError):
         lab.slope_fit([(0.1, 1.0), (0.1, 1.0), (0.1, 1.0)])  # degenerate h
+
+
+def test_slope_fit_band_uses_the_student_t_quantile_bit_for_bit():
+    rng = np.random.default_rng(1)
+    for n in range(3, 9):
+        hs = np.logspace(-3, -1, n)
+        errs = hs ** 0.5 * np.exp(0.05 * rng.normal(size=n))
+        lx, ly = np.log(hs), np.log(errs)
+        sxx = float(np.sum((lx - lx.mean()) ** 2))
+        slope = float(np.sum((lx - lx.mean()) * (ly - ly.mean())) / sxx)
+        resid = ly - (float(ly.mean() - slope * lx.mean()) + slope * lx)
+        s2 = float(np.sum(resid ** 2) / (n - 2))
+        want = float(stats.t.ppf(0.975, n - 2) * np.sqrt(s2 / sxx))
+        assert lab.slope_fit(list(zip(hs, errs))).band95 == want
 
 
 def test_slope_fit_band_covers_noisy_truth():
@@ -88,6 +103,9 @@ def test_convergence_small_run_shapes_and_monotonicity():
     assert rep.slopes["y0_err"].slope > 0.2
     assert rep.slopes["z_err"].slope > 0.2
     assert rep.reference["y0_oracle"] == "snell"
+    # the reference, its Snell twin and one oracle per N, at 401 nodes x 15 points
+    count, total = rep.reference["off_grid"]
+    assert 0 < count < total == (64 + 64 + 4 + 8 + 16 + 32) * 401 * 15
     d = rep.to_dict()
     assert d["kind"] == "grid-refinement" and len(d["cells"]) == 4
 

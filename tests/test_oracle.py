@@ -240,8 +240,10 @@ def test_off_grid_points_are_counted_into_one_warning():
     assert want > 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        exact_scheme_solve(spec, grid, sched, space)
+        sol = exact_scheme_solve(spec, grid, sched, space)
     msgs = [str(w.message) for w in caught
             if str(w.message).startswith("quadrature points left the space grid")]
     assert len(msgs) == 1
     assert int(re.search(r"grid: (\d+) of", msgs[0]).group(1)) == want
+    assert sol.off_grid == (want, grid.N * space.J * u.size) == (6496, 96240)
+    assert snell_cole_hopf(spec, grid, sched, space).off_grid == sol.off_grid
