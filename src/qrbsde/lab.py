@@ -126,6 +126,54 @@ class ConvergenceReport:
         }
 
 
+def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
+                      stride: int, y0_ref: float):
+    """One grid size of ``run_convergence``: the path solve and the lattice
+    solve at N, compared with each other and with the reference on the path
+    cloud.  Returns the cell and the lattice solve's off-grid count; the
+    paths and both solutions are released before the next grid size."""
+    grid, sched, bundle, sol = _solve_mc(spec, N, mc)
+    X = bundle.X_euler
+    orc = exact_scheme_solve(spec, grid, sched, space)
+    y0_orc = orc.y0
+
+    sup_y = 0.0           # quadrature-at-N vs fine reference
+    mc_sup_y = 0.0        # path solver vs quadrature-at-N
+    z_terms = np.zeros(mc.n_paths)
+    mc_z_terms = np.zeros(mc.n_paths)
+    for i in range(N):
+        v = space.interpolate(np.column_stack(
+            [ref.y[stride * i], orc.y[i], ref.z[stride * i], orc.z[i]]), X[:, i])
+        y_ref_i, y_orc_i = v[:, 0], v[:, 1]
+        z_ref_i, z_orc_i = v[:, 2:2 + spec.m], v[:, 2 + spec.m:]
+        sup_y = max(sup_y, float(np.sqrt(np.mean((y_orc_i - y_ref_i) ** 2))))
+        mc_sup_y = max(mc_sup_y,
+                       float(np.sqrt(np.mean((sol.Ybar[:, i] - y_orc_i) ** 2))))
+        z_terms += np.sum((z_orc_i - z_ref_i) ** 2, axis=-1) * grid.dt[i]
+        mc_z_terms += np.sum((sol.Zbar[:, i, :] - z_orc_i) ** 2,
+                             axis=-1) * grid.dt[i]
+
+    cell = {
+        "N": N, "mesh": grid.mesh,
+        "y0_scheme": sol.y0_fit, "y0_se": sol.y0_se,
+        "y0_oracle": y0_orc, "y0_ref": y0_ref,
+        "y0_err": abs(y0_orc - y0_ref),
+        "y_sup_err": sup_y,
+        "z_err": float(np.mean(z_terms)),
+        "mc_y0_gap": abs(sol.y0_fit - y0_orc),
+        "mc_y_sup_err": mc_sup_y,
+        "mc_z_gap": float(np.mean(mc_z_terms)),
+        "M_z": sol.radius.M_z,
+    }
+    return cell, orc.off_grid
+
+
+def _off_grid_total(counts) -> list:
+    """Quadrature points off the space grid, of all points, summed over the
+    (count, total) pairs of several lattice solves."""
+    return [sum(c) for c in zip(*counts)]
+
+
 def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
                     oracle: str = "auto") -> ConvergenceReport:
     """Solve on refining uniform grids with reflection at every grid time.
@@ -166,57 +214,25 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
     y0_ref = ref.y0
     reference = {"y0_oracle": "exact-scheme", "N_ref": N_ref,
                  "exact_scheme_y0": y0_ref}
-    lattice = [ref]
+    off_grid = [ref.off_grid]
     if spec.pure_quadratic:
-        lattice.append(snell_cole_hopf(spec, grid_ref, sched_ref, space))
-        snell_y0 = reference["snell_y0"] = lattice[-1].y0
+        snell = snell_cole_hopf(spec, grid_ref, sched_ref, space)
+        off_grid.append(snell.off_grid)
+        snell_y0 = reference["snell_y0"] = snell.y0
         if oracle in ("auto", "snell"):
             reference["y0_oracle"] = "snell"
             y0_ref = snell_y0
 
     cells = []
     for N in Ns:
-        stride = N_ref // N
-        grid, sched, bundle, sol = _solve_mc(spec, N, mc)
-        X = bundle.X_euler
-        orc = exact_scheme_solve(spec, grid, sched, space)
-        lattice.append(orc)
-        y0_orc = orc.y0
-
-        sup_y = 0.0           # quadrature-at-N vs fine reference
-        mc_sup_y = 0.0        # path solver vs quadrature-at-N
-        z_terms = np.zeros(mc.n_paths)
-        mc_z_terms = np.zeros(mc.n_paths)
-        for i in range(N):
-            v = space.interpolate(np.column_stack(
-                [ref.y[stride * i], orc.y[i], ref.z[stride * i], orc.z[i]]), X[:, i])
-            y_ref_i, y_orc_i = v[:, 0], v[:, 1]
-            z_ref_i, z_orc_i = v[:, 2:2 + spec.m], v[:, 2 + spec.m:]
-            sup_y = max(sup_y, float(np.sqrt(np.mean((y_orc_i - y_ref_i) ** 2))))
-            mc_sup_y = max(mc_sup_y,
-                           float(np.sqrt(np.mean((sol.Ybar[:, i] - y_orc_i) ** 2))))
-            z_terms += np.sum((z_orc_i - z_ref_i) ** 2, axis=-1) * grid.dt[i]
-            mc_z_terms += np.sum((sol.Zbar[:, i, :] - z_orc_i) ** 2,
-                                 axis=-1) * grid.dt[i]
-
-        cells.append({
-            "N": N, "mesh": grid.mesh,
-            "y0_scheme": sol.y0_fit, "y0_se": sol.y0_se,
-            "y0_oracle": y0_orc, "y0_ref": y0_ref,
-            "y0_err": abs(y0_orc - y0_ref),
-            "y_sup_err": sup_y,
-            "z_err": float(np.mean(z_terms)),
-            "mc_y0_gap": abs(sol.y0_fit - y0_orc),
-            "mc_y_sup_err": mc_sup_y,
-            "mc_z_gap": float(np.mean(mc_z_terms)),
-            "M_z": sol.radius.M_z,
-        })
+        cell, off = _convergence_cell(spec, N, mc, space, ref, N_ref // N, y0_ref)
+        cells.append(cell)
+        off_grid.append(off)
 
     slopes = _slopes(cells, "mesh",
                      ("y0_err", "y_sup_err", "z_err", "mc_y0_gap", "mc_z_gap"))
     floor = min(c["mc_y0_gap"] for c in cells) <= 3.0 * max(c["y0_se"] for c in cells)
-    # quadrature points off the space grid, of all points, over every lattice solve
-    reference["off_grid"] = [sum(s.off_grid[k] for s in lattice) for k in (0, 1)]
+    reference["off_grid"] = _off_grid_total(off_grid)
     return ConvergenceReport(kind="grid-refinement", x_name="mesh",
                              cells=tuple(cells), slopes=slopes,
                              reference=reference, floor_limited=bool(floor))
@@ -242,12 +258,14 @@ def run_discrete_reflection_sweep(spec: ProblemSpec, N: int,
             raise ValueError(f"kappa={k} must divide N={N}")
 
     space = build_space_grid(spec)
+    off_grid = []
 
     def value(reflection):
         grid, sched = make_grid(N, spec.T, reflection)
-        if engine == "snell":
-            return snell_cole_hopf(spec, grid, sched, space).y0, sched
-        return exact_scheme_solve(spec, grid, sched, space).y0, sched
+        solve = snell_cole_hopf if engine == "snell" else exact_scheme_solve
+        sol = solve(spec, grid, sched, space)
+        off_grid.append(sol.off_grid)
+        return sol.y0, sched
 
     y0_ref, _ = value("all")
     cells = []
@@ -264,7 +282,8 @@ def run_discrete_reflection_sweep(spec: ProblemSpec, N: int,
         kind="reflection-sweep", x_name="reflection_mesh",
         cells=tuple(cells), slopes=_slopes(cells, "reflection_mesh", ("gap",)),
         reference={"engine": engine, "N": N, "y0_full_reflection": y0_ref,
-                   "monotone_nondecreasing": nondecreasing})
+                   "monotone_nondecreasing": nondecreasing,
+                   "off_grid": _off_grid_total(off_grid)})
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +357,9 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
             spec_e = dataclasses.replace(spec, drift=drift_e)
             bundle_e = euler_simulate(spec_e, dataclasses.replace(
                 bundle, X_euler=None, X_exact=None))
-            assert _dw_checksum(bundle_e) == checksum
+            # the same increments object, so the report's one dW hash covers both legs
+            if bundle_e.dW is not bundle.dW:
+                raise RuntimeError("drift-shift leg does not share the base leg's increments")
             # one radius shared by every leg so deltas never cross a truncation edge
             sol_e = solve_backward(spec_e, grid, sched, bundle_e, mc.basis, sol0.radius)
             d = _deltas(grid, bundle.X_euler, bundle_e.X_euler, sol0, sol_e)

@@ -12,7 +12,11 @@ giving an independent closed-form-in-structure oracle.
 
 Every lookup of a value slice in space goes through ``SpaceGrid.interpolate``:
 monotone cubic (PCHIP) interpolation along the nodes, one interpolant for all
-columns of a slice, held constant beyond the grid.  The lattice solvers count
+columns of a slice, held constant beyond the grid.  The nodes must be evenly
+spaced, which ``SpaceGrid`` checks, so each point's interval is computed
+directly from the spacing rather than searched for, and the cubic is
+evaluated from the interpolant's own coefficients; the values are
+bit-identical to calling the interpolant.  The lattice solvers count
 the quadrature points that leave the grid, warn once with that count and
 keep it as ``GridSolution.off_grid``.
 
@@ -53,6 +57,11 @@ class SpaceGrid:
             raise ValueError("quadrature order must be >= 7")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
+        # interpolate() computes each interval index from the spacing, which
+        # is exact up to the one-step correction only on evenly spaced nodes
+        even = np.linspace(nodes[0], nodes[-1], nodes.size)
+        if np.max(np.abs(nodes - even)) > 1e-6 * (even[1] - even[0]):
+            raise ValueError("nodes must be evenly spaced")
         object.__setattr__(self, "nodes", nodes)
 
     @property
@@ -60,9 +69,48 @@ class SpaceGrid:
         return self.nodes.size
 
     def interpolate(self, values, x):
-        """PCHIP of values (J, ...) along the nodes at x, constant beyond the grid."""
-        interp = PchipInterpolator(self.nodes, values, axis=0, extrapolate=False)
-        return interp(np.clip(x, self.nodes[0], self.nodes[-1]))
+        """PCHIP of values (J, ...) along the nodes at x, constant beyond the grid.
+
+        Bit-identical to ``PchipInterpolator(...)(clip(x))``: the interval of
+        each point is read off the even spacing, corrected by one step to
+        scipy's rule nodes[i] <= x < nodes[i+1] (the last interval closed),
+        and the cubic is evaluated from the interpolant's coefficients in
+        scipy's order, one column at a time.  The result has shape
+        x.shape + values.shape[1:], and each of its columns (one index of
+        the trailing axes) is one contiguous block.
+        """
+        nodes = self.nodes
+        interp = PchipInterpolator(nodes, values, axis=0, extrapolate=False)
+        x = np.clip(np.asarray(x, dtype=float), nodes[0], nodes[-1])
+        xf = x.ravel()
+        last = nodes.size - 2
+        buf = xf - nodes[0]
+        buf *= (last + 1) / (nodes[-1] - nodes[0])
+        # buf >= 0, so the cast floors; fmin also sends NaN to a valid
+        # interval, where s and so the value stay NaN
+        i = np.fmin(buf, last, out=buf).astype(np.intp)
+        # one step to scipy's interval: nodes[i] <= x < nodes[i+1], the last
+        # closed; every index taken is in range, and mode="clip" lets take
+        # write into out without an intermediate copy
+        i += xf >= np.take(nodes[1:], i, out=buf, mode="clip")
+        i -= xf < np.take(nodes, i, out=buf, mode="clip")
+        np.minimum(i, last, out=i)
+        s = np.subtract(xf, np.take(nodes, i, out=buf, mode="clip"), out=buf)
+        s2 = s * s
+        s3 = s2 * s
+        tail = interp.c.shape[2:]
+        c = interp.c.reshape(4, last + 1, -1)    # (power, interval, column)
+        out = np.empty((c.shape[2], xf.size))
+        term = np.empty_like(s)
+        for k, col in enumerate(out):
+            c0, c1, c2, c3 = np.ascontiguousarray(c[:, :, k])
+            # scipy's sum starts from 0.0, so a -0.0 constant term reads 0.0
+            np.take(c3 + 0.0, i, out=col, mode="clip")
+            col += np.multiply(np.take(c2, i, out=term, mode="clip"), s, out=term)
+            col += np.multiply(np.take(c1, i, out=term, mode="clip"), s2, out=term)
+            col += np.multiply(np.take(c0, i, out=term, mode="clip"), s3, out=term)
+        return np.moveaxis(out.reshape(tail + x.shape),
+                           range(len(tail)), range(-len(tail), 0))
 
 
 def build_space_grid(spec: ProblemSpec, J: int = 401, quad_order: int = 15,

@@ -49,15 +49,20 @@ class SchemeSolution:
         return np.sum(self.dK, axis=1)
 
     def skorokhod_flags(self, spec: ProblemSpec, X: np.ndarray) -> dict:
-        """Exact discrete Skorokhod conditions (zero tolerance)."""
-        refl = self.schedule.mask
-        g = np.asarray(spec.obstacle(X), dtype=float)
-        flags = {
-            "dK_nonnegative": bool(np.all(self.dK >= 0.0)),
-            "dK_zero_off_schedule": bool(np.all(self.dK[:, ~refl] == 0.0)),
-            "Ybar_above_obstacle": bool(np.all(self.Ybar[:, refl] >= g[:, refl])),
-            "flat_off": bool(np.all(self.dK[:, refl] * (self.Ybar - g)[:, refl] == 0.0)),
-        }
+        """Exact discrete Skorokhod conditions (zero tolerance), checked one
+        contiguous time column at a time."""
+        flags = dict.fromkeys(("dK_nonnegative", "dK_zero_off_schedule",
+                               "Ybar_above_obstacle", "flat_off"), True)
+        for i, reflected in enumerate(self.schedule.mask):
+            dk = self.dK[:, i]
+            flags["dK_nonnegative"] &= bool(np.all(dk >= 0.0))
+            if not reflected:
+                flags["dK_zero_off_schedule"] &= bool(np.all(dk == 0.0))
+                continue
+            y = self.Ybar[:, i]
+            g = np.asarray(spec.obstacle(X[:, i]), dtype=float)
+            flags["Ybar_above_obstacle"] &= bool(np.all(y >= g))
+            flags["flat_off"] &= bool(np.all(dk * (y - g) == 0.0))
         flags["all"] = all(flags.values())
         return flags
 

@@ -138,6 +138,15 @@ def test_oracle_subcommand(tmp_path):
     assert 0 < count < total == 16 * res["space_nodes"] * res["quad_order"]
 
 
+def test_reflect_sweep_summary_carries_off_grid(tmp_path):
+    code, out = _run(tmp_path, "reflect-sweep",
+                     {"experiment": {"kind": "reflect-sweep", "N": 8, "kappas": [2, 4]}})
+    assert code == EXIT_OK
+    ref = json.loads((out / "summary.json").read_text())["results"]["reference"]
+    count, total = ref["off_grid"]
+    assert 0 < count < total
+
+
 def test_config_error_exit_codes(tmp_path):
     assert main(["solve", "--config", '{"pathz": 1}',
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from qrbsde import lab, oracle
+from qrbsde.forward import make_grid
 from qrbsde.model import build_preset
 from qrbsde.regress import BasisSpec
 
@@ -78,18 +79,14 @@ def test_convergence_evaluates_each_oracle_step_once(monkeypatch):
     mc = lab.MCConfig(n_paths=1000, seed=0, basis=BasisSpec(degree=3))
     Ns = [4, 8, 16, 32]
     evals = []
-    original = oracle.PchipInterpolator
+    original = oracle.SpaceGrid.interpolate
 
-    def counted(*args, **kwargs):
-        interp = original(*args, **kwargs)
+    def counted(self, values, x):
+        if np.size(x) == mc.n_paths:
+            evals.append(1)
+        return original(self, values, x)
 
-        def evaluate(x):
-            if np.size(x) == mc.n_paths:
-                evals.append(1)
-            return interp(x)
-        return evaluate
-
-    monkeypatch.setattr(oracle, "PchipInterpolator", counted)
+    monkeypatch.setattr(oracle.SpaceGrid, "interpolate", counted)
     lab.run_convergence(build_preset("P1-pure-quadratic"), Ns, mc)
     assert len(evals) == sum(Ns)
 
@@ -154,6 +151,21 @@ def test_reflection_sweep_exact_scheme_engine():
     assert all(c["gap"] >= -1e-10 for c in rep.cells)
 
 
+@pytest.mark.parametrize("engine", ["snell", "exact-scheme"])
+def test_reflection_sweep_off_grid_sums_every_lattice_solve(engine):
+    spec = build_preset("P1-pure-quadratic")
+    N, kappas = 16, [2, 4, 8]
+    rep = lab.run_discrete_reflection_sweep(spec, N, kappas, engine=engine)
+    solve = oracle.snell_cole_hopf if engine == "snell" else oracle.exact_scheme_solve
+    space = oracle.build_space_grid(spec)
+    per_solve = [solve(spec, *make_grid(N, spec.T, r), space).off_grid
+                 for r in ["all"] + [("every", N // k) for k in kappas]]
+    assert rep.reference["off_grid"] == [sum(c[0] for c in per_solve),
+                                         sum(c[1] for c in per_solve)]
+    assert rep.reference["off_grid"][1] == (1 + len(kappas)) * N * space.J * space.quad_order
+    assert rep.reference["off_grid"][0] > 0
+
+
 # ---------------------------------------------------------------------------
 # stability runner
 
@@ -176,6 +188,21 @@ def test_stability_zero_perturbation_is_exact_zero():
     c0 = [c for c in rep.cells if c["eps"] == 0.0][0]
     assert c0["dx_proxy"] == 0.0
     assert c0["D_Y"] == 0.0 and c0["D_Z"] == 0.0 and c0["D_K"] == 0.0
+
+
+def test_stability_drift_shift_raises_unless_legs_share_increments(monkeypatch):
+    # the report hashes dW once, which covers the shifted legs only when
+    # they hold the very same increments object
+    original = lab.euler_simulate
+
+    def copying(spec, bundle):
+        out = original(spec, bundle)
+        return dataclasses.replace(out, dW=out.dW.copy())
+
+    monkeypatch.setattr(lab, "euler_simulate", copying)
+    with pytest.raises(RuntimeError, match="increments"):
+        lab.run_stability(build_preset("P2-mixed-quadratic"), "drift-shift",
+                          [0.1], lab.MCConfig(n_paths=200, seed=0), N=4)
 
 
 def test_stability_euler_vs_exact():

@@ -39,6 +39,14 @@ def test_space_grid_validation():
     assert space.nodes[0] <= 1.0 - 6 * 0.3 and space.nodes[-1] >= 1.0 + 6 * 0.3
 
 
+def test_space_grid_rejects_unevenly_spaced_nodes():
+    nodes = np.linspace(0.0, 1.0, 60)
+    SpaceGrid(nodes=nodes, quad_order=15)
+    for uneven in (np.linspace(0.0, 1.0, 60) ** 2, np.r_[nodes[:30], nodes[30:] + 1e-3]):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            SpaceGrid(nodes=uneven, quad_order=15)
+
+
 def test_constant_data_fixed_point():
     spec = _zero_driver(_p1())
     spec = dataclasses.replace(spec, obstacle=lambda x: np.full(np.shape(x), 0.3))
@@ -210,6 +218,71 @@ def test_interpolate_serves_all_columns_with_one_interpolant():
     ends = space.interpolate(values, space.nodes[[0, -1]])
     np.testing.assert_array_equal(got[-2:], ends)
     np.testing.assert_allclose(ends, values[[0, -1]], rtol=1e-14, atol=1e-14)
+
+
+def _scipy_pchip(space, values, x):
+    return PchipInterpolator(space.nodes, values, axis=0, extrapolate=False)(
+        np.clip(x, space.nodes[0], space.nodes[-1]))
+
+
+@pytest.mark.parametrize("tail", [(), (1,), (4,), (2, 3)])
+def test_interpolate_is_bit_identical_to_scipy(tail):
+    space = build_space_grid(_p1())
+    nodes = space.nodes
+    rng = np.random.default_rng(11)
+    values = np.cumsum(rng.normal(size=(space.J,) + tail), axis=0)
+    xs = {
+        "cloud": rng.normal(1.0, 0.6, 5000),
+        "lattice": rng.uniform(nodes[0] - 0.2, nodes[-1] + 0.2, (space.J, 15)),
+        "nodes": nodes,
+        "above each node": np.nextafter(nodes, np.inf),
+        "below each node": np.nextafter(nodes, -np.inf),
+        "beyond both ends": np.array([nodes[0] - 3.0, nodes[-1] + 3.0, -np.inf, np.inf]),
+        "scalar": np.float64(1.234567),
+        "scalar node": nodes[200],
+    }
+    for name, x in xs.items():
+        got = space.interpolate(values, x)
+        want = _scipy_pchip(space, values, x)
+        assert got.shape == want.shape, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want), err_msg=name)
+
+
+def test_interpolate_reads_a_negative_zero_node_value_as_scipy_does():
+    # scipy sums the cubic from 0.0, so a -0.0 node value whose interval's
+    # other coefficients are all negative still evaluates to +0.0 at the node
+    space = build_space_grid(_p1())
+    t = space.nodes - space.nodes[200]
+    values = -t - t * t - t ** 3
+    x = space.nodes[199:202]
+    want = _scipy_pchip(space, values, x)
+    assert np.signbit(values[200]) and not np.signbit(want[1])
+    got = space.interpolate(values, x)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_interpolate_returns_columns_contiguous():
+    space = build_space_grid(_p1())
+    values = np.cumsum(np.ones((space.J, 4)), axis=0)
+    got = space.interpolate(values, np.linspace(0.0, 2.0, 1000))
+    assert got.shape == (1000, 4) and got.flags.f_contiguous
+    assert all(got[:, k].flags.c_contiguous for k in range(4))
+
+
+def test_interpolate_nan_gives_nan_without_warning():
+    space = build_space_grid(_p1())
+    rng = np.random.default_rng(12)
+    values = np.cumsum(rng.normal(size=(space.J, 2)), axis=0)
+    x = np.array([0.5, np.nan, 1.5, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = space.interpolate(values, x)
+        one = space.interpolate(values[:, 0], np.nan)
+    np.testing.assert_array_equal(got, _scipy_pchip(space, values, x))
+    assert np.all(np.isnan(got[[1, 3]])) and np.all(np.isfinite(got[[0, 2]]))
+    assert one.shape == () and np.isnan(one)
 
 
 def test_z_at_builds_one_interpolant_for_all_components(monkeypatch):

@@ -144,6 +144,50 @@ def test_skorokhod_conditions_exact():
                                   sol.Ytilde[:, ~refl][:, 1:-1])
 
 
+def _skorokhod_reference(sol, spec, X):
+    # the whole-array form of the four conditions
+    refl = sol.schedule.mask
+    g = np.asarray(spec.obstacle(X), dtype=float)
+    flags = {
+        "dK_nonnegative": bool(np.all(sol.dK >= 0.0)),
+        "dK_zero_off_schedule": bool(np.all(sol.dK[:, ~refl] == 0.0)),
+        "Ybar_above_obstacle": bool(np.all(sol.Ybar[:, refl] >= g[:, refl])),
+        "flat_off": bool(np.all(sol.dK[:, refl] * (sol.Ybar - g)[:, refl] == 0.0)),
+    }
+    flags["all"] = all(flags.values())
+    return flags
+
+
+def test_skorokhod_flags_each_violation_matches_whole_array_reference():
+    spec = _p1()
+    grid, sched, bundle, sol = _solved(spec, N=8, P=500, seed=5,
+                                       reflection=("every", 2))
+    X = bundle.X_euler
+    g = np.asarray(spec.obstacle(X), dtype=float)
+    on = int(np.flatnonzero(sched.mask[:-1])[-1])
+    off = int(np.flatnonzero(~sched.mask)[0])
+    above = int(np.flatnonzero(sol.Ybar[:, on] > g[:, on])[0])
+
+    def edited(name, p, i, value):
+        arr = getattr(sol, name).copy(order="K")
+        arr[p, i] = value
+        return dataclasses.replace(sol, **{name: arr})
+
+    cases = {
+        None: sol,
+        "dK_nonnegative": edited("dK", above, on, -1e-3),
+        "dK_zero_off_schedule": edited("dK", 0, off, 1e-3),
+        "Ybar_above_obstacle": edited("Ybar", above, on, g[above, on] - 1e-3),
+        "flat_off": edited("dK", above, on, 1e-3),
+    }
+    for broken, case in cases.items():
+        flags = case.skorokhod_flags(spec, X)
+        assert flags == _skorokhod_reference(case, spec, X), broken
+        assert flags["all"] == (broken is None)
+        if broken is not None:
+            assert not flags[broken]
+
+
 def test_contraction_precondition_enforced():
     spec = build_preset("P1-pure-quadratic", {"L": 3.0, "T": 1.0})
     grid, sched = make_grid(2, spec.T)
