@@ -247,7 +247,7 @@ def _run_solve(cfg: RunConfig):
         "picard_iters": int(sol.picard_counts[i]),
         "fit_cond": float(sol.fit_conds[i]),
         "fit_rmse": float(sol.fit_rmses[i]),
-        "max_abs_z": float(np.max(np.abs(sol.Zbar[:, i, :]))),
+        "max_abs_z": summary["max_abs_z_per_step"][i],
         "mean_dK": float(np.mean(sol.dK[:, i])),
     } for i in range(grid.N)]
     flags = {"skorokhod": sk["all"]}

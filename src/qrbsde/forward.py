@@ -164,8 +164,10 @@ def euler_simulate(spec: ProblemSpec, bundle: PathBundle) -> PathBundle:
         ti = grid.times[i]
         dti = grid.dt[i]
         sig = np.asarray(spec.vol(ti), dtype=float)
+        # np.inner is bit-equal to dW_i @ sig for every m; that matmul of a
+        # (P, 1) block by a (1,) vector skips BLAS and runs several times slower
         X[:, i + 1] = X[:, i] + np.asarray(spec.drift(ti, X[:, i])) * dti \
-            + bundle.dW[:, i, :] @ sig
+            + np.inner(bundle.dW[:, i, :], sig)
         if not np.all(np.isfinite(X[:, i + 1])):
             p = int(np.argmax(~np.isfinite(X[:, i + 1])))
             raise FloatingPointError(f"non-finite Euler state at path {p}, step {i + 1}")
@@ -210,7 +212,7 @@ def exact_simulate(spec: ProblemSpec, bundle: PathBundle) -> PathBundle:
     X[:, 0] = spec.x0
     for i in range(N):
         dti = grid.dt[i]
-        sdW = bundle.dW[:, i, :] @ sig0
+        sdW = np.inner(bundle.dW[:, i, :], sig0)     # as in euler_simulate
         if abs(c1) < 1e-14:
             X[:, i + 1] = X[:, i] + c0 * dti + sdW
             continue

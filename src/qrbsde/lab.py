@@ -316,12 +316,18 @@ def _dw_checksum(bundle: PathBundle) -> str:
 
 
 def _deltas(grid: TimeGrid, XA, XB, solA: SchemeSolution, solB: SchemeSolution):
-    """Path-wise coupled differences between two solved legs on one grid."""
-    dx4 = np.max(np.square(np.square(XA - XB)), axis=1)
-    dY = np.max((solA.Ybar - solB.Ybar) ** 2, axis=1)
-    dZ = np.sum(np.sum((solA.Zbar - solB.Zbar) ** 2, axis=-1) * grid.dt[None, :],
-                axis=1)
-    dK = (solA.K_terminal - solB.K_terminal) ** 2
+    """Path-wise coupled differences between two solved legs on one grid,
+    accumulated one contiguous time column at a time."""
+    dx4 = np.square(np.square(XA[:, 0] - XB[:, 0]))
+    dY = np.square(solA.Ybar[:, 0] - solB.Ybar[:, 0])
+    for i in range(1, grid.N + 1):
+        np.maximum(dx4, np.square(np.square(XA[:, i] - XB[:, i])), out=dx4)
+        np.maximum(dY, np.square(solA.Ybar[:, i] - solB.Ybar[:, i]), out=dY)
+    dZ = np.zeros(XA.shape[0])
+    for i, dti in enumerate(grid.dt):
+        dz = solA.Zbar[:, i, :] - solB.Zbar[:, i, :]
+        dZ += np.sum(np.square(dz), axis=1) * dti
+    dK = np.square(solA.K_terminal - solB.K_terminal)
     return {
         "dx_proxy": float(np.mean(dx4)) ** 0.25,
         "D_Y": float(np.mean(dY)),

@@ -223,9 +223,12 @@ def smooth_truncation(z, n: float):
     # r can round a few ulps above |z|; within them h_n(z) - z = O((r - n)^2)
     # rounds to zero, so the identity holds exactly up to n (1 + 4 eps)
     outside = r > n * (1.0 + 4.0 * np.finfo(float).eps)
-    rho = n + 1.0 - np.exp(np.minimum(n - r, 0.0))  # only used outside
-    scale = np.divide(rho, r, out=np.ones_like(r), where=outside)
-    out = zv * scale
+    if not outside.any():
+        out = zv.copy(order="K")
+    else:
+        rho = n + 1.0 - np.exp(np.minimum(n - r, 0.0))  # only used outside
+        scale = np.divide(rho, r, out=np.ones_like(r), where=outside)
+        out = zv * scale
     return float(out[0]) if scalar else out.reshape(z.shape)
 
 

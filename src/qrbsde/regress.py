@@ -5,6 +5,10 @@ piecewise-constant cell indicators as a robust fallback.  Fitting solves
 the ridge normal equations through a Cholesky factor of the d x d Gram
 A^T A + ridge I, followed by one residual-refinement step on the same
 factor; all targets on one sample share one design and one factorization.
+The polynomial Gram is Hankel, G[j, k] = sum_p u_p^(j+k), so it is built
+from its 2d - 1 power sums instead of a (P, d) matrix product.  Targets,
+residuals and in-sample values are column-major (P, k), like the design,
+so each pass over them runs down contiguous columns.
 Every fit carries its condition number (sigma_max / sigma_min of the
 ridge-augmented design [A; sqrt(ridge) I], i.e. the square root of the
 Gram's eigenvalue ratio), per-column in-sample RMSE and in-sample values.
@@ -13,6 +17,7 @@ Gram's eigenvalue ratio), per-column in-sample RMSE and in-sample values.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -87,12 +92,15 @@ class DesignEvaluator:
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.spec.kind == "polynomial":
-            u = (np.clip(x, self.lo, self.hi) - self.mean) / self.std
             # monomials u^k = u^(k-1) * u, the products np.vander forms,
-            # written one contiguous column at a time
+            # written one contiguous column at a time; u itself is column 1
             out = path_array(x.size, self.spec.degree + 1)
             out[:, 0] = 1.0
-            for k in range(1, self.spec.degree + 1):
+            if self.spec.degree >= 1:
+                u = np.clip(x, self.lo, self.hi, out=out[:, 1])
+                u -= self.mean
+                u /= self.std
+            for k in range(2, self.spec.degree + 1):
                 np.multiply(out[:, k - 1], u, out=out[:, k])
             return out
         # piecewise-constant one-hot; overflow clamped to the edge cells
@@ -102,6 +110,22 @@ class DesignEvaluator:
         out = path_array(x.size, c)
         out[np.arange(x.size), j] = 1.0
         return out
+
+    def gram(self, A: np.ndarray) -> np.ndarray:
+        """The Gram A^T A of a design A = self(xs).
+
+        A monomial Gram is Hankel: G[j, k] = sum_p u_p^(j+k) depends on j + k
+        only, so its 2d - 1 power sums, each one product of two contiguous
+        design columns, fill it.  The sums run through einsum, not a BLAS
+        dot, whose thread start-up costs more than the sum at this size.
+        """
+        if self.spec.kind != "polynomial":
+            return A.T @ A
+        d = A.shape[1]
+        sums = np.array([np.einsum("p,p->", A[:, min(s, d - 1)],
+                                   A[:, s - min(s, d - 1)])
+                         for s in range(2 * d - 1)])
+        return sums[np.add.outer(np.arange(d), np.arange(d))]
 
 
 @dataclass(frozen=True)
@@ -124,14 +148,29 @@ def localize_basis(spec: BasisSpec, xs) -> BasisSpec:
     that box the fit continues as a constant; this keeps the tail
     oscillation of a global polynomial out of the reflection step.  A sample
     without spread (the deterministic X_0) gets the constant basis, so its
-    fit is the cross-path mean.  Other bases are returned unchanged.
+    fit is the cross-path mean.  Other bases are returned unchanged.  Both
+    quantiles come from one sort and match np.quantile bit for bit.
     """
     if np.ptp(xs) == 0:
         return BasisSpec(kind="polynomial", degree=0, ridge=spec.ridge)
     if spec.kind != "polynomial" or spec.domain is not None:
         return spec
-    lo, hi = np.quantile(xs, [0.005, 0.995])
-    return dataclasses.replace(spec, domain=(float(lo), float(hi)))
+    s = np.sort(xs)
+    return dataclasses.replace(spec, domain=(_sorted_quantile(s, 0.005),
+                                             _sorted_quantile(s, 0.995)))
+
+
+def _sorted_quantile(s: np.ndarray, q: float) -> float:
+    """np.quantile(s, q) of a sorted sample, by numpy's default "linear" rule:
+    interpolate at the virtual index (n - 1) q as numpy's _lerp does, from the
+    upper neighbour when the weight t is at least 1/2."""
+    if np.isnan(s[-1]):     # NaN sorts last and makes every quantile NaN
+        return float("nan")
+    v = (s.size - 1) * q
+    j = math.floor(v)
+    t = v - j
+    a, b = float(s[j]), float(s[min(j + 1, s.size - 1)])
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def fit_least_squares(phi: DesignEvaluator, xs, ys, ridge: float = 0.0) -> RegressionFit:
@@ -144,7 +183,7 @@ def fit_least_squares(phi: DesignEvaluator, xs, ys, ridge: float = 0.0) -> Regre
     d = A.shape[1]
     if xs.shape[0] < d:
         raise ValueError("need at least as many samples as basis functions")
-    G = A.T @ A
+    G = phi.gram(A)
     G[np.diag_indices(d)] += ridge
     lam = np.linalg.eigvalsh(G)
     try:
@@ -154,18 +193,20 @@ def fit_least_squares(phi: DesignEvaluator, xs, ys, ridge: float = 0.0) -> Regre
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("numerically singular design matrix; "
                                     "supply a positive ridge parameter") from None
+    # targets, residual and fitted values as their (k, P) transposes: each
+    # column of the column-major (P, k) arrays is one contiguous row
+    yt = np.asfortranarray(ys).T
     coef = cho_solve(factor, A.T @ ys)
+    res = yt - coef.T @ A.T
     # one refinement step recovers the accuracy the normal equations lose
-    coef += cho_solve(factor, A.T @ (ys - A @ coef) - ridge * coef)
+    coef += cho_solve(factor, A.T @ res.T - ridge * coef)
     cond = float(np.sqrt(lam[-1] / lam[0]))
-    fitted = A @ coef
-    # a per-column sum of squares; np.mean over axis 0 of a narrow (P, k)
-    # array runs one inner loop per row and costs more than the solve
-    res = ys - fitted
-    rmse = np.sqrt(np.einsum("p...,p...->...", res, res) / xs.shape[0])
+    fitted = coef.T @ A.T
+    np.subtract(yt, fitted, out=res)
+    rmse = np.sqrt(np.einsum("...p,...p->...", res, res) / xs.shape[0])
     rmse = float(rmse) if ys.ndim == 1 else rmse
     return RegressionFit(evaluator=phi, coef=coef, cond=cond, rmse=rmse,
-                         fitted=fitted)
+                         fitted=fitted.T)
 
 
 def evaluate_fit(fit: RegressionFit, x, clamp: Optional[tuple] = None):

@@ -75,7 +75,9 @@ class SchemeSolution:
             "y0": self.y0_fit,
             "y0_path_mean": self.y0_mean,
             "y0_se": self.y0_se,
-            "max_abs_z_per_step": np.max(np.abs(self.Zbar), axis=(0, 2)).tolist(),
+            # one time column at a time: no (P, N, m) temporary
+            "max_abs_z_per_step": [float(np.max(np.abs(self.Zbar[:, i, :])))
+                                   for i in range(self.grid.N)],
             "K_T_mean": float(np.mean(kT)),
             "K_T_std": float(np.std(kT)),
             "K_T_max": float(np.max(kT)),
@@ -93,9 +95,12 @@ def z_projection_step(y_next, dW_i, dt_i, phi, xs, ridge=0.0):
     if dt_i <= 0:
         raise ValueError("dt must be positive")
     y_next = np.asarray(y_next, dtype=float)
-    return fit_least_squares(
-        phi, xs, np.column_stack([y_next[:, None] * dW_i / dt_i, y_next]),
-        ridge=ridge)
+    m = dW_i.shape[1]
+    targets = path_array(y_next.shape[0], m + 1)
+    np.multiply(y_next[:, None], dW_i, out=targets[:, :m])
+    targets[:, :m] /= dt_i
+    targets[:, m] = y_next
+    return fit_least_squares(phi, xs, targets, ridge=ridge)
 
 
 def implicit_y_step(e, zbar, spec: ProblemSpec, t_i: float, x_i, dt: float,
@@ -113,13 +118,14 @@ def implicit_y_step(e, zbar, spec: ProblemSpec, t_i: float, x_i, dt: float,
     if radius is not None:
         hz = smooth_truncation(hz, radius.M_z)
     y = e.copy()
+    y_new, diff = np.empty_like(y), np.empty_like(y)
     for k in range(1, PICARD_MAX_ITER + 1):
         fy = np.asarray(spec.generator(t_i, x_i, y, hz), dtype=float)
         if not np.all(np.isfinite(fy)):
             raise FloatingPointError(f"non-finite driver value at t={t_i}")
-        y_new = e + dt * fy
-        delta = float(np.max(np.abs(y_new - y)))
-        y = y_new
+        np.add(e, np.multiply(dt, fy, out=y_new), out=y_new)
+        delta = float(np.max(np.abs(np.subtract(y_new, y, out=diff), out=diff)))
+        y, y_new = y_new, y
         if delta <= PICARD_TOL:
             break
     else:
@@ -178,7 +184,7 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
 
         fit = z_projection_step(Ybar[:, i + 1], bundle.dW[:, i, :], dti, phi, xs,
                                 ridge=step_basis.ridge)
-        Zbar[:, i, :] = np.clip(fit.fitted[:, :m], z_clamp[0], z_clamp[1])
+        np.clip(fit.fitted[:, :m], z_clamp[0], z_clamp[1], out=Zbar[:, i, :])
         e = np.clip(fit.fitted[:, m], -M, M)
         conds[i] = fit.cond
         rmses[i] = fit.rmse[m]

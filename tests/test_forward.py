@@ -178,3 +178,21 @@ def test_strong_error_requires_matching_bundles():
     b = euler_simulate(spec, sample_increments(grid, 10, seed=2))
     with pytest.raises(ValueError):
         strong_error_estimate(a, b)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("preset", ["P1-pure-quadratic", "P2-mixed-quadratic"])
+def test_simulated_states_are_bit_equal_to_the_matrix_product_recursion(preset, m):
+    spec = build_preset(preset, {"m": m})
+    grid, _ = make_grid(8, spec.T)
+    bundle = exact_simulate(spec, euler_simulate(
+        spec, sample_increments(grid, 3000, 5, m)))
+    X = np.empty((3000, grid.N + 1))
+    X[:, 0] = spec.x0
+    sig = np.asarray(spec.vol(0.0), dtype=float)
+    for i in range(grid.N):
+        X[:, i + 1] = X[:, i] + np.asarray(spec.drift(grid.times[i], X[:, i])) \
+            * grid.dt[i] + bundle.dW[:, i, :] @ sig
+    assert X.tobytes() == np.ascontiguousarray(bundle.X_euler).tobytes()
+    if preset == "P1-pure-quadratic":    # no drift: the exact leg adds the same
+        assert bundle.X_exact.tobytes() == bundle.X_euler.tobytes()

@@ -5,9 +5,10 @@ import pytest
 from scipy import stats
 
 from qrbsde import lab, oracle
-from qrbsde.forward import make_grid
+from qrbsde.forward import exact_simulate, make_grid
 from qrbsde.model import build_preset
 from qrbsde.regress import BasisSpec
+from qrbsde.scheme import solve_backward
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:quadrature points left the space grid")
@@ -203,6 +204,27 @@ def test_stability_drift_shift_raises_unless_legs_share_increments(monkeypatch):
     with pytest.raises(RuntimeError, match="increments"):
         lab.run_stability(build_preset("P2-mixed-quadratic"), "drift-shift",
                           [0.1], lab.MCConfig(n_paths=200, seed=0), N=4)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_deltas_match_the_whole_array_formulas_bit_for_bit(m):
+    spec = build_preset("P2-mixed-quadratic", {"m": m})
+    mc = lab.MCConfig(n_paths=1500, seed=3, basis=BasisSpec(degree=3), M_z=2.0)
+    grid, sched, bundle, solA = lab._solve_mc(spec, 8, mc)
+    bundle = exact_simulate(spec, bundle)
+    solB = solve_backward(spec, grid, sched, dataclasses.replace(
+        bundle, X_euler=bundle.X_exact), mc.basis, solA.radius)
+    XA, XB = bundle.X_euler, bundle.X_exact
+    want = {
+        "dx_proxy": float(np.mean(np.max(np.square(np.square(XA - XB)),
+                                         axis=1))) ** 0.25,
+        "D_Y": float(np.mean(np.max((solA.Ybar - solB.Ybar) ** 2, axis=1))),
+        "D_Z": float(np.mean(np.sum(np.sum((solA.Zbar - solB.Zbar) ** 2, axis=-1)
+                                    * grid.dt[None, :], axis=1))),
+        "D_K": float(np.mean((solA.K_terminal - solB.K_terminal) ** 2)),
+    }
+    got = lab._deltas(grid, XA, XB, solA, solB)
+    assert got == want and all(v > 0 for v in got.values())
 
 
 def test_stability_euler_vs_exact():

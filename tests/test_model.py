@@ -115,6 +115,17 @@ def test_truncation_is_identity_where_the_norm_rounds_up_to_the_radius():
     np.testing.assert_array_equal(smooth_truncation(z, 0.1), z)
 
 
+@pytest.mark.parametrize("shape", [(500, 1), (500, 2)])
+def test_truncation_inside_the_ball_returns_a_fresh_copy(shape):
+    z = np.asfortranarray(np.random.default_rng(1).uniform(-0.5, 0.5, size=shape))
+    z[0, 0] = -0.0
+    h = smooth_truncation(z, 1.0)
+    assert h is not z and not np.shares_memory(h, z)
+    assert h.tobytes() == z.tobytes()
+    h[1, 0] = 7.0                      # writing the result leaves z alone
+    assert z[1, 0] != 7.0
+
+
 def test_truncation_one_lipschitz_random_pairs():
     rng = np.random.default_rng(0)
     z = rng.normal(scale=5.0, size=(10 ** 5, 2))

@@ -80,9 +80,10 @@ def test_rank_deficiency_names_ridge():
 
 def test_collinear_polynomial_design_names_ridge():
     xs = np.repeat([0.0, 1.0], 10)     # two distinct values cannot fix a cubic
-    spec = BasisSpec(degree=3, ridge=0.0)
-    with pytest.raises(np.linalg.LinAlgError, match="ridge"):
-        fit_least_squares(build_basis(spec, xs), xs, np.ones(20))
+    for degree in (3, 12):
+        spec = BasisSpec(degree=degree, ridge=0.0)
+        with pytest.raises(np.linalg.LinAlgError, match="ridge"):
+            fit_least_squares(build_basis(spec, xs), xs, np.ones(20))
 
 
 def _svd_reference(A, ys, ridge):
@@ -191,3 +192,60 @@ def test_localize_basis_zero_spread_sample_is_constant():
                  BasisSpec(kind="piecewise-constant", cells=20, ridge=1e-6)):
         assert localize_basis(spec, np.full(50, 1.0)) == \
             BasisSpec(kind="polynomial", degree=0, ridge=1e-6)
+
+
+def _quantile_samples():
+    rng = np.random.default_rng(9)
+    for n in np.unique(np.geomspace(2, 60_000, 120).astype(int)):
+        yield rng.normal(loc=1.0, scale=0.3, size=n)
+        yield rng.integers(0, 4, size=n).astype(float)      # heavy ties
+    yield np.array([0.0, 0.0, 1.0])
+    yield np.array([-0.0, 0.0, 0.0, 2.0])
+
+
+def test_localize_basis_quantiles_match_np_quantile_bit_for_bit():
+    for xs in _quantile_samples():
+        if np.ptp(xs) == 0:
+            continue
+        lo, hi = np.quantile(xs, [0.005, 0.995])
+        domain = localize_basis(BasisSpec(degree=6), xs).domain
+        assert np.array([domain]).tobytes() == np.array([[lo, hi]]).tobytes()
+
+
+def test_localize_basis_nan_sample_gives_nan_domain():
+    xs = np.random.default_rng(10).normal(size=1000)
+    xs[17] = np.nan
+    domain = localize_basis(BasisSpec(degree=6), xs)
+    assert np.all(np.isnan(domain.domain))
+    assert np.all(np.isnan(np.quantile(xs, [0.005, 0.995])))
+
+
+@pytest.mark.parametrize("degree", range(13))
+def test_hankel_gram_matches_the_matrix_product(degree):
+    rng = np.random.default_rng(degree)
+    for xs in (rng.normal(1.0, 0.3, size=50_000), np.exp(rng.normal(size=3000))):
+        spec = localize_basis(BasisSpec(degree=degree), xs)
+        phi = build_basis(spec, xs)
+        A = phi(xs)
+        G, ref = phi.gram(A), A.T @ A
+        # each entry relative to its Cauchy-Schwarz scale sqrt(G_jj G_kk);
+        # odd power sums may cancel to near zero
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.max(np.abs(G - ref) / scale) <= 1e-13
+
+
+def test_piecewise_gram_is_the_matrix_product():
+    xs = np.random.default_rng(11).uniform(size=500)
+    phi = build_basis(BasisSpec(kind="piecewise-constant", cells=7), xs)
+    A = phi(xs)
+    np.testing.assert_array_equal(phi.gram(A), A.T @ A)
+
+
+@pytest.mark.parametrize("ys_shape", [(400,), (400, 3)])
+def test_fitted_values_are_column_major(ys_shape):
+    rng = np.random.default_rng(12)
+    xs = rng.normal(size=400)
+    ys = rng.normal(size=ys_shape)       # C-ordered input is accepted too
+    fit = fit_least_squares(build_basis(BasisSpec(degree=4), xs), xs, ys)
+    assert fit.fitted.shape == ys_shape
+    assert fit.fitted.flags.f_contiguous

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
+from scipy.linalg import cho_factor, cho_solve
 
 from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
                             sample_increments)
-from qrbsde.model import TruncationRadius, build_preset, clip_obstacle
+from qrbsde.model import TruncationRadius, build_preset, clip_obstacle, y_bound
 from qrbsde import scheme
 from qrbsde.regress import BasisSpec, DesignEvaluator, build_basis
 from qrbsde.scheme import (estimate_Mz_auto, implicit_y_step, reflect_step,
@@ -67,6 +68,20 @@ def test_z_projection_component_separation():
     phi = build_basis(BasisSpec(degree=0), xs)
     z = z_projection_step(dW[:, 0], dW, dt, phi, xs).fitted
     assert abs(z[0, 0] - 1.0) < 0.05 and abs(z[0, 1]) < 0.05
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_z_projection_fitted_columns_are_contiguous(m):
+    # the backward loop clips the Z block and the mean column straight out of
+    # fitted; each column must be one contiguous block
+    rng = np.random.default_rng(3)
+    xs = rng.normal(size=1000)
+    dW = rng.normal(scale=0.1, size=(1000, m))
+    phi = build_basis(BasisSpec(degree=4), xs)
+    fitted = z_projection_step(np.sin(xs) + dW[:, 0], dW, 0.01, phi, xs).fitted
+    assert fitted.shape == (1000, m + 1)
+    for j in range(m + 1):
+        assert fitted[:, j].flags.contiguous
 
 
 def test_implicit_step_constant_driver():
@@ -306,3 +321,60 @@ def test_every_time_slice_is_contiguous(m):
     for i in range(grid.N):
         for dW_or_Z in (bundle.dW, sol.Zbar):
             assert dW_or_Z[:, i, :].flags.f_contiguous
+
+
+def _reference_backward(spec, grid, sched, bundle, basis, radius):
+    """The backward recursion with the earlier projection kernel spelled out:
+    np.quantile localization, np.vander design, A.T @ A Gram, column_stack
+    targets; Picard and reflection are the shared scheme steps."""
+    X = bundle.X_euler
+    P, N, m = bundle.n_paths, grid.N, bundle.m
+    M = y_bound(spec).M
+    Ybar, Ytilde, dK = (np.zeros((P, N + 1)) for _ in range(3))
+    Zbar = np.zeros((P, N, m))
+    picard = np.zeros(N, dtype=int)
+    Ybar[:, N] = Ytilde[:, N] = spec.obstacle(X[:, N])
+    for i in range(N - 1, -1, -1):
+        xs, dti = X[:, i], grid.dt[i]
+        if np.ptp(xs) == 0:
+            A = np.ones((P, 1))
+        else:
+            lo, hi = np.quantile(xs, [0.005, 0.995])
+            u = (np.clip(xs, lo, hi) - np.mean(xs)) / np.std(xs)
+            A = np.vander(u, basis.degree + 1, increasing=True)
+        ys = np.column_stack([Ybar[:, i + 1][:, None] * bundle.dW[:, i, :] / dti,
+                              Ybar[:, i + 1]])
+        G = A.T @ A
+        G[np.diag_indices(A.shape[1])] += basis.ridge
+        factor = cho_factor(G)
+        coef = cho_solve(factor, A.T @ ys)
+        coef += cho_solve(factor, A.T @ (ys - A @ coef) - basis.ridge * coef)
+        fitted = A @ coef
+        Zbar[:, i, :] = np.clip(fitted[:, :m], -(radius.M_z + 1.0), radius.M_z + 1.0)
+        Ytilde[:, i], picard[i] = implicit_y_step(
+            np.clip(fitted[:, m], -M, M), Zbar[:, i, :], spec, grid.times[i], xs,
+            dti, radius, M)
+        Ybar[:, i], dK[:, i] = reflect_step(Ytilde[:, i], spec.obstacle(xs),
+                                            bool(sched.mask[i]))
+    return Ybar, Ytilde, Zbar, dK, picard
+
+
+@pytest.mark.parametrize("degree", [6, 12])
+def test_backward_matches_the_reference_kernel(degree):
+    spec = _p1()
+    basis = BasisSpec(degree=degree)
+    grid, sched, bundle, sol = _solved(spec, N=16, P=3000, seed=21, basis=basis,
+                                       radius=TruncationRadius(2.0))
+    Ybar, Ytilde, Zbar, dK, picard = _reference_backward(
+        spec, grid, sched, bundle, basis, sol.radius)
+    for got, want in ((sol.Ybar, Ybar), (sol.Ytilde, Ytilde), (sol.Zbar, Zbar),
+                      (sol.dK, dK)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(sol.picard_counts, picard)
+
+
+def test_summary_max_abs_z_is_the_whole_array_maximum():
+    spec = build_preset("P1-pure-quadratic", {"m": 2})
+    _, _, _, sol = _solved(spec, N=6, P=1500, seed=22)
+    assert sol.summary()["max_abs_z_per_step"] == \
+        np.max(np.abs(sol.Zbar), axis=(0, 2)).tolist()
