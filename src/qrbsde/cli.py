@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -35,80 +35,74 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_FLAGS = 4
 
-EXPERIMENTS = ("solve", "converge", "reflect-sweep", "stability",
-               "diagnose", "oracle", "validate")
-
-
 class ConfigError(ValueError):
     """Configuration rejected; message carries a JSON-pointer path."""
 
 
 # ---------------------------------------------------------------------------
-# config schema: nested dict of allowed keys -> accepted types (or sub-schema)
-
-_BASIS_SCHEMA = {
-    "kind": str,
-    "degree": int,
-    "cells": int,
-    "ridge": (int, float),
-    "domain": list,
-}
+# config schema: nested dict of allowed keys; each leaf is (type,) or
+# (type, default).  A type is a class, a tuple of classes, or [t] for a list
+# whose every element is a t.  A callable default is computed from the keys
+# normalized before it in the same section.
 
 _SCHEMA = {
-    "problem": {"preset": str, "overrides": dict},
-    "grid": {"N": int, "T": (int, float), "reflection": (str, dict, list)},
-    "mc": {"paths": int, "seed": int, "basis": _BASIS_SCHEMA},
-    "truncation": {"M_z": (str, int, float)},
-    "experiment": {
-        "kind": str,
-        "Ns": list,
-        "N": int,
-        "kappas": list,
-        "oracle": str,
-        "engine": str,
-        "perturbation": str,
-        "levels": list,
-    },
-    "output": {"directory": str, "formats": list},
+    "problem": {"preset": (str, "P1-pure-quadratic"), "overrides": (dict, {})},
+    "grid": {"N": (int, 64), "T": ((int, float),),
+             "reflection": ((str, dict, list), "all")},
+    "mc": {"paths": (int, 50_000), "seed": (int, 42),
+           "basis": {"kind": (str, "polynomial"), "degree": (int, 6),
+                     "cells": (int,), "ridge": ((int, float), 1e-8),
+                     "domain": ([(int, float)],)}},
+    "truncation": {"M_z": ((str, int, float), "auto")},
+    "output": {"directory": (str,), "formats": ([str], ["json", "csv"])},
 }
 
+# each experiment kind's own keys; "kind" itself is added by parse_config
+_EXPERIMENTS = {
+    "solve": {},
+    "converge": {"Ns": ([int], [8, 16, 32, 64]), "oracle": (str, "auto")},
+    "reflect-sweep": {"N": (int, 256), "kappas": ([int], [4, 8, 16, 32, 64]),
+                      "engine": (str, "auto")},
+    "stability": {
+        "perturbation": (str, "drift-shift"),
+        "levels": ([(int, float)], lambda exp: (
+            [0.4, 0.2, 0.1, 0.05] if exp["perturbation"] == "drift-shift"
+            else [8, 16, 32, 64])),
+    },
+    "diagnose": {},
+    "oracle": {},
+    "validate": {},
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
-def _check_keys(obj, schema, pointer):
+
+def _is(val, want) -> bool:
+    """val has type want; bool is never an int, and a float must be finite."""
+    if isinstance(want, list):
+        return isinstance(val, list) and all(_is(v, want[0]) for v in val)
+    if isinstance(val, float) and not math.isfinite(val):
+        return False
+    return isinstance(val, want) and not isinstance(val, bool)
+
+
+def _normalize(obj, schema, pointer):
+    """Check obj against schema and fill its defaults; returns a new dict."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{pointer or '/'}: expected an object")
-    for key, val in obj.items():
+    for key in obj:
         if key not in schema:
             raise ConfigError(f"{pointer}/{key}: unknown key {key!r}")
-        want = schema[key]
-        if isinstance(want, dict):
-            _check_keys(val, want, f"{pointer}/{key}")
-        elif not isinstance(val, want) or isinstance(val, bool):
-            raise ConfigError(f"{pointer}/{key}: bad type {type(val).__name__}")
-
-
-_DEFAULTS = {
-    "problem": {"preset": "P1-pure-quadratic", "overrides": {}},
-    "grid": {"N": 64, "reflection": "all"},
-    "mc": {"paths": 50_000, "seed": 42,
-           "basis": {"kind": "polynomial", "degree": 6, "ridge": 1e-8}},
-    "truncation": {"M_z": "auto"},
-    "experiment": {"kind": "solve"},
-    "output": {"formats": ["json", "csv"]},
-}
-
-
-def _merge_defaults(user, defaults):
     out = {}
-    for k, v in defaults.items():
-        if k in user and isinstance(v, dict):
-            out[k] = _merge_defaults(user[k], v)
-        elif k in user:
-            out[k] = user[k]
-        else:
-            out[k] = json.loads(json.dumps(v))  # deep copy
-    for k, v in user.items():
-        if k not in out:
-            out[k] = v
+    for key, want in schema.items():
+        if isinstance(want, dict):
+            out[key] = _normalize(obj.get(key, {}), want, f"{pointer}/{key}")
+        elif key in obj:
+            if not _is(obj[key], want[0]):
+                raise ConfigError(f"{pointer}/{key}: bad value {obj[key]!r}")
+            out[key] = obj[key]
+        elif len(want) > 1:
+            default = want[1](out) if callable(want[1]) else want[1]
+            out[key] = json.loads(json.dumps(default))  # deep copy
     return out
 
 
@@ -138,12 +132,15 @@ def config_hash(normalized: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def parse_config(source) -> RunConfig:
+def parse_config(source, command: Optional[str] = None,
+                 seed: Optional[int] = None) -> RunConfig:
     """Parse a config from a dict, a JSON string, or a file path.
 
-    Strict: unknown keys are fatal and reported with their JSON-pointer
-    paths.  Defaults: N=64, paths=5*10^4, seed=42, polynomial degree-6
-    basis, reflection at every grid time, M_z auto-estimated.
+    Strict: unknown keys, another kind's experiment keys and ill-typed
+    values are fatal and reported with their JSON-pointer paths.  Defaults
+    are the ones in _SCHEMA and _EXPERIMENTS.  ``command`` is the CLI
+    subcommand: it is the default kind, and a config kind that differs from
+    it is an error.  ``seed`` (the --seed flag) replaces /mc/seed.
     """
     if isinstance(source, dict):
         raw = source
@@ -157,11 +154,22 @@ def parse_config(source) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
-    _check_keys(raw, _SCHEMA, "")
-    cfg = _merge_defaults(raw, _DEFAULTS)
+    exp = raw.get("experiment") if isinstance(raw, dict) else None
+    kind = exp.get("kind") if isinstance(exp, dict) else None
+    if kind is None:
+        kind = command or "solve"
+    if kind not in EXPERIMENTS:
+        raise ConfigError(f"/experiment/kind: choose from {', '.join(EXPERIMENTS)}")
+    if command is not None and kind != command:
+        raise ConfigError(
+            f"/experiment/kind: {kind!r} conflicts with the subcommand {command!r}")
+    cfg = _normalize(raw, dict(_SCHEMA, experiment={"kind": (str, kind),
+                                                    **_EXPERIMENTS[kind]}), "")
+    if seed is not None:
+        cfg["mc"]["seed"] = seed
 
     preset = cfg["problem"]["preset"]
-    overrides = dict(cfg["problem"].get("overrides", {}))
+    overrides = dict(cfg["problem"]["overrides"])
     if "T" in cfg["grid"]:
         overrides["T"] = cfg["grid"]["T"]
     try:
@@ -169,7 +177,7 @@ def parse_config(source) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"/problem: {exc}") from exc
 
-    N = int(cfg["grid"]["N"])
+    N = cfg["grid"]["N"]
     if N < 1:
         raise ConfigError("/grid/N: must be >= 1")
     if spec.L * spec.T / N >= 1.0:
@@ -179,9 +187,9 @@ def parse_config(source) -> RunConfig:
 
     reflection = cfg["grid"]["reflection"]
     if isinstance(reflection, dict):
-        if set(reflection) != {"every"}:
+        if set(reflection) != {"every"} or not _is(reflection["every"], int):
             raise ConfigError('/grid/reflection: object form must be {"every": k}')
-        reflection = ("every", int(reflection["every"]))
+        reflection = ("every", reflection["every"])
 
     b = cfg["mc"]["basis"]
     try:
@@ -191,11 +199,11 @@ def parse_config(source) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"/mc/basis: {exc}") from exc
 
-    paths = int(cfg["mc"]["paths"])
+    paths = cfg["mc"]["paths"]
     if paths < 10 * basis.dimension:
         raise ConfigError(
             f"/mc/paths: {paths} < 10 * basis dimension ({10 * basis.dimension})")
-    seed = int(cfg["mc"]["seed"])
+    seed = cfg["mc"]["seed"]
     if seed < 0:
         raise ConfigError("/mc/seed: must be nonnegative")
 
@@ -209,17 +217,16 @@ def parse_config(source) -> RunConfig:
         if M_z <= 0:
             raise ConfigError("/truncation/M_z: must be positive")
 
-    experiment = dict(cfg["experiment"])
-    if experiment.get("kind") not in EXPERIMENTS:
-        raise ConfigError(
-            f"/experiment/kind: choose from {', '.join(EXPERIMENTS)}")
+    formats = cfg["output"]["formats"]
+    if not set(formats) <= {"json", "csv"}:
+        raise ConfigError("/output/formats: choose from json, csv")
 
     return RunConfig(
         spec=spec, preset=preset, N=N, reflection=reflection,
         paths=paths, seed=seed, basis=basis, M_z=M_z,
-        experiment=experiment,
+        experiment=cfg["experiment"],
         out_dir=cfg["output"].get("directory"),
-        formats=tuple(cfg["output"]["formats"]),
+        formats=tuple(formats),
         normalized=cfg,
     )
 
@@ -232,12 +239,9 @@ def _mc_config(cfg: RunConfig) -> lab.MCConfig:
                         M_z=cfg.M_z)
 
 
-def _solve_parts(cfg: RunConfig):
-    return lab._solve_mc(cfg.spec, cfg.N, _mc_config(cfg), cfg.reflection)
-
-
 def _run_solve(cfg: RunConfig):
-    grid, sched, bundle, sol = _solve_parts(cfg)
+    grid, sched, bundle, sol = lab._solve_mc(cfg.spec, cfg.N, _mc_config(cfg),
+                                             cfg.reflection)
     sk = sol.skorokhod_flags(cfg.spec, bundle.X_euler)
     summary = sol.summary()
     summary["K_T_total_mean"] = summary["K_T_mean"]
@@ -249,6 +253,7 @@ def _run_solve(cfg: RunConfig):
         "fit_rmse": float(sol.fit_rmses[i]),
         "max_abs_z": summary["max_abs_z_per_step"][i],
         "mean_dK": float(np.mean(sol.dK[:, i])),
+        "reflected_frac": float(np.count_nonzero(sol.dK[:, i] > 0)) / bundle.n_paths,
     } for i in range(grid.N)]
     flags = {"skorokhod": sk["all"]}
     return summary, {"steps": steps}, flags, bundle
@@ -256,9 +261,8 @@ def _run_solve(cfg: RunConfig):
 
 def _run_converge(cfg: RunConfig):
     exp = cfg.experiment
-    Ns = [int(n) for n in exp.get("Ns", [8, 16, 32, 64])]
-    rep = lab.run_convergence(cfg.spec, Ns, _mc_config(cfg),
-                              oracle=exp.get("oracle", "auto"))
+    rep = lab.run_convergence(cfg.spec, exp["Ns"], _mc_config(cfg),
+                              oracle=exp["oracle"])
     cells = rep.rows()
     mono = all(b["y0_err"] < a["y0_err"] for a, b in zip(cells, cells[1:]))
     flags = {
@@ -270,22 +274,16 @@ def _run_converge(cfg: RunConfig):
 
 def _run_reflect_sweep(cfg: RunConfig):
     exp = cfg.experiment
-    N = int(exp.get("N", 256))
-    kappas = [int(k) for k in exp.get("kappas", [4, 8, 16, 32, 64])]
-    rep = lab.run_discrete_reflection_sweep(cfg.spec, N, kappas,
-                                            engine=exp.get("engine", "auto"))
+    rep = lab.run_discrete_reflection_sweep(cfg.spec, exp["N"], exp["kappas"],
+                                            engine=exp["engine"])
     flags = {"monotone_nondecreasing": rep.reference["monotone_nondecreasing"]}
     return rep.to_dict(), {"reflection_sweep": rep.rows()}, flags, None
 
 
 def _run_stability(cfg: RunConfig):
     exp = cfg.experiment
-    kind = exp.get("perturbation", "drift-shift")
-    if kind == "drift-shift":
-        levels = exp.get("levels", [0.4, 0.2, 0.1, 0.05])
-    else:
-        levels = exp.get("levels", [8, 16, 32, 64])
-    rep = lab.run_stability(cfg.spec, kind, levels, _mc_config(cfg), N=cfg.N)
+    rep = lab.run_stability(cfg.spec, exp["perturbation"], exp["levels"],
+                            _mc_config(cfg), N=cfg.N)
     cells = rep.rows()
 
     def decreasing(key):
@@ -300,7 +298,8 @@ def _run_stability(cfg: RunConfig):
 
 
 def _run_diagnose(cfg: RunConfig):
-    grid, sched, bundle, sol = _solve_parts(cfg)
+    grid, sched, bundle, sol = lab._solve_mc(cfg.spec, cfg.N, _mc_config(cfg),
+                                             cfg.reflection)
     rep = lab.run_diagnostics(cfg.spec, cfg.N, _mc_config(cfg),
                               sol=sol, bundle=bundle)
     rows = [{"quantity": q, "p": p, "value": v}
@@ -499,20 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = {} if args.config is None else args.config
-        cfg = parse_config(raw)
-        # the subcommand pins the experiment kind; config may only refine it
-        exp = dict(cfg.experiment)
-        exp["kind"] = args.command
-        normalized = dict(cfg.normalized)
-        normalized["experiment"] = exp
-        cfg = dataclasses.replace(cfg, experiment=exp, normalized=normalized)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed: must be nonnegative")
-            normalized = dict(cfg.normalized)
-            normalized["mc"] = dict(normalized["mc"], seed=args.seed)
-            cfg = dataclasses.replace(cfg, seed=args.seed, normalized=normalized)
+        cfg = parse_config({} if args.config is None else args.config,
+                           args.command, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

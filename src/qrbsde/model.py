@@ -144,6 +144,9 @@ def build_preset(name: str, overrides: Optional[dict] = None) -> ProblemSpec:
     base = dict(T=1.0, x0=1.0, m=1, L=1.0, M_g=0.5)
     base.update(overrides)
     m = int(base["m"])
+    if m != base["m"] or m < 1:
+        raise ValueError(f"Brownian dimension m must be an integer >= 1, "
+                         f"got {base['m']!r}")
 
     sigma_vec = np.full(m, 0.3 / math.sqrt(m))
 

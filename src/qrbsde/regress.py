@@ -42,8 +42,11 @@ class BasisSpec:
             raise ValueError("polynomial degree must be in 0..12")
         if self.kind == "piecewise-constant" and not (1 <= self.cells <= 10 ** 4):
             raise ValueError("cell count must be in 1..10^4")
-        if self.domain is not None and self.domain[0] >= self.domain[1]:
-            raise ValueError("domain requires x_lo < x_hi")
+        # a NaN pair passes: localize_basis returns it for a NaN sample
+        if self.domain is not None and (
+                len(self.domain) != 2 or any(map(math.isinf, self.domain))
+                or self.domain[0] >= self.domain[1]):
+            raise ValueError("domain requires a pair of finite x_lo < x_hi")
         if self.ridge < 0:
             raise ValueError("ridge parameter must be nonnegative")
 

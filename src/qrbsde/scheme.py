@@ -24,6 +24,7 @@ PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
 MZ_AUTO_FLOOR = 0.1
 MZ_PILOT_RADIUS = 1e9
+MZ_PILOT_FRACTION = 0.1   # share of the paths the M_z pilot solves on
 
 
 @dataclass(frozen=True)
@@ -209,14 +210,13 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
 
 
 def estimate_Mz_auto(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
-                     bundle: PathBundle, basis: BasisSpec,
-                     pilot_fraction: float = 0.1) -> TruncationRadius:
+                     bundle: PathBundle, basis: BasisSpec) -> TruncationRadius:
     """Pilot run with an effectively infinite radius; size M_z off the bulk of |Z|.
 
     M_z = max(floor, 2 * max over steps of the 99.9th percentile of |Zbar|),
     computed on a pilot subsample of the paths.
     """
-    P_pilot = max(int(bundle.n_paths * pilot_fraction), 10 * basis.dimension)
+    P_pilot = max(int(bundle.n_paths * MZ_PILOT_FRACTION), 10 * basis.dimension)
     P_pilot = min(P_pilot, bundle.n_paths)
     pilot = PathBundle(
         grid=bundle.grid, n_paths=P_pilot, seed=bundle.seed, m=bundle.m,

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -66,6 +67,35 @@ def test_config_hash_stable_under_key_reordering():
     assert config_hash(a.normalized) == config_hash(b.normalized)
     c = parse_config({"mc": {"paths": 5001}, "grid": {"N": 16}})
     assert config_hash(a.normalized) != config_hash(c.normalized)
+
+
+@pytest.mark.parametrize("config, pointer", [
+    ({"experiment": {"kind": "solve", "kappas": [3]}}, "/experiment/kappas"),
+    ({"experiment": {"kind": "converge", "levels": [1.0]}}, "/experiment/levels"),
+    ({"experiment": {"kind": "converge", "Ns": [4.9, 8, 16, 32]}}, "/experiment/Ns"),
+    ({"experiment": {"kind": "reflect-sweep", "kappas": [True, 2]}},
+     "/experiment/kappas"),
+    ({"output": {"formats": ["jsn"]}}, "/output/formats"),
+    ({"mc": {"basis": {"domain": [1]}}}, "/mc/basis"),
+    ({"mc": {"basis": {"domain": [0.0, float("inf")]}}}, "/mc/basis/domain"),
+    ({"problem": {"overrides": {"m": 2.7}}}, "/problem"),
+    ({"grid": {"reflection": {"every": 2.5}}}, "/grid/reflection"),
+])
+def test_ill_typed_or_foreign_values_fatal_with_pointer(config, pointer):
+    with pytest.raises(ConfigError, match=pointer):
+        parse_config(config)
+
+
+def test_experiment_echo_carries_its_defaults():
+    implicit = parse_config({}, command="converge").normalized
+    assert implicit["experiment"] == {"kind": "converge", "Ns": [8, 16, 32, 64],
+                                      "oracle": "auto"}
+    explicit = parse_config({"experiment": {"kind": "converge",
+                                            "Ns": [8, 16, 32, 64]}}).normalized
+    assert config_hash(implicit) == config_hash(explicit)
+    levels = parse_config({"experiment": {"perturbation": "euler-vs-exact"}},
+                          command="stability").experiment["levels"]
+    assert levels == [8, 16, 32, 64]
 
 
 def test_reflection_forms():
@@ -155,6 +185,24 @@ def test_config_error_exit_codes(tmp_path):
     cfg["experiment"] = {"kind": "reflect-sweep", "N": 8, "kappas": [3]}
     assert main(["reflect-sweep", "--config", json.dumps(cfg),
                  "--out", str(tmp_path / "y")]) == EXIT_CONFIG
+
+
+def test_subcommand_and_seed_conflicts_exit_config(tmp_path):
+    assert main(["solve", "--config", '{"experiment": {"kind": "converge"}}',
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert main(["solve", "--seed", "-1", "--out", str(tmp_path / "y")]) == EXIT_CONFIG
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+
+def test_steps_csv_reflected_frac(tmp_path):
+    cfg = dict(SMALL_SOLVE, grid={"N": 8, "reflection": {"every": 4}})
+    code, out = _run(tmp_path, "solve", cfg)
+    assert code == EXIT_OK
+    with open(out / "steps.csv") as fh:
+        frac = {int(r["i"]): float(r["reflected_frac"]) for r in csv.DictReader(fh)}
+    assert all(0.0 <= f <= 1.0 for f in frac.values())
+    assert all(f == 0.0 for i, f in frac.items() if i % 4)
+    assert frac[4] > 0.0
 
 
 def test_seed_flag_overrides(tmp_path):

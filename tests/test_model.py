@@ -238,3 +238,10 @@ def test_soft_clip_tracks_clip():
     x = np.linspace(-2, 3, 400)
     gap = np.abs(soft_clip_obstacle(x) - clip_obstacle(x))
     assert float(np.max(gap)) < 0.05     # log-sum-exp with sharpness 20
+
+
+@pytest.mark.parametrize("m", [2.7, 0, "2"])
+def test_brownian_dimension_must_be_a_positive_integer(m):
+    with pytest.raises(ValueError, match="dimension m"):
+        build_preset("P1-pure-quadratic", {"m": m})
+    assert build_preset("P1-pure-quadratic", {"m": 2.0}).m == 2

@@ -249,3 +249,10 @@ def test_fitted_values_are_column_major(ys_shape):
     fit = fit_least_squares(build_basis(BasisSpec(degree=4), xs), xs, ys)
     assert fit.fitted.shape == ys_shape
     assert fit.fitted.flags.f_contiguous
+
+
+@pytest.mark.parametrize("domain", [(1.0,), (0.0, 1.0, 2.0), (-np.inf, 1.0),
+                                    (0.0, np.inf)])
+def test_basis_spec_domain_must_be_a_finite_pair(domain):
+    with pytest.raises(ValueError, match="domain"):
+        BasisSpec(domain=domain)
