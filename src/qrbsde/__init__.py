@@ -9,13 +9,12 @@ Snell-envelope references), ``lab`` (rate/stability/bound experiments) and
 """
 
 from .forward import (PathBundle, ReflectionSchedule, TimeGrid, euler_simulate,
-                      exact_simulate, make_grid, sample_increments,
-                      strong_error_estimate)
+                      exact_simulate, make_grid, sample_increments)
 from .lab import (ConvergenceReport, DiagnosticsReport, MCConfig, SlopeFit,
                   StabilityReport, bmo_bound_value, run_convergence,
                   run_diagnostics, run_discrete_reflection_sweep,
                   run_stability, slope_fit)
-from .model import (AssumptionReport, CloudConfig, ProblemSpec,
+from .model import (AffineInY, AssumptionReport, CloudConfig, ProblemSpec,
                     TruncationRadius, YBound, build_preset, clip_obstacle,
                     smooth_truncation, soft_clip_obstacle, truncate_generator,
                     validate_assumptions, y_bound)
@@ -29,17 +28,17 @@ from .scheme import (SchemeSolution, estimate_Mz_auto, implicit_y_step,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport", "BasisSpec", "CloudConfig", "ConvergenceReport",
-    "DesignEvaluator", "DiagnosticsReport", "GridSolution", "MCConfig",
-    "PathBundle", "ProblemSpec", "ReflectionSchedule", "RegressionFit",
-    "SchemeSolution", "SlopeFit", "SpaceGrid", "StabilityReport", "TimeGrid",
-    "TruncationRadius", "YBound", "bmo_bound_value", "brute_force_tiny",
-    "build_basis", "build_preset", "build_space_grid", "clip_obstacle",
-    "estimate_Mz_auto", "euler_simulate", "evaluate_fit", "exact_scheme_solve",
-    "exact_simulate", "fit_least_squares", "implicit_y_step", "make_grid",
-    "reflect_step", "run_convergence", "run_diagnostics",
-    "run_discrete_reflection_sweep", "run_stability", "sample_increments",
-    "slope_fit", "smooth_truncation", "snell_cole_hopf", "soft_clip_obstacle",
-    "solve_backward", "strong_error_estimate", "truncate_generator",
+    "AffineInY", "AssumptionReport", "BasisSpec", "CloudConfig",
+    "ConvergenceReport", "DesignEvaluator", "DiagnosticsReport", "GridSolution",
+    "MCConfig", "PathBundle", "ProblemSpec", "ReflectionSchedule",
+    "RegressionFit", "SchemeSolution", "SlopeFit", "SpaceGrid",
+    "StabilityReport", "TimeGrid", "TruncationRadius", "YBound",
+    "bmo_bound_value", "brute_force_tiny", "build_basis", "build_preset",
+    "build_space_grid", "clip_obstacle", "estimate_Mz_auto", "euler_simulate",
+    "evaluate_fit", "exact_scheme_solve", "exact_simulate", "fit_least_squares",
+    "implicit_y_step", "make_grid", "reflect_step", "run_convergence",
+    "run_diagnostics", "run_discrete_reflection_sweep", "run_stability",
+    "sample_increments", "slope_fit", "smooth_truncation", "snell_cole_hopf",
+    "soft_clip_obstacle", "solve_backward", "truncate_generator",
     "validate_assumptions", "y_bound", "z_projection_step",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import lab
 from .forward import make_grid
-from .model import ProblemSpec, build_preset, validate_assumptions
+from .model import OVERRIDES, ProblemSpec, build_preset, validate_assumptions
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec
 
@@ -46,7 +46,8 @@ class ConfigError(ValueError):
 # normalized before it in the same section.
 
 _SCHEMA = {
-    "problem": {"preset": (str, "P1-pure-quadratic"), "overrides": (dict, {})},
+    "problem": {"preset": (str, "P1-pure-quadratic"),
+                "overrides": {key: (want,) for key, want in OVERRIDES.items()}},
     "grid": {"N": (int, 64), "T": ((int, float),),
              "reflection": ((str, dict, list), "all")},
     "mc": {"paths": (int, 50_000), "seed": (int, 42),
@@ -77,12 +78,14 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def _is(val, want) -> bool:
-    """val has type want; bool is never an int, and a float must be finite."""
+    """val has type want; a bool is only a bool, and a float must be finite."""
     if isinstance(want, list):
         return isinstance(val, list) and all(_is(v, want[0]) for v in val)
+    if isinstance(val, bool):
+        return want is bool
     if isinstance(val, float) and not math.isfinite(val):
         return False
-    return isinstance(val, want) and not isinstance(val, bool)
+    return isinstance(val, want)
 
 
 def _normalize(obj, schema, pointer):

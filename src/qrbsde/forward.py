@@ -230,15 +230,3 @@ def exact_simulate(spec: ProblemSpec, bundle: PathBundle) -> PathBundle:
         X[:, i + 1] = mean_det + beta * sdW + math.sqrt(var_res) * xi
     return replace(bundle, X_exact=X)
 
-
-def strong_error_estimate(bundle_ref: PathBundle, bundle_euler: PathBundle):
-    """Monte Carlo estimate (mean, standard error) of E[sup_i |X - X^pi|^2]."""
-    A = bundle_ref.X_exact if bundle_ref.X_exact is not None else bundle_ref.X_euler
-    B = bundle_euler.X_euler if bundle_euler.X_euler is not None else bundle_euler.X_exact
-    if A is None or B is None:
-        raise ValueError("bundles must carry simulated states")
-    if A.shape != B.shape or bundle_ref.seed != bundle_euler.seed:
-        raise ValueError("bundles must share seed, paths and grid")
-    sup2 = np.max((A - B) ** 2, axis=1)
-    P = sup2.size
-    return float(np.mean(sup2)), float(np.std(sup2, ddof=1) / math.sqrt(P)) if P > 1 else 0.0

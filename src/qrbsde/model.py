@@ -11,6 +11,12 @@ callables are vectorised over numpy arrays: ``drift(t, x)`` and
 ``obstacle(x)`` map arrays elementwise, ``vol(t)`` returns an ``(m,)``
 vector, and ``generator(t, x, y, z)`` broadcasts over leading axes with
 ``z`` carrying a trailing axis of size ``m``.
+
+A driver affine in y, f = a y + f0(t, x, z), is declared by building the
+generator as ``AffineInY(a, f0)``; the implicit step of the scheme then
+has the closed form y = (e + dt f0) / (1 - a dt) and evaluates f0 once.
+The declaration lives on the callable, so replacing the generator of a
+spec drops it, and any other callable is solved by Picard iteration.
 """
 
 from __future__ import annotations
@@ -24,8 +30,10 @@ import numpy as np
 
 PRESET_NAMES = ("P1-pure-quadratic", "P2-mixed-quadratic", "P3-lipschitz")
 
-# fields of a preset that build_preset accepts as overrides
-_OVERRIDABLE = ("T", "x0", "L", "M_f", "M_g", "alpha", "m", "smooth_g")
+# fields of a preset that build_preset accepts as overrides, with their types
+OVERRIDES = {"T": (int, float), "x0": (int, float), "L": (int, float),
+             "M_f": (int, float), "M_g": (int, float), "alpha": (int, float),
+             "m": int, "smooth_g": bool}
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,16 @@ class ProblemSpec:
     def sigma_norm(self, t):
         """Euclidean norm |sigma(t)|; the effective scalar volatility of X."""
         return float(np.linalg.norm(np.asarray(self.vol(t), dtype=float)))
+
+
+@dataclass(frozen=True)
+class AffineInY:
+    """A driver declared affine in y: f(t, x, y, z) = a y + f0(t, x, z)."""
+    a: float
+    f0: Callable
+
+    def __call__(self, t, x, y, z):
+        return self.a * np.asarray(y, dtype=float) + self.f0(t, x, z)
 
 
 @dataclass(frozen=True)
@@ -135,7 +153,7 @@ def build_preset(name: str, overrides: Optional[dict] = None) -> ProblemSpec:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     overrides = dict(overrides or {})
     for key in overrides:
-        if key not in _OVERRIDABLE:
+        if key not in OVERRIDES:
             raise ValueError(f"cannot override unknown field {key!r}")
 
     smooth_g = bool(overrides.pop("smooth_g", False))
@@ -159,12 +177,12 @@ def build_preset(name: str, overrides: Optional[dict] = None) -> ProblemSpec:
         def drift(t, x):
             return np.zeros_like(np.asarray(x, dtype=float))
 
-        def generator(t, x, y, z, _a=alpha):
+        def f0(t, x, z, _a=alpha):
             z = np.asarray(z, dtype=float)
             return 0.5 * _a * np.sum(z * z, axis=-1)
 
         return ProblemSpec(
-            name=name, drift=drift, vol=vol, generator=generator, obstacle=g,
+            name=name, drift=drift, vol=vol, generator=AffineInY(0.0, f0), obstacle=g,
             L=float(base["L"]), M_f=float(base.get("M_f", 0.0)),
             M_g=float(base["M_g"]), alpha=alpha, T=float(base["T"]),
             x0=float(base["x0"]), m=m, pure_quadratic=True,
@@ -179,25 +197,22 @@ def build_preset(name: str, overrides: Optional[dict] = None) -> ProblemSpec:
         # |f| <= 0.2(1 + |y|) + (1.2/2)|z|^2 holds.
         alpha = float(base.get("alpha", 1.2))
 
-        def generator(t, x, y, z):
+        def f0(t, x, z):
             x = np.asarray(x, dtype=float)
             z = np.asarray(z, dtype=float)
-            z1 = z[..., 0]
-            return -0.1 * np.asarray(y, dtype=float) + 0.2 * np.sin(x) * z1 \
-                + 0.5 * np.sum(z * z, axis=-1)
+            return 0.2 * np.sin(x) * z[..., 0] + 0.5 * np.sum(z * z, axis=-1)
 
         M_f = float(base.get("M_f", 0.2))
     else:  # P3-lipschitz
         alpha = float(base.get("alpha", 1.0))
 
-        def generator(t, x, y, z):
-            z = np.asarray(z, dtype=float)
-            return -0.1 * np.asarray(y, dtype=float) + 0.2 * z[..., 0]
+        def f0(t, x, z):
+            return 0.2 * np.asarray(z, dtype=float)[..., 0]
 
         M_f = float(base.get("M_f", 0.2))
 
     return ProblemSpec(
-        name=name, drift=drift, vol=vol, generator=generator, obstacle=g,
+        name=name, drift=drift, vol=vol, generator=AffineInY(-0.1, f0), obstacle=g,
         L=float(base["L"]), M_f=M_f, M_g=float(base["M_g"]), alpha=alpha,
         T=float(base["T"]), x0=float(base["x0"]), m=m,
     )
@@ -236,12 +251,19 @@ def smooth_truncation(z, n: float):
 
 
 def truncate_generator(spec: ProblemSpec, radius: TruncationRadius) -> ProblemSpec:
-    """Replace f by f(t, x, y, h_{M_z}(z)); the result is globally Lipschitz."""
+    """Replace f by f(t, x, y, h_{M_z}(z)); the result is globally Lipschitz.
+
+    A driver declared ``AffineInY`` stays declared, with h_{M_z} inside f0.
+    """
     Mz = radius.M_z
     f = spec.generator
-
-    def truncated(t, x, y, z, _f=f, _n=Mz):
-        return _f(t, x, y, smooth_truncation(z, _n))
+    if isinstance(f, AffineInY):
+        def f0(t, x, z, _f0=f.f0, _n=Mz):
+            return _f0(t, x, smooth_truncation(z, _n))
+        truncated = AffineInY(f.a, f0)
+    else:
+        def truncated(t, x, y, z, _f=f, _n=Mz):
+            return _f(t, x, y, smooth_truncation(z, _n))
 
     induced = {
         "x": spec.L * (Mz + 2.0),

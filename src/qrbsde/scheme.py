@@ -3,7 +3,8 @@
 Backward recursion per time step: project the next-step value onto the
 Brownian increment to get Z and regress the conditional mean (one fit with
 m+1 columns), solve the implicit fixed point in y with the driver evaluated
-at the truncated Z, then apply discrete reflection against the obstacle.
+at the truncated Z (in closed form for a driver declared affine in y), then
+apply discrete reflection against the obstacle.
 Conditional expectations are least-squares regressions on a spatial basis
 of the current Euler state.
 """
@@ -17,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .forward import PathBundle, ReflectionSchedule, TimeGrid, path_array
-from .model import ProblemSpec, TruncationRadius, smooth_truncation, y_bound
+from .model import (AffineInY, ProblemSpec, TruncationRadius, smooth_truncation,
+                    y_bound)
 from .regress import BasisSpec, build_basis, fit_least_squares, localize_basis
 
 PICARD_TOL = 1e-12
@@ -106,22 +108,36 @@ def z_projection_step(y_next, dW_i, dt_i, phi, xs, ridge=0.0):
 
 def implicit_y_step(e, zbar, spec: ProblemSpec, t_i: float, x_i, dt: float,
                     radius: Optional[TruncationRadius], M: float):
-    """Solve y = e + dt f(t_i, x, y, h_{M_z}(zbar)) by Picard iteration.
+    """Solve y = e + dt f(t_i, x, y, h_{M_z}(zbar)).
 
-    ``radius=None`` leaves Z untruncated.  Contraction requires L*dt < 1,
-    which callers enforce at configuration time.  Returns the solution
-    clamped to [-M, M] and the iteration count; raises RuntimeError if the
-    iteration does not converge and FloatingPointError on a non-finite
-    driver value.
+    A generator declared ``AffineInY(a, f0)`` is solved in closed form,
+    y = (e + dt f0(t_i, x, h(zbar))) / (1 - a dt), with one evaluation of
+    f0 and a count of 1; it raises RuntimeError where |a| dt >= 1, where
+    the iteration would not contract.  Any other generator goes through
+    Picard iteration, which requires L*dt < 1 (callers enforce it at
+    configuration time) and raises RuntimeError if it does not converge.
+    ``radius=None`` leaves Z untruncated.  Returns the solution clamped to
+    [-M, M] and the iteration count; raises FloatingPointError on a
+    non-finite driver value.
     """
     e = np.asarray(e, dtype=float)
     hz = np.asarray(zbar, dtype=float)
     if radius is not None:
         hz = smooth_truncation(hz, radius.M_z)
+    f = spec.generator
+    if isinstance(f, AffineInY):
+        if abs(f.a) * dt >= 1.0:
+            raise RuntimeError(
+                f"implicit step does not contract at t={t_i}: |a|*dt = "
+                f"{abs(f.a) * dt:.3g} >= 1")
+        f0 = np.asarray(f.f0(t_i, x_i, hz), dtype=float)
+        if not np.all(np.isfinite(f0)):
+            raise FloatingPointError(f"non-finite driver value at t={t_i}")
+        return np.clip((e + dt * f0) / (1.0 - f.a * dt), -M, M), 1
     y = e.copy()
     y_new, diff = np.empty_like(y), np.empty_like(y)
     for k in range(1, PICARD_MAX_ITER + 1):
-        fy = np.asarray(spec.generator(t_i, x_i, y, hz), dtype=float)
+        fy = np.asarray(f(t_i, x_i, y, hz), dtype=float)
         if not np.all(np.isfinite(fy)):
             raise FloatingPointError(f"non-finite driver value at t={t_i}")
         np.add(e, np.multiply(dt, fy, out=y_new), out=y_new)

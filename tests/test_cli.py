@@ -80,6 +80,9 @@ def test_config_hash_stable_under_key_reordering():
     ({"mc": {"basis": {"domain": [0.0, float("inf")]}}}, "/mc/basis/domain"),
     ({"problem": {"overrides": {"m": 2.7}}}, "/problem"),
     ({"grid": {"reflection": {"every": 2.5}}}, "/grid/reflection"),
+    ({"problem": {"overrides": {"smooth_g": "false"}}}, "/problem/overrides/smooth_g"),
+    ({"problem": {"overrides": {"L": None}}}, "/problem/overrides/L"),
+    ({"problem": {"overrides": {"alpha": True}}}, "/problem/overrides/alpha"),
 ])
 def test_ill_typed_or_foreign_values_fatal_with_pointer(config, pointer):
     with pytest.raises(ConfigError, match=pointer):
@@ -185,6 +188,12 @@ def test_config_error_exit_codes(tmp_path):
     cfg["experiment"] = {"kind": "reflect-sweep", "N": 8, "kappas": [3]}
     assert main(["reflect-sweep", "--config", json.dumps(cfg),
                  "--out", str(tmp_path / "y")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("overrides", [{"smooth_g": "false"}, {"L": None}])
+def test_ill_typed_overrides_exit_config(tmp_path, overrides):
+    assert main(["validate", "--config", json.dumps({"problem": {"overrides": overrides}}),
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
 def test_subcommand_and_seed_conflicts_exit_config(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrbsde.forward import euler_simulate, make_grid, sample_increments
-from qrbsde.model import (CloudConfig, TruncationRadius, build_preset,
+from qrbsde.model import (AffineInY, CloudConfig, TruncationRadius, build_preset,
                           clip_obstacle, smooth_truncation, soft_clip_obstacle,
                           truncate_generator, validate_assumptions, y_bound)
 from qrbsde.regress import BasisSpec
@@ -188,6 +188,27 @@ def test_truncate_generator_retruncation_agrees_inside_radius():
 def test_truncate_generator_records_induced_constants():
     spec = truncate_generator(build_preset("P1-pure-quadratic"), TruncationRadius(4.0))
     assert spec.induced_lipschitz == {"x": 6.0, "y": 1.0, "z": 11.0}
+
+
+@pytest.mark.parametrize("name, a", [("P1-pure-quadratic", 0.0),
+                                     ("P2-mixed-quadratic", -0.1),
+                                     ("P3-lipschitz", -0.1)])
+def test_presets_declare_their_y_coefficient(name, a):
+    f = build_preset(name).generator
+    assert isinstance(f, AffineInY) and f.a == a
+    rng = np.random.default_rng(6)
+    x, y, z = rng.normal(size=64), rng.normal(size=64), rng.normal(size=(64, 1))
+    np.testing.assert_allclose(f(0.2, x, y, z), a * y + f.f0(0.2, x, z), rtol=0,
+                               atol=1e-15)
+
+
+def test_truncate_generator_keeps_the_affine_declaration():
+    base = build_preset("P2-mixed-quadratic")
+    spec = truncate_generator(base, TruncationRadius(1.0))
+    assert isinstance(spec.generator, AffineInY) and spec.generator.a == -0.1
+    x, y, z = np.ones(3), np.full(3, 0.5), np.array([[0.5], [2.0], [-7.0]])
+    want = base.generator(0.0, x, y, smooth_truncation(z, 1.0))
+    np.testing.assert_array_equal(spec.generator(0.0, x, y, z), want)
 
 
 # ---------------------------------------------------------------------------

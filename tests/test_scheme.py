@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import cho_factor, cho_solve
 
 from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
                             sample_increments)
-from qrbsde.model import TruncationRadius, build_preset, clip_obstacle, y_bound
+from qrbsde.model import (AffineInY, TruncationRadius, build_preset, clip_obstacle,
+                          y_bound)
 from qrbsde import scheme
 from qrbsde.regress import BasisSpec, DesignEvaluator, build_basis
 from qrbsde.scheme import (estimate_Mz_auto, implicit_y_step, reflect_step,
@@ -107,6 +110,68 @@ def test_implicit_step_p1_single_iteration_formula():
     y, k = implicit_y_step(np.array([0.2]), zbar, spec, 0.0, np.array([1.0]),
                            0.25, TruncationRadius(5.0), M=10.0)
     assert y[0] == pytest.approx(0.2 + 0.25 * 0.7 ** 2 / 2.0, abs=1e-14)
+
+
+def _plain(f):
+    """The same driver as a plain callable, which takes the Picard path."""
+    return lambda t, x, y, z: f(t, x, y, z)
+
+
+@given(st.floats(-1.0, 1.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.floats(-0.4, 0.4), st.floats(1e-3, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_equals_picard_on_the_plain_driver(e, z, x, a_dt, dt):
+    # a drawn through a*dt, so that |a|*dt <= 0.4 and Picard converges
+    spec = build_preset("P2-mixed-quadratic")
+    affine = dataclasses.replace(spec, generator=AffineInY(a_dt / dt,
+                                                           spec.generator.f0))
+    plain = dataclasses.replace(affine, generator=_plain(affine.generator))
+    args = (np.array([e]), np.array([[z]]), 0.3, np.array([x]), dt,
+            TruncationRadius(2.0), 10.0)
+    y, k = implicit_y_step(args[0], args[1], affine, *args[2:])
+    y_picard, _ = implicit_y_step(args[0], args[1], plain, *args[2:])
+    assert k == 1
+    np.testing.assert_allclose(y, y_picard, rtol=0, atol=1e-12)
+
+
+def test_closed_form_is_bit_identical_to_picard_on_p1():
+    spec = _p1()
+    rng = np.random.default_rng(4)
+    e, zbar, x = rng.normal(size=500), rng.normal(size=(500, 1)), rng.normal(size=500)
+    y, k = implicit_y_step(e, zbar, spec, 0.2, x, 1 / 64, TruncationRadius(0.5), 10.0)
+    plain = dataclasses.replace(spec, generator=_plain(spec.generator))
+    y_picard, k_picard = implicit_y_step(e, zbar, plain, 0.2, x, 1 / 64,
+                                         TruncationRadius(0.5), 10.0)
+    assert (k, k_picard) == (1, 2)
+    assert y.tobytes() == y_picard.tobytes()
+
+
+@pytest.mark.parametrize("a", [2.5, -2.5, 4.0, -4.0])
+def test_closed_form_raises_without_contraction(a):
+    # dt = 0.4: |a|*dt is exactly 1 at |a| = 2.5, where Picard cannot converge
+    spec = dataclasses.replace(_p1(), generator=AffineInY(a, _p1().generator.f0))
+    with pytest.raises(RuntimeError, match="contract"):
+        implicit_y_step(np.array([0.1]), np.zeros((1, 1)), spec, 0.0,
+                        np.array([1.0]), 0.4, None, 10.0)
+
+
+def test_closed_form_raises_on_non_finite_f0():
+    spec = dataclasses.replace(_p1(), generator=AffineInY(
+        -0.1, lambda t, x, z: np.where(np.asarray(x) > 0, np.inf, 0.0)))
+    with pytest.raises(FloatingPointError):
+        implicit_y_step(np.zeros(2), np.zeros((2, 1)), spec, 0.0,
+                        np.array([-1.0, 1.0]), 0.1, None, 10.0)
+
+
+def test_replaced_generator_takes_the_picard_path():
+    # replacing the generator drops the declaration: the P3 coefficient no
+    # longer applies, and the y-dependent driver is iterated
+    spec = dataclasses.replace(build_preset("P3-lipschitz"),
+                               generator=lambda t, x, y, z: -0.5 * np.asarray(y))
+    y, k = implicit_y_step(np.array([0.4]), np.zeros((1, 1)), spec, 0.0,
+                           np.array([1.0]), 0.5, None, 10.0)
+    assert k > 1
+    assert y[0] == pytest.approx(0.4 / 1.25, abs=1e-11)
 
 
 def test_reflect_step_cases():
