@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -142,6 +143,12 @@ def soft_clip_obstacle(x, lo=0.0, hi=0.5, sharpness=20.0):
 # ---------------------------------------------------------------------------
 # preset catalog
 
+def _finite_real(val) -> bool:
+    """A finite real number; numpy scalars count, bools do not."""
+    return (isinstance(val, numbers.Real) and not isinstance(val, bool)
+            and (isinstance(val, numbers.Integral) or math.isfinite(val)))
+
+
 def build_preset(name: str, overrides: Optional[dict] = None) -> ProblemSpec:
     """Instantiate one of the shipped problem presets, optionally overriding fields.
 
@@ -152,19 +159,23 @@ def build_preset(name: str, overrides: Optional[dict] = None) -> ProblemSpec:
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     overrides = dict(overrides or {})
-    for key in overrides:
+    m = overrides.get("m", 1)
+    if not (_finite_real(m) and m == int(m) >= 1):
+        raise ValueError(f"Brownian dimension m must be an integer >= 1, got {m!r}")
+    m = int(m)
+    for key, val in overrides.items():
         if key not in OVERRIDES:
             raise ValueError(f"cannot override unknown field {key!r}")
+        flag = OVERRIDES[key] is bool
+        if not (isinstance(val, (bool, np.bool_)) if flag else _finite_real(val)):
+            kind = "a bool" if flag else "a finite real number"
+            raise ValueError(f"override {key!r} must be {kind}, got {val!r}")
 
     smooth_g = bool(overrides.pop("smooth_g", False))
     g = soft_clip_obstacle if smooth_g else clip_obstacle
 
-    base = dict(T=1.0, x0=1.0, m=1, L=1.0, M_g=0.5)
+    base = dict(T=1.0, x0=1.0, L=1.0, M_g=0.5)
     base.update(overrides)
-    m = int(base["m"])
-    if m != base["m"] or m < 1:
-        raise ValueError(f"Brownian dimension m must be an integer >= 1, "
-                         f"got {base['m']!r}")
 
     sigma_vec = np.full(m, 0.3 / math.sqrt(m))
 

@@ -12,11 +12,13 @@ giving an independent closed-form-in-structure oracle.
 
 Every lookup of a value slice in space goes through ``SpaceGrid.interpolate``:
 monotone cubic (PCHIP) interpolation along the nodes, one interpolant for all
-columns of a slice, held constant beyond the grid.  The nodes must be evenly
-spaced, which ``SpaceGrid`` checks, so each point's interval is computed
-directly from the spacing rather than searched for, and the cubic is
-evaluated from the interpolant's own coefficients; the values are
-bit-identical to calling the interpolant.  The lattice solvers count
+columns of a slice, held constant beyond the grid.  ``PchipInterpolator``
+computes its coefficients in place, equal to scipy's class of that name bit
+for bit, so ``scipy.interpolate`` is never imported; it keeps the name by which
+the one-home import test, the benchmark tracer and a build-counting test find
+the interpolant.  The nodes are evenly spaced (``SpaceGrid`` checks), so each
+point's interval comes from the spacing rather than a search, and the values
+are bit-identical to calling scipy's interpolant.  The lattice solvers count
 the quadrature points that leave the grid, warn once with that count and
 keep it as ``GridSolution.off_grid``.
 
@@ -37,11 +39,38 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.interpolate import PchipInterpolator
 
 from .forward import ReflectionSchedule, TimeGrid
 from .model import ProblemSpec, TruncationRadius, y_bound
 from .scheme import implicit_y_step, reflect_step
+
+
+class PchipInterpolator:
+    """scipy's ``PchipInterpolator`` coefficients ``c`` (4, J-1, ...) on J >= 3
+    nodes, bit for bit: each step below follows scipy's operation order."""
+
+    def __init__(self, nodes, values):
+        y = np.asarray(values, dtype=float)
+        if y.shape[:1] != np.shape(nodes):
+            raise ValueError("values need one row per node")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("values must be finite")
+        h = np.diff(np.asarray(nodes, dtype=float)).reshape((-1,) + (1,) * (y.ndim - 1))
+        m = np.diff(y, axis=0) / h
+        # interior: the slopes' weighted harmonic mean, 0 at a sign change or 0
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.zeros_like(y)
+        np.divide(1.0, whmean, out=d[1:-1], where=~flat)
+        # ends: one-sided estimate, 0 if its sign flips, 3*m0 if it overshoots
+        for a, b in ((0, 1), (-1, -2)):
+            e = ((2 * h[a] + h[b]) * m[a] - h[a] * m[b]) / (h[a] + h[b])
+            over = (np.sign(m[a]) != np.sign(m[b])) & (np.abs(e) > 3.0 * np.abs(m[a]))
+            d[a] = np.where(np.sign(e) != np.sign(m[a]), 0.0, np.where(over, 3.0 * m[a], e))
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
 @dataclass(frozen=True)
@@ -71,16 +100,16 @@ class SpaceGrid:
     def interpolate(self, values, x):
         """PCHIP of values (J, ...) along the nodes at x, constant beyond the grid.
 
-        Bit-identical to ``PchipInterpolator(...)(clip(x))``: the interval of
-        each point is read off the even spacing, corrected by one step to
-        scipy's rule nodes[i] <= x < nodes[i+1] (the last interval closed),
-        and the cubic is evaluated from the interpolant's coefficients in
-        scipy's order, one column at a time.  The result has shape
-        x.shape + values.shape[1:], and each of its columns (one index of
-        the trailing axes) is one contiguous block.
+        Bit-identical to scipy's ``PchipInterpolator(...)(clip(x))``: the
+        coefficients come from this module's class, the interval of each point
+        is read off the even spacing, corrected by one step to scipy's rule
+        nodes[i] <= x < nodes[i+1] (the last interval closed), and the cubic
+        is evaluated in scipy's order, one column at a time.  The result has
+        shape x.shape + values.shape[1:], and each of its columns (one index
+        of the trailing axes) is one contiguous block.
         """
         nodes = self.nodes
-        interp = PchipInterpolator(nodes, values, axis=0, extrapolate=False)
+        interp = PchipInterpolator(nodes, values)
         x = np.clip(np.asarray(x, dtype=float), nodes[0], nodes[-1])
         xf = x.ravel()
         last = nodes.size - 2

@@ -266,3 +266,18 @@ def test_brownian_dimension_must_be_a_positive_integer(m):
     with pytest.raises(ValueError, match="dimension m"):
         build_preset("P1-pure-quadratic", {"m": m})
     assert build_preset("P1-pure-quadratic", {"m": 2.0}).m == 2
+
+
+@pytest.mark.parametrize("overrides", [{"smooth_g": "false"}, {"smooth_g": 1},
+                                       {"L": None}, {"alpha": True},
+                                       {"T": float("inf")}])
+def test_ill_typed_override_is_rejected_by_name(overrides):
+    (key,) = overrides
+    with pytest.raises(ValueError, match=f"override '{key}'"):
+        build_preset("P1-pure-quadratic", overrides)
+
+
+def test_overrides_accept_numpy_scalars():
+    spec = build_preset("P1-pure-quadratic", {"m": np.int64(2), "T": np.float64(0.5)})
+    assert (spec.m, spec.T) == (2, 0.5)
+    assert type(spec.m) is int and type(spec.T) is float

@@ -5,6 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.polynomial.hermite import hermgauss
 
 from scipy.interpolate import PchipInterpolator
@@ -200,6 +203,71 @@ def test_exact_scheme_raises_on_non_finite_driver():
     grid, sched = make_grid(4, spec.T)
     with pytest.raises(FloatingPointError):
         exact_scheme_solve(spec, grid, sched, build_space_grid(spec))
+
+
+# node values for the coefficient comparison: a small pool that makes flat
+# runs, exact-zero slopes, sign changes and -0.0 common, and magnitudes
+# from 1e-300 to 1e300
+_PCHIP_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.builds(lambda mant, e: mant * 10.0 ** e, st.floats(-10.0, 10.0),
+              st.integers(-300, 299)))
+
+
+@st.composite
+def _pchip_slices(draw):
+    J = draw(st.integers(3, 12))
+    x0 = draw(st.floats(-10.0, 10.0))
+    if draw(st.booleans()):
+        nodes = np.linspace(x0, x0 + draw(st.floats(0.1, 50.0)), J)
+    else:
+        steps = draw(hnp.arrays(np.float64, J - 1, elements=st.floats(0.01, 10.0)))
+        nodes = x0 + np.concatenate([[0.0], np.cumsum(steps)])
+    tail = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    return nodes, draw(hnp.arrays(np.float64, (J,) + tail, elements=_PCHIP_VALUES))
+
+
+def _assert_same_coefficients(nodes, values):
+    with np.errstate(all="ignore"):    # huge magnitudes may overflow in both
+        got = oracle.PchipInterpolator(nodes, values).c
+        want = PchipInterpolator(nodes, values, axis=0).c
+    assert got.shape == want.shape == (4, len(nodes) - 1) + np.shape(values)[1:]
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    return got
+
+
+@given(_pchip_slices())
+@settings(max_examples=400, deadline=None)
+def test_pchip_coefficients_equal_scipy_bit_for_bit(data):
+    _assert_same_coefficients(*data)
+
+
+@pytest.mark.parametrize("values, left, right", [
+    ([0.0, 1.0, 6.0, 4.0], 0.0, -5.5),      # left estimate (3-5)/2 flips sign
+    ([4.0, 6.0, 1.0, 0.0], 5.5, 0.0),       # right estimate (-3+5)/2 flips sign
+    ([0.0, 0.25, -1.75, -0.75], 0.75, 2.5),  # left 1.375 > 3*0.25: 3*m0
+    ([0.0, 1.0, -1.0, -0.75], 2.5, 0.75),    # right 1.375 > 3*0.25: 3*m0
+])
+def test_pchip_end_rule_corrections(values, left, right):
+    # unit spacing; each case reaches one shape-preserving correction of the
+    # one-sided end estimate at one end and the plain estimate at the other
+    c = _assert_same_coefficients(np.arange(4.0), np.array(values))
+    assert c[2, 0] == left
+    assert 3 * c[0, -1] + 2 * c[1, -1] + c[2, -1] == pytest.approx(right, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pchip_rejects_non_finite_values(bad):
+    values = np.arange(5.0)
+    values[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        oracle.PchipInterpolator(np.arange(5.0), values)
+
+
+def test_pchip_rejects_a_length_mismatch():
+    with pytest.raises(ValueError, match="one row per node"):
+        oracle.PchipInterpolator(np.arange(5.0), np.zeros((4, 2)))
 
 
 def test_interpolate_serves_all_columns_with_one_interpolant():
