@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import lab
-from .forward import make_grid
+from .forward import SEED_BOUND, make_grid
 from .model import OVERRIDES, ProblemSpec, build_preset, validate_assumptions
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec
@@ -207,8 +207,8 @@ def parse_config(source, command: Optional[str] = None,
         raise ConfigError(
             f"/mc/paths: {paths} < 10 * basis dimension ({10 * basis.dimension})")
     seed = cfg["mc"]["seed"]
-    if seed < 0:
-        raise ConfigError("/mc/seed: must be nonnegative")
+    if not 0 <= seed < SEED_BOUND:
+        raise ConfigError("/mc/seed: must be in 0..2**64 - 1")
 
     mz = cfg["truncation"]["M_z"]
     if isinstance(mz, str):
@@ -311,7 +311,7 @@ def _run_diagnose(cfg: RunConfig):
     rows.append({"quantity": "bound_value", "p": "", "value": rep.bound_value})
     flags = {"within_bound": rep.passed,
              "skorokhod": sol.skorokhod_flags(cfg.spec, bundle.X_euler)["all"]}
-    return rep.to_dict(), {"diagnostics": rows}, flags, None
+    return rep.to_dict(), {"diagnostics": rows}, flags, bundle
 
 
 def _run_oracle(cfg: RunConfig):
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="recorded in the manifest; no effect on the computation")
         p.add_argument("--dump-paths", action="store_true",
-                       help="also write the simulated paths as CSV")
+                       help="solve, diagnose: also write the paths as CSV")
     return parser
 
 

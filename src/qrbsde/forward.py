@@ -21,6 +21,7 @@ from .model import ProblemSpec
 # sub-stream tags multiplexed into the Philox key alongside (seed, step)
 _STREAM_EULER = 0
 _STREAM_EXACT_RESIDUAL = 1
+SEED_BOUND = 2 ** 64    # a seed has 64 key bits; a larger one aliases a tag
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,8 @@ def sample_increments(grid: TimeGrid, P: int, seed: int, m: int = 1) -> PathBund
     """Draw Brownian increments dW[p, i, :] ~ N(0, dt_i I_m), reproducibly."""
     if P < 1:
         raise ValueError("need at least one path")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError("seed must be in 0..2**64 - 1")
     N = grid.N
     dW = path_array(P, N, m)
     for i, dti in enumerate(grid.dt):

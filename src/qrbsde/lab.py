@@ -453,9 +453,8 @@ def run_diagnostics(spec: ProblemSpec, N: int, mc: MCConfig,
     tail_max = 0.0
     for i in range(grid.N):
         xs = X[:, i]
-        b = localize_basis(mc.basis, xs)
-        fitted = fit_least_squares(build_basis(b, xs), xs, tails[:, i],
-                                   ridge=b.ridge).fitted
+        phi = build_basis(localize_basis(mc.basis, xs), xs)
+        fitted = fit_least_squares(phi, xs, tails[:, i]).fitted
         tail_max = max(tail_max, float(np.quantile(fitted, 0.99)))
 
     bound = bmo_bound_value(spec)

@@ -2,9 +2,9 @@
 
 Two basis families: standardized global polynomials for smooth problems and
 piecewise-constant cell indicators as a robust fallback.  Fitting solves
-the ridge normal equations through a Cholesky factor of the d x d Gram
-A^T A + ridge I, followed by one residual-refinement step on the same
-factor; all targets on one sample share one design and one factorization.
+the ridge normal equations, with the basis's ridge, through one eigh of the
+d x d Gram A^T A + ridge I and one residual-refinement step on the same
+factors; all targets on one sample share one design and one decomposition.
 The polynomial Gram is Hankel, G[j, k] = sum_p u_p^(j+k), so it is built
 from its 2d - 1 power sums instead of a (P, d) matrix product.  Targets,
 residuals and in-sample values are column-major (P, k), like the design,
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .forward import path_array
 
@@ -176,8 +175,10 @@ def _sorted_quantile(s: np.ndarray, q: float) -> float:
     return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def fit_least_squares(phi: DesignEvaluator, xs, ys, ridge: float = 0.0) -> RegressionFit:
-    """Ridge-regularized least squares of ys, (P,) or (P, k), on phi(xs)."""
+def fit_least_squares(phi: DesignEvaluator, xs, ys) -> RegressionFit:
+    """Least squares of ys, (P,) or (P, k), on phi(xs), ridged by phi's basis.
+    One eigh G = V diag(lam) V^T of the Gram serves the singularity guard,
+    cond, the solve V diag(1/lam) V^T b and its one refinement step."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape[0] != ys.shape[0]:
@@ -186,23 +187,21 @@ def fit_least_squares(phi: DesignEvaluator, xs, ys, ridge: float = 0.0) -> Regre
     d = A.shape[1]
     if xs.shape[0] < d:
         raise ValueError("need at least as many samples as basis functions")
+    ridge = phi.spec.ridge
     G = phi.gram(A)
     G[np.diag_indices(d)] += ridge
-    lam = np.linalg.eigvalsh(G)
-    try:
-        if not lam[0] > d * np.finfo(float).eps * lam[-1]:
-            raise np.linalg.LinAlgError
-        factor = cho_factor(G)
-    except np.linalg.LinAlgError:
+    lam, V = np.linalg.eigh(G)
+    if not lam[0] > d * np.finfo(float).eps * lam[-1]:
         raise np.linalg.LinAlgError("numerically singular design matrix; "
-                                    "supply a positive ridge parameter") from None
+                                    "supply a positive ridge parameter")
+    Vs = V / lam
     # targets, residual and fitted values as their (k, P) transposes: each
     # column of the column-major (P, k) arrays is one contiguous row
     yt = np.asfortranarray(ys).T
-    coef = cho_solve(factor, A.T @ ys)
+    coef = Vs @ (V.T @ (A.T @ ys))
     res = yt - coef.T @ A.T
     # one refinement step recovers the accuracy the normal equations lose
-    coef += cho_solve(factor, A.T @ res.T - ridge * coef)
+    coef += Vs @ (V.T @ (A.T @ res.T - ridge * coef))
     cond = float(np.sqrt(lam[-1] / lam[0]))
     fitted = coef.T @ A.T
     np.subtract(yt, fitted, out=res)
@@ -212,11 +211,8 @@ def fit_least_squares(phi: DesignEvaluator, xs, ys, ridge: float = 0.0) -> Regre
                          fitted=fitted.T)
 
 
-def evaluate_fit(fit: RegressionFit, x, clamp: Optional[tuple] = None):
-    """phi(x) . coef, optionally clipped to [lo, hi]."""
+def evaluate_fit(fit: RegressionFit, x):
+    """phi(x) . coef; a float for a scalar x."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
     v = fit.evaluator(x) @ fit.coef
-    if clamp is not None:
-        v = np.clip(v, clamp[0], clamp[1])
-    return float(v[0]) if scalar else v
+    return float(v[0]) if x.ndim == 0 else v

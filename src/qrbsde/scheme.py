@@ -91,10 +91,10 @@ class SchemeSolution:
         }
 
 
-def z_projection_step(y_next, dW_i, dt_i, phi, xs, ridge=0.0):
+def z_projection_step(y_next, dW_i, dt_i, phi, xs):
     """The step's one projection: the RegressionFit on phi(xs) of Z, the m
     columns y_next * dW_i / dt_i (dW_i of shape (P, m)), and last the mean
-    column y_next, with one design and one solve."""
+    column y_next, with one design, one eigh of its Gram and phi's ridge."""
     if dt_i <= 0:
         raise ValueError("dt must be positive")
     y_next = np.asarray(y_next, dtype=float)
@@ -103,7 +103,7 @@ def z_projection_step(y_next, dW_i, dt_i, phi, xs, ridge=0.0):
     np.multiply(y_next[:, None], dW_i, out=targets[:, :m])
     targets[:, :m] /= dt_i
     targets[:, m] = y_next
-    return fit_least_squares(phi, xs, targets, ridge=ridge)
+    return fit_least_squares(phi, xs, targets)
 
 
 def implicit_y_step(e, zbar, spec: ProblemSpec, t_i: float, x_i, dt: float,
@@ -196,11 +196,9 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
         ti = grid.times[i]
         dti = grid.dt[i]
         xs = X[:, i]
-        step_basis = localize_basis(basis, xs)
-        phi = build_basis(step_basis, xs)
+        phi = build_basis(localize_basis(basis, xs), xs)
 
-        fit = z_projection_step(Ybar[:, i + 1], bundle.dW[:, i, :], dti, phi, xs,
-                                ridge=step_basis.ridge)
+        fit = z_projection_step(Ybar[:, i + 1], bundle.dW[:, i, :], dti, phi, xs)
         np.clip(fit.fitted[:, :m], z_clamp[0], z_clamp[1], out=Zbar[:, i, :])
         e = np.clip(fit.fitted[:, m], -M, M)
         conds[i] = fit.cond

@@ -83,6 +83,7 @@ def test_config_hash_stable_under_key_reordering():
     ({"problem": {"overrides": {"smooth_g": "false"}}}, "/problem/overrides/smooth_g"),
     ({"problem": {"overrides": {"L": None}}}, "/problem/overrides/L"),
     ({"problem": {"overrides": {"alpha": True}}}, "/problem/overrides/alpha"),
+    ({"mc": {"seed": 2 ** 64}}, "/mc/seed"),
 ])
 def test_ill_typed_or_foreign_values_fatal_with_pointer(config, pointer):
     with pytest.raises(ConfigError, match=pointer):
@@ -228,8 +229,9 @@ def test_threads_flag_never_changes_results(tmp_path):
     assert (out1 / "summary.json").read_text() == (out2 / "summary.json").read_text()
 
 
-def test_dump_paths(tmp_path):
-    code, out = _run(tmp_path, "solve", SMALL_SOLVE, ("--dump-paths",))
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_dump_paths(tmp_path, command):
+    code, out = _run(tmp_path, command, SMALL_SOLVE, ("--dump-paths",))
     assert code == EXIT_OK
     arr = np.loadtxt(out / "paths.csv", delimiter=",", skiprows=1)
     assert arr.shape == (2000, 9)

@@ -59,6 +59,16 @@ def test_increments_deterministic():
     assert not np.array_equal(a.dW, c.dW)
 
 
+def test_seed_must_fit_in_64_bits():
+    # the Philox key holds the seed in 64 bits; seed 2**64 would draw the
+    # exact-residual stream of seed 0
+    grid, _ = make_grid(4, 1.0)
+    assert sample_increments(grid, 3, seed=2 ** 64 - 1).dW.shape == (3, 4, 1)
+    for seed in (-1, 2 ** 64, 2 ** 96):
+        with pytest.raises(ValueError, match="seed"):
+            sample_increments(grid, 3, seed=seed)
+
+
 def test_increments_step_draws_are_order_independent():
     # a path prefix of a bigger bundle matches the smaller bundle exactly:
     # draws are keyed by (seed, step), never by how much was generated before

@@ -7,7 +7,8 @@ re-exporting ``__init__.py``, every name bound by a top-level ``import`` or
 package ``PchipInterpolator`` is constructed in exactly one function and
 ``fit_least_squares`` is called only by the step's projection and the
 diagnostics' tail-sum regression.  A fresh interpreter that imports the
-package and runs a small convergence study never loads ``scipy.stats``, nor
+package and runs a small convergence study never loads ``scipy.stats``,
+``scipy.linalg`` (each least-squares fit makes one numpy ``eigh``), nor
 ``scipy.interpolate`` and the subpackages that it pulls in.
 """
 
@@ -107,16 +108,26 @@ def test_import_and_convergence_do_not_load_scipy_stats():
     assert out.stdout.strip() == "[False, False]"
 
 
+def _cold_start_loads(modules) -> list:
+    """Those of ``modules`` that ``_COLD_START`` leaves in ``sys.modules``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    script = (_COLD_START + "print([m for m in %r if m in sys.modules])\n"
+              % (tuple(modules),))
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", script],
+                         env=env, capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
 # loaded by ``import scipy.interpolate``, which the package does not need
 _INTERPOLATE_STACK = ("scipy.interpolate", "scipy.sparse", "scipy.spatial",
                       "scipy.optimize", "scipy.fft")
 
 
 def test_import_and_convergence_do_not_load_scipy_interpolate():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    script = (_COLD_START + "print([m for m in %r if m in sys.modules])\n"
-              % (_INTERPOLATE_STACK,))
-    out = subprocess.run([sys.executable, "-W", "ignore", "-c", script],
-                         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert _cold_start_loads(_INTERPOLATE_STACK) == []
+
+
+def test_import_and_convergence_do_not_load_scipy_linalg():
+    # the least-squares fit decomposes its Gram with numpy's eigh
+    assert _cold_start_loads(["scipy.linalg"]) == []

@@ -47,7 +47,7 @@ def test_z_projection_recovers_linear_coefficient():
     a, b = 0.3, 1.4
     y_next = a + b * dW[:, 0]
     xs = np.full(P, 1.0)
-    phi = build_basis(BasisSpec(degree=0), xs)
+    phi = build_basis(BasisSpec(degree=0, ridge=0.0), xs)
     z = z_projection_step(y_next, dW, dt, phi, xs).fitted
     se = 4.0 * (abs(a) + abs(b)) / math.sqrt(P * dt)
     assert abs(z[0, 0] - b) <= se
@@ -58,7 +58,7 @@ def test_z_projection_constant_integrand_vanishes():
     P, dt = 100000, 0.05
     dW = rng.normal(scale=math.sqrt(dt), size=(P, 1))
     xs = np.full(P, 1.0)
-    phi = build_basis(BasisSpec(degree=0), xs)
+    phi = build_basis(BasisSpec(degree=0, ridge=0.0), xs)
     z = z_projection_step(np.full(P, 0.8), dW, dt, phi, xs).fitted
     assert abs(z[0, 0]) <= 4.0 * 0.8 / math.sqrt(P * dt)
 
@@ -68,7 +68,7 @@ def test_z_projection_component_separation():
     P, dt = 100000, 0.1
     dW = rng.normal(scale=math.sqrt(dt), size=(P, 2))
     xs = np.full(P, 0.0)
-    phi = build_basis(BasisSpec(degree=0), xs)
+    phi = build_basis(BasisSpec(degree=0, ridge=0.0), xs)
     z = z_projection_step(dW[:, 0], dW, dt, phi, xs).fitted
     assert abs(z[0, 0] - 1.0) < 0.05 and abs(z[0, 1]) < 0.05
 
@@ -80,7 +80,7 @@ def test_z_projection_fitted_columns_are_contiguous(m):
     rng = np.random.default_rng(3)
     xs = rng.normal(size=1000)
     dW = rng.normal(scale=0.1, size=(1000, m))
-    phi = build_basis(BasisSpec(degree=4), xs)
+    phi = build_basis(BasisSpec(degree=4, ridge=0.0), xs)
     fitted = z_projection_step(np.sin(xs) + dW[:, 0], dW, 0.01, phi, xs).fitted
     assert fitted.shape == (1000, m + 1)
     for j in range(m + 1):
