@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -78,12 +77,13 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def _is(val, want) -> bool:
-    """val has type want; a bool is only a bool, and a float must be finite."""
+    """val has type want; a bool is only a bool, and a number must be finite
+    as a float (so an int beyond the float range is not)."""
     if isinstance(want, list):
         return isinstance(val, list) and all(_is(v, want[0]) for v in val)
     if isinstance(val, bool):
         return want is bool
-    if isinstance(val, float) and not math.isfinite(val):
+    if isinstance(val, (int, float)) and not abs(val) <= sys.float_info.max:
         return False
     return isinstance(val, want)
 
@@ -154,8 +154,8 @@ def parse_config(source, command: Optional[str] = None,
                 text = fh.read()
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # bad syntax, or an int of over 4300 digits
+            raise ConfigError(f"config is not readable JSON: {exc}") from exc
 
     exp = raw.get("experiment") if isinstance(raw, dict) else None
     kind = exp.get("kind") if isinstance(exp, dict) else None

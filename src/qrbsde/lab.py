@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .forward import (PathBundle, TimeGrid, euler_simulate, exact_simulate,
                       make_grid, sample_increments)
@@ -66,7 +65,13 @@ class SlopeFit:
 
 
 def slope_fit(points: Sequence[tuple]) -> SlopeFit:
-    """OLS fit of log(err) on log(h) for (h, err) pairs; all values positive."""
+    """OLS fit of log(err) on log(h) for (h, err) pairs; all values positive.
+
+    The band's Student-t quantile is ``scipy.special.stdtrit``, imported here
+    on the first call, so that ``import qrbsde`` and a solve load no scipy.
+    """
+    from scipy.special import stdtrit
+
     pts = [(float(h), float(e)) for h, e in points]
     if len(pts) < 3:
         raise ValueError("slope fit needs at least 3 points")
@@ -346,6 +351,8 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
     cell couples the Euler states with exact-transition states sharing the
     step increments.
     """
+    if not levels:
+        raise ValueError("stability levels must not be empty")
     if kind == "drift-shift":
         eps = [float(e) for e in levels]
         if any(b >= a for a, b in zip(eps, eps[1:])):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -144,9 +145,9 @@ def soft_clip_obstacle(x, lo=0.0, hi=0.5, sharpness=20.0):
 # preset catalog
 
 def _finite_real(val) -> bool:
-    """A finite real number; numpy scalars count, bools do not."""
+    """A real number finite as a float; numpy scalars count, bools do not."""
     return (isinstance(val, numbers.Real) and not isinstance(val, bool)
-            and (isinstance(val, numbers.Integral) or math.isfinite(val)))
+            and abs(val) <= sys.float_info.max)
 
 
 def build_preset(name: str, overrides: Optional[dict] = None) -> ProblemSpec:

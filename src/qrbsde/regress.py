@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -41,9 +42,11 @@ class BasisSpec:
             raise ValueError("polynomial degree must be in 0..12")
         if self.kind == "piecewise-constant" and not (1 <= self.cells <= 10 ** 4):
             raise ValueError("cell count must be in 1..10^4")
-        # a NaN pair passes: localize_basis returns it for a NaN sample
+        # a NaN pair passes: localize_basis returns it for a NaN sample; an
+        # int beyond the float range counts as infinite
         if self.domain is not None and (
-                len(self.domain) != 2 or any(map(math.isinf, self.domain))
+                len(self.domain) != 2
+                or any(abs(v) > sys.float_info.max for v in self.domain)
                 or self.domain[0] >= self.domain[1]):
             raise ValueError("domain requires a pair of finite x_lo < x_hi")
         if self.ridge < 0:

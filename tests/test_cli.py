@@ -84,6 +84,13 @@ def test_config_hash_stable_under_key_reordering():
     ({"problem": {"overrides": {"L": None}}}, "/problem/overrides/L"),
     ({"problem": {"overrides": {"alpha": True}}}, "/problem/overrides/alpha"),
     ({"mc": {"seed": 2 ** 64}}, "/mc/seed"),
+    # integers beyond the float range are not finite numbers
+    ({"problem": {"overrides": {"T": 10 ** 400}}}, "/problem/overrides/T"),
+    ({"grid": {"T": 10 ** 400}}, "/grid/T"),
+    ({"truncation": {"M_z": 10 ** 400}}, "/truncation/M_z"),
+    ({"mc": {"basis": {"domain": [0, 10 ** 400]}}}, "/mc/basis/domain"),
+    ({"experiment": {"kind": "stability", "levels": [10 ** 400]}},
+     "/experiment/levels"),
 ])
 def test_ill_typed_or_foreign_values_fatal_with_pointer(config, pointer):
     with pytest.raises(ConfigError, match=pointer):
@@ -191,10 +198,24 @@ def test_config_error_exit_codes(tmp_path):
                  "--out", str(tmp_path / "y")]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("overrides", [{"smooth_g": "false"}, {"L": None}])
+@pytest.mark.parametrize("overrides", [{"smooth_g": "false"}, {"L": None},
+                                       {"T": 10 ** 400}])
 def test_ill_typed_overrides_exit_config(tmp_path, overrides):
     assert main(["validate", "--config", json.dumps({"problem": {"overrides": overrides}}),
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+
+def test_int_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    config = '{"grid": {"T": 1%s}}' % ("0" * 5000)
+    assert main(["validate", "--config", config,
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "config is not readable JSON" in capsys.readouterr().err
+
+
+def test_empty_stability_levels_exit_config_by_name(tmp_path, capsys):
+    assert main(["stability", "--config", '{"experiment": {"levels": []}}',
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "stability levels must not be empty" in capsys.readouterr().err
 
 
 def test_subcommand_and_seed_conflicts_exit_config(tmp_path):

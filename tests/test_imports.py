@@ -9,7 +9,10 @@ package ``PchipInterpolator`` is constructed in exactly one function and
 diagnostics' tail-sum regression.  A fresh interpreter that imports the
 package and runs a small convergence study never loads ``scipy.stats``,
 ``scipy.linalg`` (each least-squares fit makes one numpy ``eigh``), nor
-``scipy.interpolate`` and the subpackages that it pulls in.
+``scipy.interpolate`` and the subpackages that it pulls in; it loads
+``scipy.special`` only at its first ``slope_fit``.  One that imports the
+package and the CLI, builds every preset and runs a small ``solve`` loads
+no scipy module at all.
 """
 
 import ast
@@ -131,3 +134,25 @@ def test_import_and_convergence_do_not_load_scipy_interpolate():
 def test_import_and_convergence_do_not_load_scipy_linalg():
     # the least-squares fit decomposes its Gram with numpy's eigh
     assert _cold_start_loads(["scipy.linalg"]) == []
+
+
+_COLD_SOLVE = """
+import json, sys, tempfile
+import qrbsde, qrbsde.cli
+for name in qrbsde.model.PRESET_NAMES:
+    qrbsde.build_preset(name)
+config = {"grid": {"N": 8}, "mc": {"paths": 2000, "basis": {"degree": 3}}}
+with tempfile.TemporaryDirectory() as out:
+    code = qrbsde.cli.main(["solve", "--config", json.dumps(config),
+                            "--out", out])
+print([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+"""
+
+
+def test_import_and_solve_load_no_scipy():
+    # slope_fit imports scipy.special on its first call; no solve reaches it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", _COLD_SOLVE],
+                         env=env, capture_output=True, text=True, check=True)
+    assert ast.literal_eval(out.stdout.splitlines()[-1]) == [0, []]

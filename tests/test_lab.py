@@ -244,6 +244,16 @@ def test_stability_validates_levels():
         lab.run_stability(spec, "resampling", [1.0], SMALL_MC)
 
 
+@pytest.mark.parametrize("kind", ["drift-shift", "euler-vs-exact"])
+def test_stability_rejects_empty_levels_before_any_solve(kind, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the levels")
+
+    monkeypatch.setattr(lab, "_solve_mc", no_solve)
+    with pytest.raises(ValueError, match="levels must not be empty"):
+        lab.run_stability(build_preset("P2-mixed-quadratic"), kind, [], SMALL_MC)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 

@@ -261,7 +261,7 @@ def test_soft_clip_tracks_clip():
     assert float(np.max(gap)) < 0.05     # log-sum-exp with sharpness 20
 
 
-@pytest.mark.parametrize("m", [2.7, 0, "2"])
+@pytest.mark.parametrize("m", [2.7, 0, "2", pytest.param(10 ** 400, id="1e400")])
 def test_brownian_dimension_must_be_a_positive_integer(m):
     with pytest.raises(ValueError, match="dimension m"):
         build_preset("P1-pure-quadratic", {"m": m})
@@ -270,7 +270,8 @@ def test_brownian_dimension_must_be_a_positive_integer(m):
 
 @pytest.mark.parametrize("overrides", [{"smooth_g": "false"}, {"smooth_g": 1},
                                        {"L": None}, {"alpha": True},
-                                       {"T": float("inf")}])
+                                       {"T": float("inf")}, {"T": 10 ** 400},
+                                       {"x0": -10 ** 400}])
 def test_ill_typed_override_is_rejected_by_name(overrides):
     (key,) = overrides
     with pytest.raises(ValueError, match=f"override '{key}'"):

@@ -251,7 +251,8 @@ def test_fitted_values_are_column_major(ys_shape):
 
 
 @pytest.mark.parametrize("domain", [(1.0,), (0.0, 1.0, 2.0), (-np.inf, 1.0),
-                                    (0.0, np.inf)])
+                                    (0.0, np.inf), (0, 10 ** 400),
+                                    (-10 ** 400, 0)])
 def test_basis_spec_domain_must_be_a_finite_pair(domain):
     with pytest.raises(ValueError, match="domain"):
         BasisSpec(domain=domain)
