@@ -29,8 +29,7 @@ radius = estimate_Mz_auto(spec, grid, sched, bundle, basis)
 print(f"auto truncation radius M_z = {radius.M_z:.3f} ({radius.provenance})")
 
 sol = solve_backward(spec, grid, sched, bundle, basis, radius)
-print(f"Y0 (fit at x0)  = {sol.y0_fit:.5f}  (path-mean {sol.y0_mean:.5f}, "
-      f"SE {sol.y0_se:.1e})")
+print(f"Y0 (fit at x0)  = {sol.y0_fit:.5f}  (SE {sol.y0_se:.1e})")
 
 # the discrete Skorokhod conditions hold exactly, not approximately
 flags = sol.skorokhod_flags(spec, bundle.X_euler)

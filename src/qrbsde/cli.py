@@ -88,6 +88,15 @@ def _is(val, want) -> bool:
     return isinstance(val, want)
 
 
+def _show(val) -> str:
+    """repr of a rejected value, or its type where repr raises (an int of
+    more digits than sys.get_int_max_str_digits(), alone or in a list)."""
+    try:
+        return repr(val)
+    except ValueError:
+        return f"<{type(val).__name__} too long to print>"
+
+
 def _normalize(obj, schema, pointer):
     """Check obj against schema and fill its defaults; returns a new dict."""
     if not isinstance(obj, dict):
@@ -101,7 +110,7 @@ def _normalize(obj, schema, pointer):
             out[key] = _normalize(obj.get(key, {}), want, f"{pointer}/{key}")
         elif key in obj:
             if not _is(obj[key], want[0]):
-                raise ConfigError(f"{pointer}/{key}: bad value {obj[key]!r}")
+                raise ConfigError(f"{pointer}/{key}: bad value {_show(obj[key])}")
             out[key] = obj[key]
         elif len(want) > 1:
             default = want[1](out) if callable(want[1]) else want[1]
@@ -112,13 +121,9 @@ def _normalize(obj, schema, pointer):
 @dataclass(frozen=True)
 class RunConfig:
     spec: ProblemSpec
-    preset: str
     N: int
     reflection: object
-    paths: int
-    seed: int
-    basis: BasisSpec
-    M_z: Optional[float]          # None means auto-estimate
+    mc: lab.MCConfig              # M_z None means auto-estimate
     experiment: dict              # kind + per-experiment parameters
     out_dir: Optional[str]
     formats: tuple
@@ -225,8 +230,8 @@ def parse_config(source, command: Optional[str] = None,
         raise ConfigError("/output/formats: choose from json, csv")
 
     return RunConfig(
-        spec=spec, preset=preset, N=N, reflection=reflection,
-        paths=paths, seed=seed, basis=basis, M_z=M_z,
+        spec=spec, N=N, reflection=reflection,
+        mc=lab.MCConfig(n_paths=paths, seed=seed, basis=basis, M_z=M_z),
         experiment=cfg["experiment"],
         out_dir=cfg["output"].get("directory"),
         formats=tuple(formats),
@@ -237,17 +242,11 @@ def parse_config(source, command: Optional[str] = None,
 # ---------------------------------------------------------------------------
 # experiment dispatch: each runner returns (summary, tables, flags)
 
-def _mc_config(cfg: RunConfig) -> lab.MCConfig:
-    return lab.MCConfig(n_paths=cfg.paths, seed=cfg.seed, basis=cfg.basis,
-                        M_z=cfg.M_z)
-
-
 def _run_solve(cfg: RunConfig):
-    grid, sched, bundle, sol = lab._solve_mc(cfg.spec, cfg.N, _mc_config(cfg),
+    grid, sched, bundle, sol = lab._solve_mc(cfg.spec, cfg.N, cfg.mc,
                                              cfg.reflection)
     sk = sol.skorokhod_flags(cfg.spec, bundle.X_euler)
     summary = sol.summary()
-    summary["K_T_total_mean"] = summary["K_T_mean"]
     summary["skorokhod"] = sk
     steps = [{
         "i": i, "t": float(grid.times[i]),
@@ -264,8 +263,7 @@ def _run_solve(cfg: RunConfig):
 
 def _run_converge(cfg: RunConfig):
     exp = cfg.experiment
-    rep = lab.run_convergence(cfg.spec, exp["Ns"], _mc_config(cfg),
-                              oracle=exp["oracle"])
+    rep = lab.run_convergence(cfg.spec, exp["Ns"], cfg.mc, oracle=exp["oracle"])
     cells = rep.rows()
     mono = all(b["y0_err"] < a["y0_err"] for a, b in zip(cells, cells[1:]))
     flags = {
@@ -286,7 +284,7 @@ def _run_reflect_sweep(cfg: RunConfig):
 def _run_stability(cfg: RunConfig):
     exp = cfg.experiment
     rep = lab.run_stability(cfg.spec, exp["perturbation"], exp["levels"],
-                            _mc_config(cfg), N=cfg.N)
+                            cfg.mc, N=cfg.N)
     cells = rep.rows()
 
     def decreasing(key):
@@ -301,10 +299,9 @@ def _run_stability(cfg: RunConfig):
 
 
 def _run_diagnose(cfg: RunConfig):
-    grid, sched, bundle, sol = lab._solve_mc(cfg.spec, cfg.N, _mc_config(cfg),
+    grid, sched, bundle, sol = lab._solve_mc(cfg.spec, cfg.N, cfg.mc,
                                              cfg.reflection)
-    rep = lab.run_diagnostics(cfg.spec, cfg.N, _mc_config(cfg),
-                              sol=sol, bundle=bundle)
+    rep = lab.run_diagnostics(cfg.spec, cfg.N, cfg.mc, sol=sol, bundle=bundle)
     rows = [{"quantity": q, "p": p, "value": v}
             for q, d in rep.moments.items() for p, v in d.items()]
     rows.append({"quantity": "tail_sum_max", "p": "", "value": rep.tail_sum_max})
@@ -443,7 +440,7 @@ def run(cfg: RunConfig, out_dir: str, dump_paths: bool = False,
     payload = {
         "schema_version": SCHEMA_VERSION,
         "experiment": cfg.kind,
-        "problem": cfg.preset,
+        "problem": cfg.spec.name,
         "config": cfg.normalized,
         "results": summary,
         "flags": flags,
@@ -469,7 +466,7 @@ def run(cfg: RunConfig, out_dir: str, dump_paths: bool = False,
         "error": error,
         "wall_clock_s": time.perf_counter() - t_start,
         "timings_s": timings,
-        "seeds": [cfg.seed],
+        "seeds": [cfg.mc.seed],
         "threads": threads,
         "pass": payload["pass"],
         "outputs": outputs + ["manifest.json"],

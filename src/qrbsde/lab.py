@@ -254,6 +254,8 @@ def run_discrete_reflection_sweep(spec: ProblemSpec, N: int,
     measured against the everywhere-reflected run on the same grid.
     """
     kappas = [int(k) for k in kappas]
+    if not kappas:
+        raise ValueError("reflection-sweep kappas must not be empty")
     if engine == "auto":
         engine = "snell" if spec.pure_quadratic else "exact-scheme"
     if engine not in ("snell", "exact-scheme"):

@@ -161,7 +161,6 @@ class GridSolution:
     space: SpaceGrid
     y: np.ndarray                     # (N+1, J)
     z: Optional[np.ndarray] = None    # (N, J, m)
-    dk: Optional[np.ndarray] = None   # (N+1, J)
     x0: float = 0.0
     off_grid: tuple = (0, 0)          # (quadrature points off the grid, all points)
 
@@ -225,7 +224,6 @@ def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSc
     g_nodes = np.asarray(spec.obstacle(nodes), dtype=float)
     y = np.empty((N + 1, J))
     z = np.zeros((N, J, m))
-    dk = np.zeros((N + 1, J))
     y[N] = g_nodes
 
     for i in range(N - 1, -1, -1):
@@ -236,9 +234,9 @@ def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSc
         vals = space.interpolate(y[i + 1], pts)   # (J, q)
         e, z[i] = _conditional_moments(spec, ti, dti, vals, u, w)
         yi, _ = implicit_y_step(e, z[i], spec, ti, nodes, dti, radius, M)
-        y[i], dk[i] = reflect_step(yi, g_nodes, bool(refl[i]))
+        y[i], _ = reflect_step(yi, g_nodes, bool(refl[i]))
 
-    return GridSolution(grid=grid, space=space, y=y, z=z, dk=dk, x0=spec.x0,
+    return GridSolution(grid=grid, space=space, y=y, z=z, x0=spec.x0,
                         off_grid=_off_grid(off, N * J * u.size))
 
 

@@ -37,11 +37,9 @@ class SchemeSolution:
     # path arrays come from forward.path_array: each time slice Ybar[:, i]
     # or Zbar[:, i, :] is one contiguous column-major block
     Ybar: np.ndarray          # (P, N+1)
-    Ytilde: np.ndarray        # (P, N+1)
     Zbar: np.ndarray          # (P, N, m)
     dK: np.ndarray            # (P, N+1), nonzero only at reflection steps
     y0_fit: float
-    y0_mean: float
     y0_se: float              # std(Ybar[:, 1]) / sqrt(P); not the SE of y0_fit
     picard_counts: np.ndarray  # (N,)
     fit_conds: np.ndarray      # (N,) cond of each step's design (Z and mean share it)
@@ -76,7 +74,6 @@ class SchemeSolution:
         kT = self.K_terminal
         return {
             "y0": self.y0_fit,
-            "y0_path_mean": self.y0_mean,
             "y0_se": self.y0_se,
             # one time column at a time: no (P, N, m) temporary
             "max_abs_z_per_step": [float(np.max(np.abs(self.Zbar[:, i, :])))
@@ -181,16 +178,13 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
     refl = schedule.mask
 
     Ybar = path_array(P, N + 1)
-    Ytilde = path_array(P, N + 1)
     Zbar = path_array(P, N, m)
     dK = path_array(P, N + 1)
     picard = np.zeros(N, dtype=int)
     conds = np.zeros(N)
     rmses = np.zeros(N)
 
-    gT = np.asarray(spec.obstacle(X[:, N]), dtype=float)
-    Ybar[:, N] = gT
-    Ytilde[:, N] = gT
+    Ybar[:, N] = spec.obstacle(X[:, N])
 
     for i in range(N - 1, -1, -1):
         ti = grid.times[i]
@@ -204,21 +198,19 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
         conds[i] = fit.cond
         rmses[i] = fit.rmse[m]
 
-        Ytilde[:, i], picard[i] = implicit_y_step(
+        ytilde, picard[i] = implicit_y_step(
             e, Zbar[:, i, :], spec, ti, xs, dti, radius, M)
         g_vals = np.asarray(spec.obstacle(xs), dtype=float)
-        Ybar[:, i], dK[:, i] = reflect_step(Ytilde[:, i], g_vals, bool(refl[i]))
+        Ybar[:, i], dK[:, i] = reflect_step(ytilde, g_vals, bool(refl[i]))
 
-    # Y_0 two ways: fitted value propagated through the step at x0 (primary,
-    # equals the common path value since X_0 is deterministic) and path mean.
+    # the fitted value propagated through the step at x0, which every path
+    # shares since X_0 is deterministic
     y0_fit = float(Ybar[0, 0])
-    y0_mean = float(np.mean(Ybar[:, 0]))
     y0_se = float(np.std(Ybar[:, 1], ddof=1) / math.sqrt(P)) if P > 1 else 0.0
 
     return SchemeSolution(
         grid=grid, schedule=schedule, radius=radius,
-        Ybar=Ybar, Ytilde=Ytilde, Zbar=Zbar, dK=dK,
-        y0_fit=y0_fit, y0_mean=y0_mean, y0_se=y0_se,
+        Ybar=Ybar, Zbar=Zbar, dK=dK, y0_fit=y0_fit, y0_se=y0_se,
         picard_counts=picard, fit_conds=conds, fit_rmses=rmses,
     )
 

@@ -25,11 +25,11 @@ def test_minimal_config_gets_defaults():
     cfg = parse_config({"problem": {"preset": "P1-pure-quadratic"},
                         "experiment": {"kind": "solve"}})
     assert cfg.N == 64
-    assert cfg.paths == 50_000
-    assert cfg.seed == 42
-    assert cfg.basis.kind == "polynomial" and cfg.basis.degree == 6
+    assert cfg.mc.n_paths == 50_000
+    assert cfg.mc.seed == 42
+    assert cfg.mc.basis.kind == "polynomial" and cfg.mc.basis.degree == 6
     assert cfg.reflection == "all"
-    assert cfg.M_z is None     # auto
+    assert cfg.mc.M_z is None     # auto
 
 
 def test_unknown_key_fatal_with_pointer():
@@ -91,6 +91,10 @@ def test_config_hash_stable_under_key_reordering():
     ({"mc": {"basis": {"domain": [0, 10 ** 400]}}}, "/mc/basis/domain"),
     ({"experiment": {"kind": "stability", "levels": [10 ** 400]}},
      "/experiment/levels"),
+    # too long for repr (over 4300 digits): the error names the type instead
+    ({"grid": {"T": 10 ** 5000}}, "^/grid/T: bad value <int too long to print>$"),
+    ({"mc": {"basis": {"domain": [0, 10 ** 5000]}}},
+     "^/mc/basis/domain: bad value <list too long to print>$"),
 ])
 def test_ill_typed_or_foreign_values_fatal_with_pointer(config, pointer):
     with pytest.raises(ConfigError, match=pointer):
@@ -133,6 +137,8 @@ def test_solve_writes_artifacts(tmp_path):
     res = summary["results"]
     for key in ("y0", "y0_se", "max_abs_z_per_step", "K_T_mean", "K_T_std"):
         assert key in res
+    # no copies: y0_path_mean repeated y0, K_T_total_mean repeated K_T_mean
+    assert "y0_path_mean" not in res and "K_T_total_mean" not in res
     assert summary["flags"]["skorokhod"] is True
     manifest = json.loads((out / "manifest.json").read_text())
     listed = set(manifest["outputs"])
@@ -216,6 +222,13 @@ def test_empty_stability_levels_exit_config_by_name(tmp_path, capsys):
     assert main(["stability", "--config", '{"experiment": {"levels": []}}',
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert "stability levels must not be empty" in capsys.readouterr().err
+
+
+def test_empty_reflection_sweep_kappas_exit_config_by_name(tmp_path, capsys):
+    config = '{"experiment": {"N": 8, "kappas": []}}'
+    assert main(["reflect-sweep", "--config", config,
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "kappas must not be empty" in capsys.readouterr().err
 
 
 def test_subcommand_and_seed_conflicts_exit_config(tmp_path):

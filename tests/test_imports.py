@@ -103,23 +103,25 @@ print(loaded)
 """
 
 
-def test_import_and_convergence_do_not_load_scipy_stats():
+def _run_fresh(script: str) -> list:
+    """The printed lines of ``script`` run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-W", "ignore", "-c", _COLD_START],
-                         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[False, False]"
-
-
-def _cold_start_loads(modules) -> list:
-    """Those of ``modules`` that ``_COLD_START`` leaves in ``sys.modules``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    script = (_COLD_START + "print([m for m in %r if m in sys.modules])\n"
-              % (tuple(modules),))
     out = subprocess.run([sys.executable, "-W", "ignore", "-c", script],
                          env=env, capture_output=True, text=True, check=True)
-    return ast.literal_eval(out.stdout.splitlines()[-1])
+    return out.stdout.splitlines()
+
+
+@pytest.fixture(scope="module")
+def cold_start():
+    """One run of ``_COLD_START``: its scipy.stats flags and the names it
+    leaves in ``sys.modules``."""
+    lines = _run_fresh(_COLD_START + "print(sorted(sys.modules))\n")
+    return lines[-2], set(ast.literal_eval(lines[-1]))
+
+
+def test_import_and_convergence_do_not_load_scipy_stats(cold_start):
+    assert cold_start[0] == "[False, False]"
 
 
 # loaded by ``import scipy.interpolate``, which the package does not need
@@ -127,13 +129,13 @@ _INTERPOLATE_STACK = ("scipy.interpolate", "scipy.sparse", "scipy.spatial",
                       "scipy.optimize", "scipy.fft")
 
 
-def test_import_and_convergence_do_not_load_scipy_interpolate():
-    assert _cold_start_loads(_INTERPOLATE_STACK) == []
+def test_import_and_convergence_do_not_load_scipy_interpolate(cold_start):
+    assert [m for m in _INTERPOLATE_STACK if m in cold_start[1]] == []
 
 
-def test_import_and_convergence_do_not_load_scipy_linalg():
+def test_import_and_convergence_do_not_load_scipy_linalg(cold_start):
     # the least-squares fit decomposes its Gram with numpy's eigh
-    assert _cold_start_loads(["scipy.linalg"]) == []
+    assert "scipy.linalg" not in cold_start[1]
 
 
 _COLD_SOLVE = """
@@ -151,8 +153,4 @@ print([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
 
 def test_import_and_solve_load_no_scipy():
     # slope_fit imports scipy.special on its first call; no solve reaches it
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-W", "ignore", "-c", _COLD_SOLVE],
-                         env=env, capture_output=True, text=True, check=True)
-    assert ast.literal_eval(out.stdout.splitlines()[-1]) == [0, []]
+    assert ast.literal_eval(_run_fresh(_COLD_SOLVE)[-1]) == [0, []]

@@ -145,6 +145,12 @@ def test_reflection_sweep_rejects_nondivisor():
         lab.run_discrete_reflection_sweep(spec, 64, [3])
 
 
+def test_reflection_sweep_rejects_empty_kappas():
+    # zero cells would otherwise report a monotone, passing sweep
+    with pytest.raises(ValueError, match="kappas must not be empty"):
+        lab.run_discrete_reflection_sweep(build_preset("P1-pure-quadratic"), 8, [])
+
+
 def test_reflection_sweep_exact_scheme_engine():
     spec = build_preset("P3-lipschitz")
     rep = lab.run_discrete_reflection_sweep(spec, 32, [4, 8, 16])

@@ -59,6 +59,14 @@ def test_constant_data_fixed_point():
     np.testing.assert_allclose(sol.z, 0.0, atol=1e-12)
 
 
+def test_lattice_solution_keeps_only_y_and_z():
+    spec = _p1()
+    grid, sched = make_grid(4, spec.T)
+    sol = exact_scheme_solve(spec, grid, sched, build_space_grid(spec, J=51))
+    assert {f.name for f in dataclasses.fields(sol)
+            if isinstance(getattr(sol, f.name), np.ndarray)} == {"y", "z"}
+
+
 def test_single_step_matches_direct_quadrature():
     # smooth payoff so quadrature + pchip resolve well below the tolerance;
     # the clipped obstacle's kink would dominate the comparison otherwise

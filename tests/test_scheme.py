@@ -220,8 +220,6 @@ def test_skorokhod_conditions_exact():
     refl = np.zeros(grid.N + 1, dtype=bool)
     refl[sched.indices] = True
     assert np.all(sol.dK[:, ~refl] == 0.0)
-    np.testing.assert_array_equal(sol.Ybar[:, ~refl][:, 1:-1],
-                                  sol.Ytilde[:, ~refl][:, 1:-1])
 
 
 def _skorokhod_reference(sol, spec, X):
@@ -381,7 +379,7 @@ def test_every_time_slice_is_contiguous(m):
     sol = solve_backward(spec, grid, sched, bundle, BasisSpec(degree=3),
                          TruncationRadius(5.0))
     for i in range(grid.N + 1):
-        for X in (bundle.X_euler, bundle.X_exact, sol.Ybar, sol.Ytilde, sol.dK):
+        for X in (bundle.X_euler, bundle.X_exact, sol.Ybar, sol.dK):
             assert X[:, i].flags.contiguous
     for i in range(grid.N):
         for dW_or_Z in (bundle.dW, sol.Zbar):
@@ -395,10 +393,10 @@ def _reference_backward(spec, grid, sched, bundle, basis, radius):
     X = bundle.X_euler
     P, N, m = bundle.n_paths, grid.N, bundle.m
     M = y_bound(spec).M
-    Ybar, Ytilde, dK = (np.zeros((P, N + 1)) for _ in range(3))
+    Ybar, dK = np.zeros((P, N + 1)), np.zeros((P, N + 1))
     Zbar = np.zeros((P, N, m))
     picard = np.zeros(N, dtype=int)
-    Ybar[:, N] = Ytilde[:, N] = spec.obstacle(X[:, N])
+    Ybar[:, N] = spec.obstacle(X[:, N])
     for i in range(N - 1, -1, -1):
         xs, dti = X[:, i], grid.dt[i]
         if np.ptp(xs) == 0:
@@ -416,12 +414,12 @@ def _reference_backward(spec, grid, sched, bundle, basis, radius):
         coef += cho_solve(factor, A.T @ (ys - A @ coef) - basis.ridge * coef)
         fitted = A @ coef
         Zbar[:, i, :] = np.clip(fitted[:, :m], -(radius.M_z + 1.0), radius.M_z + 1.0)
-        Ytilde[:, i], picard[i] = implicit_y_step(
+        ytilde, picard[i] = implicit_y_step(
             np.clip(fitted[:, m], -M, M), Zbar[:, i, :], spec, grid.times[i], xs,
             dti, radius, M)
-        Ybar[:, i], dK[:, i] = reflect_step(Ytilde[:, i], spec.obstacle(xs),
+        Ybar[:, i], dK[:, i] = reflect_step(ytilde, spec.obstacle(xs),
                                             bool(sched.mask[i]))
-    return Ybar, Ytilde, Zbar, dK, picard
+    return Ybar, Zbar, dK, picard
 
 
 @pytest.mark.parametrize("degree", [6, 12])
@@ -430,12 +428,20 @@ def test_backward_matches_the_reference_kernel(degree):
     basis = BasisSpec(degree=degree)
     grid, sched, bundle, sol = _solved(spec, N=16, P=3000, seed=21, basis=basis,
                                        radius=TruncationRadius(2.0))
-    Ybar, Ytilde, Zbar, dK, picard = _reference_backward(
+    Ybar, Zbar, dK, picard = _reference_backward(
         spec, grid, sched, bundle, basis, sol.radius)
-    for got, want in ((sol.Ybar, Ybar), (sol.Ytilde, Ytilde), (sol.Zbar, Zbar),
-                      (sol.dK, dK)):
+    for got, want in ((sol.Ybar, Ybar), (sol.Zbar, Zbar), (sol.dK, dK)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     np.testing.assert_array_equal(sol.picard_counts, picard)
+
+
+def test_solution_keeps_only_the_reflected_value_z_and_push_up():
+    P = 1500
+    _, _, _, sol = _solved(_p1(), N=6, P=P, seed=23)
+    path_arrays = {f.name for f in dataclasses.fields(sol)
+                   if np.shape(getattr(sol, f.name))[:1] == (P,)}
+    assert path_arrays == {"Ybar", "Zbar", "dK"}
+    assert "y0_path_mean" not in sol.summary()
 
 
 def test_summary_max_abs_z_is_the_whole_array_maximum():
