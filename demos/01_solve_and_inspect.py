@@ -17,7 +17,7 @@ from qrbsde.scheme import estimate_Mz_auto, solve_backward
 
 spec = build_preset("P1-pure-quadratic")
 print(f"preset: x0={spec.x0}, T={spec.T}, alpha={spec.alpha}, "
-      f"uniform Y bound M={y_bound(spec).M}")
+      f"uniform Y bound M={y_bound(spec)}")
 
 # forward paths on a 64-step grid, reflecting at every grid time
 grid, sched = make_grid(64, spec.T, "all")

@@ -15,9 +15,9 @@ from .lab import (ConvergenceReport, DiagnosticsReport, MCConfig, SlopeFit,
                   run_diagnostics, run_discrete_reflection_sweep,
                   run_stability, slope_fit)
 from .model import (AffineInY, AssumptionReport, CloudConfig, ProblemSpec,
-                    TruncationRadius, YBound, build_preset, clip_obstacle,
-                    smooth_truncation, soft_clip_obstacle, truncate_generator,
-                    validate_assumptions, y_bound)
+                    TruncationRadius, build_preset, clip_obstacle,
+                    smooth_truncation, soft_clip_obstacle, validate_assumptions,
+                    y_bound)
 from .oracle import (GridSolution, SpaceGrid, brute_force_tiny,
                      build_space_grid, exact_scheme_solve, snell_cole_hopf)
 from .regress import (BasisSpec, DesignEvaluator, RegressionFit, build_basis,
@@ -32,13 +32,13 @@ __all__ = [
     "ConvergenceReport", "DesignEvaluator", "DiagnosticsReport", "GridSolution",
     "MCConfig", "PathBundle", "ProblemSpec", "ReflectionSchedule",
     "RegressionFit", "SchemeSolution", "SlopeFit", "SpaceGrid",
-    "StabilityReport", "TimeGrid", "TruncationRadius", "YBound",
-    "bmo_bound_value", "brute_force_tiny", "build_basis", "build_preset",
+    "StabilityReport", "TimeGrid", "TruncationRadius", "bmo_bound_value",
+    "brute_force_tiny", "build_basis", "build_preset",
     "build_space_grid", "clip_obstacle", "estimate_Mz_auto", "euler_simulate",
     "evaluate_fit", "exact_scheme_solve", "exact_simulate", "fit_least_squares",
     "implicit_y_step", "make_grid", "reflect_step", "run_convergence",
     "run_diagnostics", "run_discrete_reflection_sweep", "run_stability",
     "sample_increments", "slope_fit", "smooth_truncation", "snell_cole_hopf",
-    "soft_clip_obstacle", "solve_backward", "truncate_generator",
+    "soft_clip_obstacle", "solve_backward",
     "validate_assumptions", "y_bound", "z_projection_step",
 ]

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import lab
 from .forward import SEED_BOUND, make_grid
-from .model import OVERRIDES, ProblemSpec, build_preset, validate_assumptions
+from .model import (OVERRIDES, ProblemSpec, _show, build_preset,
+                    validate_assumptions)
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec
 
@@ -86,15 +87,6 @@ def _is(val, want) -> bool:
     if isinstance(val, (int, float)) and not abs(val) <= sys.float_info.max:
         return False
     return isinstance(val, want)
-
-
-def _show(val) -> str:
-    """repr of a rejected value, or its type where repr raises (an int of
-    more digits than sys.get_int_max_str_digits(), alone or in a list)."""
-    try:
-        return repr(val)
-    except ValueError:
-        return f"<{type(val).__name__} too long to print>"
 
 
 def _normalize(obj, schema, pointer):

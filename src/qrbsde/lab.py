@@ -343,6 +343,45 @@ def _deltas(grid: TimeGrid, XA, XB, solA: SchemeSolution, solB: SchemeSolution):
     }
 
 
+def _drift_shift_cell(spec: ProblemSpec, eps: float, grid, sched,
+                      bundle: PathBundle, sol0: SchemeSolution, basis: BasisSpec):
+    """One eps level of the drift-shift sweep: the leg with drift b + eps,
+    Euler-simulated on the base leg's increments and solved with its radius,
+    against the base leg.  Returns the cell; the leg's states and solution
+    are released before the next level is allocated."""
+    b0 = spec.drift
+
+    def drift_e(t, x):
+        return np.asarray(b0(t, x), dtype=float) + eps
+
+    spec_e = dataclasses.replace(spec, drift=drift_e)
+    bundle_e = euler_simulate(spec_e, dataclasses.replace(
+        bundle, X_euler=None, X_exact=None))
+    # the same increments object, so the report's one dW hash covers both legs
+    if bundle_e.dW is not bundle.dW:
+        raise RuntimeError("drift-shift leg does not share the base leg's increments")
+    # one radius shared by every leg so deltas never cross a truncation edge
+    sol_e = solve_backward(spec_e, grid, sched, bundle_e, basis, sol0.radius)
+    d = _deltas(grid, bundle.X_euler, bundle_e.X_euler, sol0, sol_e)
+    d["eps"] = eps
+    return d
+
+
+def _euler_vs_exact_cell(spec: ProblemSpec, N: int, mc: MCConfig):
+    """One N level of the euler-vs-exact sweep: the Euler leg and the
+    exact-transition leg on the same increments, each solved with the Euler
+    leg's radius.  Returns the cell and the increments' checksum; both legs
+    are released before the next level is allocated."""
+    grid, sched, bundle, sol_e = _solve_mc(spec, N, mc)
+    bundle = exact_simulate(spec, bundle)
+    exact_leg = dataclasses.replace(bundle, X_euler=bundle.X_exact)
+    sol_x = solve_backward(spec, grid, sched, exact_leg, mc.basis, sol_e.radius)
+    d = _deltas(grid, bundle.X_exact, bundle.X_euler, sol_x, sol_e)
+    d["N"] = N
+    d["mesh"] = grid.mesh
+    return d, _dw_checksum(bundle)
+
+
 def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
                   mc: MCConfig, N: int = 64) -> StabilityReport:
     """Solve two coupled legs on the same Brownian increments and compare.
@@ -352,6 +391,10 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
     increments.  kind "euler-vs-exact": levels is an increasing N list; each
     cell couples the Euler states with exact-transition states sharing the
     step increments.
+
+    Memory: a drift-shift run keeps the base leg and one shifted leg, and
+    an euler-vs-exact run keeps the two legs of one N; each cell keeps only
+    its dict of coupled differences.
     """
     if not levels:
         raise ValueError("stability levels must not be empty")
@@ -361,42 +404,16 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
             raise ValueError("eps levels must be strictly decreasing")
         grid, sched, bundle, sol0 = _solve_mc(spec, N, mc)
         checksum = _dw_checksum(bundle)
-
-        cells = []
-        for e in eps:
-            b0 = spec.drift
-
-            def drift_e(t, x, _b=b0, _e=e):
-                return np.asarray(_b(t, x), dtype=float) + _e
-
-            spec_e = dataclasses.replace(spec, drift=drift_e)
-            bundle_e = euler_simulate(spec_e, dataclasses.replace(
-                bundle, X_euler=None, X_exact=None))
-            # the same increments object, so the report's one dW hash covers both legs
-            if bundle_e.dW is not bundle.dW:
-                raise RuntimeError("drift-shift leg does not share the base leg's increments")
-            # one radius shared by every leg so deltas never cross a truncation edge
-            sol_e = solve_backward(spec_e, grid, sched, bundle_e, mc.basis, sol0.radius)
-            d = _deltas(grid, bundle.X_euler, bundle_e.X_euler, sol0, sol_e)
-            d["eps"] = e
-            cells.append(d)
-
+        cells = [_drift_shift_cell(spec, e, grid, sched, bundle, sol0, mc.basis)
+                 for e in eps]
         x_key, x_name = "eps", "eps"
     elif kind == "euler-vs-exact":
         Ns = [int(n) for n in levels]
         if any(b <= a for a, b in zip(Ns, Ns[1:])):
             raise ValueError("N levels must be strictly increasing")
         cells = []
-        checksum = ""
         for n in Ns:
-            grid, sched, bundle, sol_e = _solve_mc(spec, n, mc)
-            bundle = exact_simulate(spec, bundle)
-            checksum = _dw_checksum(bundle)
-            exact_leg = dataclasses.replace(bundle, X_euler=bundle.X_exact)
-            sol_x = solve_backward(spec, grid, sched, exact_leg, mc.basis, sol_e.radius)
-            d = _deltas(grid, bundle.X_exact, bundle.X_euler, sol_x, sol_e)
-            d["N"] = n
-            d["mesh"] = grid.mesh
+            d, checksum = _euler_vs_exact_cell(spec, n, mc)
             cells.append(d)
         x_key, x_name = "mesh", "mesh"
     else:
@@ -439,31 +456,42 @@ def bmo_bound_value(spec: ProblemSpec) -> float:
     Pure function of the problem constants: exp(4 alpha M)/alpha^2 times
     (1 + 2 alpha M_f (1 + M) T), with M the uniform Y bound.
     """
-    M = y_bound(spec).M
+    M = y_bound(spec)
     a = spec.alpha
     return math.exp(4.0 * a * M) / a ** 2 \
         * (1.0 + 2.0 * a * spec.M_f * (1.0 + M) * spec.T)
+
+
+def _tail_sums(Zbar, dt):
+    """Yield (i, sum_{j>=i} |Z_j|^2 dt_j) for i = N-1 down to 0, built one
+    time column at a time in one (P,) array that each step updates in place.
+    The columns are nonnegative, so 0 + the last one is that column exactly,
+    and the sums add in the order of a cumsum over the reversed steps: they
+    match that cumsum bit for bit."""
+    tail = np.zeros(Zbar.shape[0])
+    for i in range(len(dt) - 1, -1, -1):
+        tail += np.sum(Zbar[:, i, :] ** 2, axis=-1) * dt[i]
+        yield i, tail
 
 
 def run_diagnostics(spec: ProblemSpec, N: int, mc: MCConfig,
                     sol: Optional[SchemeSolution] = None,
                     bundle: Optional[PathBundle] = None) -> DiagnosticsReport:
     """Estimate sup_i of the conditional tail sum E_i[sum_{j>=i} |Z_j|^2 dt_j]
-    by cross-sectional regression and compare to the closed-form bound."""
+    by cross-sectional regression and compare to the closed-form bound.
+
+    Memory: besides the solution and its paths it keeps one (P,) running
+    tail sum, regressed at each step from the last one down to the first."""
     if sol is None or bundle is None:
         grid, sched, bundle, sol = _solve_mc(spec, N, mc)
     grid = sol.grid
     X = bundle.X_euler
 
-    step2 = np.sum(sol.Zbar ** 2, axis=-1) * grid.dt[None, :]     # (P, N)
-    tails = np.cumsum(step2[:, ::-1], axis=1)[:, ::-1]            # tail sums
-    S = tails[:, 0]
-
     tail_max = 0.0
-    for i in range(grid.N):
+    for i, S in _tail_sums(sol.Zbar, grid.dt):
         xs = X[:, i]
         phi = build_basis(localize_basis(mc.basis, xs), xs)
-        fitted = fit_least_squares(phi, xs, tails[:, i]).fitted
+        fitted = fit_least_squares(phi, xs, S).fitted
         tail_max = max(tail_max, float(np.quantile(fitted, 0.99)))
 
     bound = bmo_bound_value(spec)

@@ -21,7 +21,6 @@ spec drops it, and any other callable is solved by Picard iteration.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 import sys
@@ -53,8 +52,6 @@ class ProblemSpec:
     x0: float
     m: int = 1
     pure_quadratic: bool = False
-    truncation_radius: Optional[float] = None
-    induced_lipschitz: Optional[dict] = None
 
     def __post_init__(self):
         if self.T <= 0:
@@ -81,11 +78,6 @@ class AffineInY:
 
     def __call__(self, t, x, y, z):
         return self.a * np.asarray(y, dtype=float) + self.f0(t, x, z)
-
-
-@dataclass(frozen=True)
-class YBound:
-    M: float
 
 
 @dataclass(frozen=True)
@@ -144,6 +136,15 @@ def soft_clip_obstacle(x, lo=0.0, hi=0.5, sharpness=20.0):
 # ---------------------------------------------------------------------------
 # preset catalog
 
+def _show(val) -> str:
+    """repr of a rejected value, or its type where repr raises (an int of
+    more digits than sys.get_int_max_str_digits(), alone or in a list)."""
+    try:
+        return repr(val)
+    except ValueError:
+        return f"<{type(val).__name__} too long to print>"
+
+
 def _finite_real(val) -> bool:
     """A real number finite as a float; numpy scalars count, bools do not."""
     return (isinstance(val, numbers.Real) and not isinstance(val, bool)
@@ -162,7 +163,7 @@ def build_preset(name: str, overrides: Optional[dict] = None) -> ProblemSpec:
     overrides = dict(overrides or {})
     m = overrides.get("m", 1)
     if not (_finite_real(m) and m == int(m) >= 1):
-        raise ValueError(f"Brownian dimension m must be an integer >= 1, got {m!r}")
+        raise ValueError(f"Brownian dimension m must be an integer >= 1, got {_show(m)}")
     m = int(m)
     for key, val in overrides.items():
         if key not in OVERRIDES:
@@ -170,7 +171,7 @@ def build_preset(name: str, overrides: Optional[dict] = None) -> ProblemSpec:
         flag = OVERRIDES[key] is bool
         if not (isinstance(val, (bool, np.bool_)) if flag else _finite_real(val)):
             kind = "a bool" if flag else "a finite real number"
-            raise ValueError(f"override {key!r} must be {kind}, got {val!r}")
+            raise ValueError(f"override {key!r} must be {kind}, got {_show(val)}")
 
     smooth_g = bool(overrides.pop("smooth_g", False))
     g = soft_clip_obstacle if smooth_g else clip_obstacle
@@ -233,9 +234,9 @@ def build_preset(name: str, overrides: Optional[dict] = None) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # uniform Y bound and truncation
 
-def y_bound(spec: ProblemSpec) -> YBound:
+def y_bound(spec: ProblemSpec) -> float:
     """Conservative Gronwall bound M = e^{M_f T}(M_g + M_f T) for sup |Y|."""
-    return YBound(M=math.exp(spec.M_f * spec.T) * (spec.M_g + spec.M_f * spec.T))
+    return math.exp(spec.M_f * spec.T) * (spec.M_g + spec.M_f * spec.T)
 
 
 def smooth_truncation(z, n: float):
@@ -260,32 +261,6 @@ def smooth_truncation(z, n: float):
         scale = np.divide(rho, r, out=np.ones_like(r), where=outside)
         out = zv * scale
     return float(out[0]) if scalar else out.reshape(z.shape)
-
-
-def truncate_generator(spec: ProblemSpec, radius: TruncationRadius) -> ProblemSpec:
-    """Replace f by f(t, x, y, h_{M_z}(z)); the result is globally Lipschitz.
-
-    A driver declared ``AffineInY`` stays declared, with h_{M_z} inside f0.
-    """
-    Mz = radius.M_z
-    f = spec.generator
-    if isinstance(f, AffineInY):
-        def f0(t, x, z, _f0=f.f0, _n=Mz):
-            return _f0(t, x, smooth_truncation(z, _n))
-        truncated = AffineInY(f.a, f0)
-    else:
-        def truncated(t, x, y, z, _f=f, _n=Mz):
-            return _f(t, x, y, smooth_truncation(z, _n))
-
-    induced = {
-        "x": spec.L * (Mz + 2.0),
-        "y": spec.L,
-        "z": spec.L * (2.0 * Mz + 3.0),
-    }
-    return dataclasses.replace(
-        spec, generator=truncated, pure_quadratic=False,
-        truncation_radius=Mz, induced_lipschitz=induced,
-    )
 
 
 # ---------------------------------------------------------------------------

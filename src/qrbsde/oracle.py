@@ -217,7 +217,7 @@ def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSc
     nodes = space.nodes
     J, N, m = space.J, grid.N, spec.m
     u, w = _std_normal_quadrature(space.quad_order)
-    M = y_bound(spec).M
+    M = y_bound(spec)
     refl = schedule.mask
     off = 0
 
@@ -295,7 +295,7 @@ def brute_force_tiny(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSche
     if quad_order > 9:
         raise ValueError("brute force is restricted to quadrature order <= 9")
     u, w = _std_normal_quadrature(quad_order)
-    M = y_bound(spec).M
+    M = y_bound(spec)
     refl = schedule.mask
 
     # forward pass: states[i] has shape (q^i,)

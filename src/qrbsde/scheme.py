@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -158,10 +158,25 @@ def reflect_step(ytilde, g_vals, is_reflection_time: bool):
     return ybar, ybar - ytilde
 
 
-def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
+class BackwardStep(NamedTuple):
+    """Step i of the backward recursion: from y_next = Ybar_{i+1} to the
+    clipped Z_i, the reflected Ybar_i and the push-up dK_i."""
+    i: int
+    y_next: np.ndarray   # (P,)
+    z: np.ndarray        # (P, m), column-major
+    y: np.ndarray        # (P,)
+    dk: np.ndarray       # (P,)
+    picard: int
+    cond: float          # cond of the step's design (Z and mean share it)
+    rmse: float          # in-sample RMSE of the mean column
+
+
+def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
                    bundle: PathBundle, basis: BasisSpec,
-                   radius: TruncationRadius) -> SchemeSolution:
-    """Run the full truncated backward recursion on a simulated bundle."""
+                   radius: TruncationRadius) -> Iterator[BackwardStep]:
+    """The truncated backward recursion on a simulated bundle, yielded one
+    step at a time from i = N-1 down to 0.  It keeps nothing path-sized
+    beyond the step it yields, so each caller keeps what it needs of it."""
     if bundle.X_euler is None:
         raise ValueError("bundle must be Euler-simulated before solving")
     if spec.L * grid.mesh >= 1.0:
@@ -171,37 +186,49 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
         raise ValueError("grid violates the normalization N*|pi| <= L")
 
     X = bundle.X_euler
-    P, N = bundle.n_paths, grid.N
     m = bundle.m
-    M = y_bound(spec).M
-    z_clamp = (-(radius.M_z + 1.0), radius.M_z + 1.0)
-    refl = schedule.mask
-
-    Ybar = path_array(P, N + 1)
-    Zbar = path_array(P, N, m)
-    dK = path_array(P, N + 1)
-    picard = np.zeros(N, dtype=int)
-    conds = np.zeros(N)
-    rmses = np.zeros(N)
-
-    Ybar[:, N] = spec.obstacle(X[:, N])
-
-    for i in range(N - 1, -1, -1):
+    M = y_bound(spec)
+    z_hi = radius.M_z + 1.0
+    y_next = np.asarray(spec.obstacle(X[:, grid.N]), dtype=float)
+    for i in range(grid.N - 1, -1, -1):
         ti = grid.times[i]
         dti = grid.dt[i]
         xs = X[:, i]
         phi = build_basis(localize_basis(basis, xs), xs)
 
-        fit = z_projection_step(Ybar[:, i + 1], bundle.dW[:, i, :], dti, phi, xs)
-        np.clip(fit.fitted[:, :m], z_clamp[0], z_clamp[1], out=Zbar[:, i, :])
+        fit = z_projection_step(y_next, bundle.dW[:, i, :], dti, phi, xs)
+        z = np.clip(fit.fitted[:, :m], -z_hi, z_hi)
         e = np.clip(fit.fitted[:, m], -M, M)
-        conds[i] = fit.cond
-        rmses[i] = fit.rmse[m]
 
-        ytilde, picard[i] = implicit_y_step(
-            e, Zbar[:, i, :], spec, ti, xs, dti, radius, M)
+        ytilde, picard = implicit_y_step(e, z, spec, ti, xs, dti, radius, M)
         g_vals = np.asarray(spec.obstacle(xs), dtype=float)
-        Ybar[:, i], dK[:, i] = reflect_step(ytilde, g_vals, bool(refl[i]))
+        y, dk = reflect_step(ytilde, g_vals, bool(schedule.mask[i]))
+        step = BackwardStep(i, y_next, z, y, dk, picard, fit.cond, fit.rmse[m])
+        # free the step's temporaries before the next step allocates its own
+        del fit, e, ytilde, g_vals
+        yield step
+        y_next = y
+
+
+def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
+                   bundle: PathBundle, basis: BasisSpec,
+                   radius: TruncationRadius) -> SchemeSolution:
+    """Run the full truncated backward recursion on a simulated bundle and
+    keep every step's Ybar, Zbar and dK."""
+    P, N = bundle.n_paths, grid.N
+    Ybar = path_array(P, N + 1)
+    Zbar = path_array(P, N, bundle.m)
+    dK = path_array(P, N + 1)
+    picard = np.zeros(N, dtype=int)
+    conds = np.zeros(N)
+    rmses = np.zeros(N)
+
+    for step in backward_steps(spec, grid, schedule, bundle, basis, radius):
+        i = step.i
+        if i == N - 1:
+            Ybar[:, N] = step.y_next
+        Ybar[:, i], Zbar[:, i, :], dK[:, i] = step.y, step.z, step.dk
+        picard[i], conds[i], rmses[i] = step.picard, step.cond, step.rmse
 
     # the fitted value propagated through the step at x0, which every path
     # shares since X_0 is deterministic
@@ -220,7 +247,9 @@ def estimate_Mz_auto(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSche
     """Pilot run with an effectively infinite radius; size M_z off the bulk of |Z|.
 
     M_z = max(floor, 2 * max over steps of the 99.9th percentile of |Zbar|),
-    computed on a pilot subsample of the paths.
+    computed on a pilot subsample of the paths.  The pilot walks
+    ``backward_steps`` and keeps only each step's quantile, so it builds no
+    path array of its own.
     """
     P_pilot = max(int(bundle.n_paths * MZ_PILOT_FRACTION), 10 * basis.dimension)
     P_pilot = min(P_pilot, bundle.n_paths)
@@ -230,9 +259,8 @@ def estimate_Mz_auto(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSche
         X_euler=None if bundle.X_euler is None else bundle.X_euler[:P_pilot],
         X_exact=None if bundle.X_exact is None else bundle.X_exact[:P_pilot],
     )
-    sol = solve_backward(spec, grid, schedule, pilot, basis,
-                         TruncationRadius(MZ_PILOT_RADIUS, "user-supplied"))
-    znorm = np.linalg.norm(sol.Zbar, axis=2)           # (P, N)
-    per_step = np.quantile(znorm, 0.999, axis=0)
+    steps = backward_steps(spec, grid, schedule, pilot, basis,
+                           TruncationRadius(MZ_PILOT_RADIUS, "user-supplied"))
+    per_step = [np.quantile(np.linalg.norm(step.z, axis=1), 0.999) for step in steps]
     return TruncationRadius(max(MZ_AUTO_FLOOR, 2.0 * float(np.max(per_step))),
                             "auto-estimated")

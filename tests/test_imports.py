@@ -1,12 +1,14 @@
 """Every module-level import in the package is used, and the oracle's space
-interpolation rule and the least-squares fit each have their homes.
+interpolation rule, the least-squares fit and the backward loop each have
+their homes.
 
 Stdlib-``ast`` checks, so they need no linter: for each module except the
 re-exporting ``__init__.py``, every name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere in that module; and across the
-package ``PchipInterpolator`` is constructed in exactly one function and
+package ``PchipInterpolator`` is constructed in exactly one function,
 ``fit_least_squares`` is called only by the step's projection and the
-diagnostics' tail-sum regression.  A fresh interpreter that imports the
+diagnostics' tail-sum regression, and ``z_projection_step`` only by the
+one backward-step kernel.  A fresh interpreter that imports the
 package and runs a small convergence study never loads ``scipy.stats``,
 ``scipy.linalg`` (each least-squares fit makes one numpy ``eigh``), nor
 ``scipy.interpolate`` and the subpackages that it pulls in; it loads
@@ -82,6 +84,9 @@ def test_checker_finds_every_pchip_builder():
 HOMES = {
     "PchipInterpolator": ["oracle.SpaceGrid.interpolate"],
     "fit_least_squares": ["lab.run_diagnostics", "scheme.z_projection_step"],
+    # the backward loop has one home: a second copy, such as a separate pilot
+    # loop, would be a second caller
+    "z_projection_step": ["scheme.backward_steps"],
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -233,6 +234,38 @@ def test_deltas_match_the_whole_array_formulas_bit_for_bit(m):
     assert got == want and all(v > 0 for v in got.values())
 
 
+@pytest.mark.parametrize("kind, levels, live", [
+    ("drift-shift", [0.4, 0.2, 0.1], [(0, 1)] + [(1, 2)] * 3),
+    ("euler-vs-exact", [4, 8, 16], [(0, 1), (1, 1)] * 3),
+])
+def test_stability_holds_one_leg_at_a_time(kind, levels, live, monkeypatch):
+    # at each solve start, the earlier solutions and the Euler states still
+    # alive: only the base leg (drift-shift) or the Euler leg of the same N
+    # (euler-vs-exact) may be, besides the states the solve is about to read
+    solutions, states, seen = [], [], []
+    solve, euler = lab.solve_backward, lab.euler_simulate
+
+    def alive(refs):
+        return sum(ref() is not None for ref in refs)
+
+    def tracked_euler(*args):
+        out = euler(*args)
+        states.append(weakref.ref(out.X_euler))
+        return out
+
+    def tracked_solve(*args):
+        seen.append((alive(solutions), alive(states)))
+        sol = solve(*args)
+        solutions.append(weakref.ref(sol))
+        return sol
+
+    monkeypatch.setattr(lab, "euler_simulate", tracked_euler)
+    monkeypatch.setattr(lab, "solve_backward", tracked_solve)
+    mc = lab.MCConfig(n_paths=300, seed=0, basis=BasisSpec(degree=2), M_z=2.0)
+    lab.run_stability(build_preset("P2-mixed-quadratic"), kind, levels, mc, N=4)
+    assert seen == live
+
+
 def test_stability_euler_vs_exact():
     spec = build_preset("P2-mixed-quadratic")
     rep = lab.run_stability(spec, "euler-vs-exact", [4, 8, 16, 32], SMALL_MC)
@@ -294,6 +327,17 @@ def test_diagnostics_zero_driver_constant_obstacle():
     # order N * (M_g / sqrt(P dt))^2 * dt ~ 1e-3 at this budget
     assert rep.tail_sum_max <= 1e-2
     assert rep.moments["K_T"][1] == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_tail_sums_match_the_reversed_cumsum_bit_for_bit(m):
+    spec = build_preset("P2-mixed-quadratic", {"m": m})
+    mc = lab.MCConfig(n_paths=1500, seed=4, basis=BasisSpec(degree=3), M_z=2.0)
+    grid, _, _, sol = lab._solve_mc(spec, 8, mc)
+    step2 = np.sum(sol.Zbar ** 2, axis=-1) * grid.dt[None, :]
+    want = np.cumsum(step2[:, ::-1], axis=1)[:, ::-1]
+    got = [(i, tail.tobytes()) for i, tail in lab._tail_sums(sol.Zbar, grid.dt)]
+    assert got == [(i, want[:, i].tobytes()) for i in range(grid.N - 1, -1, -1)]
 
 
 def test_diagnostics_moments_seed_stable():

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrbsde.forward import euler_simulate, make_grid, sample_increments
-from qrbsde.model import (AffineInY, CloudConfig, TruncationRadius, build_preset,
-                          clip_obstacle, smooth_truncation, soft_clip_obstacle,
-                          truncate_generator, validate_assumptions, y_bound)
+from qrbsde.model import (AffineInY, CloudConfig, build_preset, clip_obstacle,
+                          smooth_truncation, soft_clip_obstacle,
+                          validate_assumptions, y_bound)
 from qrbsde.regress import BasisSpec
 from qrbsde.scheme import estimate_Mz_auto
 
@@ -52,17 +52,17 @@ def test_p2_drift_is_mean_reverting():
 # uniform Y bound
 
 def test_y_bound_values():
-    assert y_bound(build_preset("P1-pure-quadratic")).M == pytest.approx(0.5)
+    assert y_bound(build_preset("P1-pure-quadratic")) == pytest.approx(0.5)
     spec = build_preset("P2-mixed-quadratic", {"M_f": 1.0, "M_g": 1.0, "T": 1.0})
-    assert y_bound(spec).M == pytest.approx(2.0 * math.e)
+    assert y_bound(spec) == pytest.approx(2.0 * math.e)
     spec0 = build_preset("P1-pure-quadratic", {"M_g": 0.0, "T": 7.0})
-    assert y_bound(spec0).M == 0.0
+    assert y_bound(spec0) == 0.0
 
 
 def test_y_bound_dominates_Mg():
     for name in PRESETS:
         spec = build_preset(name)
-        assert y_bound(spec).M >= spec.M_g
+        assert y_bound(spec) >= spec.M_g
 
 
 # ---------------------------------------------------------------------------
@@ -143,53 +143,6 @@ def test_rho_profile_monotone():
     assert np.all(rho <= r + 1e-12)
 
 
-# ---------------------------------------------------------------------------
-# truncated generator
-
-def test_truncate_generator_inside_radius_unchanged():
-    spec = truncate_generator(build_preset("P1-pure-quadratic"), TruncationRadius(5.0))
-    z = np.array([[3.0]])
-    assert spec.generator(0.0, np.array([1.0]), np.array([0.0]), z)[0] == pytest.approx(4.5)
-
-
-def test_truncate_generator_outside_radius():
-    spec = truncate_generator(build_preset("P1-pure-quadratic"), TruncationRadius(1.0))
-    z = np.array([[3.0]])
-    want = 0.5 * (2.0 - math.exp(-2.0)) ** 2
-    assert spec.generator(0.0, np.array([1.0]), np.array([0.0]), z)[0] == pytest.approx(want)
-
-
-def test_truncate_generator_huge_radius_is_identity_on_cloud():
-    base = build_preset("P2-mixed-quadratic")
-    spec = truncate_generator(base, TruncationRadius(1e9))
-    rng = np.random.default_rng(1)
-    t, x, y = 0.3, rng.normal(size=64), rng.normal(size=64)
-    z = rng.normal(scale=10, size=(64, 1))
-    np.testing.assert_allclose(spec.generator(t, x, y, z), base.generator(t, x, y, z),
-                               rtol=0, atol=0)
-
-
-def test_truncate_generator_retruncation_agrees_inside_radius():
-    # the C1 radial profile is not a hard projection, so h∘h only coincides
-    # with h where h is the identity; outside, both stay inside the n+1 ball
-    radius = TruncationRadius(2.0)
-    once = truncate_generator(build_preset("P1-pure-quadratic"), radius)
-    twice = truncate_generator(once, radius)
-    rng = np.random.default_rng(2)
-    z = rng.uniform(-2.0, 2.0, size=(128, 1))
-    np.testing.assert_allclose(
-        twice.generator(0.1, np.ones(128), np.zeros(128), z),
-        once.generator(0.1, np.ones(128), np.zeros(128), z), atol=1e-14)
-    z_far = rng.normal(scale=8, size=(128, 1))
-    f2 = twice.generator(0.1, np.ones(128), np.zeros(128), z_far)
-    assert float(np.max(f2)) <= 0.5 * 3.0 ** 2 + 1e-12
-
-
-def test_truncate_generator_records_induced_constants():
-    spec = truncate_generator(build_preset("P1-pure-quadratic"), TruncationRadius(4.0))
-    assert spec.induced_lipschitz == {"x": 6.0, "y": 1.0, "z": 11.0}
-
-
 @pytest.mark.parametrize("name, a", [("P1-pure-quadratic", 0.0),
                                      ("P2-mixed-quadratic", -0.1),
                                      ("P3-lipschitz", -0.1)])
@@ -200,15 +153,6 @@ def test_presets_declare_their_y_coefficient(name, a):
     x, y, z = rng.normal(size=64), rng.normal(size=64), rng.normal(size=(64, 1))
     np.testing.assert_allclose(f(0.2, x, y, z), a * y + f.f0(0.2, x, z), rtol=0,
                                atol=1e-15)
-
-
-def test_truncate_generator_keeps_the_affine_declaration():
-    base = build_preset("P2-mixed-quadratic")
-    spec = truncate_generator(base, TruncationRadius(1.0))
-    assert isinstance(spec.generator, AffineInY) and spec.generator.a == -0.1
-    x, y, z = np.ones(3), np.full(3, 0.5), np.array([[0.5], [2.0], [-7.0]])
-    want = base.generator(0.0, x, y, smooth_truncation(z, 1.0))
-    np.testing.assert_array_equal(spec.generator(0.0, x, y, z), want)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +220,14 @@ def test_ill_typed_override_is_rejected_by_name(overrides):
     (key,) = overrides
     with pytest.raises(ValueError, match=f"override '{key}'"):
         build_preset("P1-pure-quadratic", overrides)
+
+
+@pytest.mark.parametrize("key, names", [("T", "override 'T'"), ("m", "dimension m")])
+def test_override_too_long_to_print_is_rejected_by_name(key, names):
+    # repr of an int past the 4300-digit limit raises, so the message shows its type
+    with pytest.raises(ValueError, match=names) as err:
+        build_preset("P1-pure-quadratic", {key: 10 ** 5000})
+    assert str(err.value).endswith("got <int too long to print>")
 
 
 def test_overrides_accept_numpy_scalars():

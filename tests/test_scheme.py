@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,46 @@ def test_mz_auto_stable_across_seeds():
     assert max(vals) <= 2.0 * min(vals)
 
 
+@pytest.mark.parametrize("name, m", [("P1-pure-quadratic", 1),
+                                     ("P2-mixed-quadratic", 2)])
+def test_mz_auto_is_the_pilot_solve_quantile_rule_bit_for_bit(name, m, monkeypatch):
+    spec = build_preset(name, {"m": m})
+    grid, sched = make_grid(16, spec.T)
+    bundle = euler_simulate(spec, sample_increments(grid, 20000, 24, m))
+    basis = BasisSpec(degree=4)
+    P_pilot = int(bundle.n_paths * scheme.MZ_PILOT_FRACTION)
+    pilot = dataclasses.replace(bundle, n_paths=P_pilot, dW=bundle.dW[:P_pilot],
+                                X_euler=bundle.X_euler[:P_pilot])
+    sol = solve_backward(spec, grid, sched, pilot, basis,
+                         TruncationRadius(scheme.MZ_PILOT_RADIUS))
+    per_step = np.quantile(np.linalg.norm(sol.Zbar, axis=2), 0.999, axis=0)
+    want = max(scheme.MZ_AUTO_FLOOR, 2.0 * float(np.max(per_step)))
+
+    def no_solve(*args):
+        raise AssertionError("the pilot stored a full solution")
+
+    monkeypatch.setattr(scheme, "solve_backward", no_solve)
+    radius = estimate_Mz_auto(spec, grid, sched, bundle, basis)
+    assert radius.M_z == want and radius.provenance == "auto-estimated"
+
+
+def test_mz_pilot_builds_no_path_array():
+    # the pilot keeps one quantile per step, so its traced peak stays below
+    # one (P_pilot, N) float64 array
+    spec = _p1()
+    grid, sched = make_grid(64, spec.T)
+    bundle = euler_simulate(spec, sample_increments(grid, 20000, 25, 1))
+    basis = BasisSpec(degree=6)
+    estimate_Mz_auto(spec, grid, sched, bundle, basis)     # warm-up
+    tracemalloc.start()
+    try:
+        estimate_Mz_auto(spec, grid, sched, bundle, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < int(bundle.n_paths * scheme.MZ_PILOT_FRACTION) * grid.N * 8
+
+
 def test_picard_counts_small_for_smooth_drivers():
     spec = build_preset("P2-mixed-quadratic")
     _, _, _, sol = _solved(spec, N=8, P=3000, seed=11)
@@ -392,7 +433,7 @@ def _reference_backward(spec, grid, sched, bundle, basis, radius):
     targets; Picard and reflection are the shared scheme steps."""
     X = bundle.X_euler
     P, N, m = bundle.n_paths, grid.N, bundle.m
-    M = y_bound(spec).M
+    M = y_bound(spec)
     Ybar, dK = np.zeros((P, N + 1)), np.zeros((P, N + 1))
     Zbar = np.zeros((P, N, m))
     picard = np.zeros(N, dtype=int)
