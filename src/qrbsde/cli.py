@@ -355,21 +355,9 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 # artifact writing
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -1,7 +1,8 @@
 """Experiment runners: rate measurements, coupled stability sweeps, bound checks.
 
 Each runner is seed-deterministic end to end and returns a frozen report
-object that serializes to a dict (for JSON) and to flat rows (for CSV).
+dataclass that serializes from its own fields: ``to_dict()`` (for JSON) is
+``dataclasses.asdict``, and ``rows()`` (for CSV) is one flat dict per cell.
 Rates are measured as ordinary least-squares slopes on log-log points, with
 a 95% confidence band from standard regression theory.
 """
@@ -59,10 +60,6 @@ class SlopeFit:
     band95: float      # half-width of the 95% confidence interval on the slope
     n_points: int
 
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "band95": self.band95, "n_points": self.n_points}
-
 
 def slope_fit(points: Sequence[tuple]) -> SlopeFit:
     """OLS fit of log(err) on log(h) for (h, err) pairs; all values positive.
@@ -104,31 +101,29 @@ def _slopes(cells, x_key: str, keys: Sequence[str]) -> dict:
     return slopes
 
 
+class _Report:
+    def to_dict(self) -> dict:
+        """The report's fields as plain dicts, its slope fits included."""
+        return dataclasses.asdict(self)
+
+
+class _CellReport(_Report):
+    def rows(self):
+        """One flat dict per cell."""
+        return [dict(c) for c in self.cells]
+
+
 # ---------------------------------------------------------------------------
 # convergence in the time grid
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(_CellReport):
     kind: str            # "grid-refinement" | "reflection-sweep"
     x_name: str          # meaning of the cell key: "mesh" | "reflection_mesh"
     cells: tuple         # one dict per grid size / schedule, key order fixed
     slopes: dict         # error name -> SlopeFit (None if not fittable)
     reference: dict      # oracle identities and reference values
     floor_limited: bool = False
-
-    def rows(self):
-        return [dict(c) for c in self.cells]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "x_name": self.x_name,
-            "cells": self.rows(),
-            "slopes": {k: (v.to_dict() if v is not None else None)
-                       for k, v in self.slopes.items()},
-            "reference": dict(self.reference),
-            "floor_limited": self.floor_limited,
-        }
 
 
 def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
@@ -297,25 +292,13 @@ def run_discrete_reflection_sweep(spec: ProblemSpec, N: int,
 # stability under forward perturbations
 
 @dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(_CellReport):
     kind: str            # "drift-shift" | "euler-vs-exact"
     x_name: str          # "eps" | "mesh"
     cells: tuple
     slopes: dict
     dx_proxy_name: str = "(E sup_i |dX_i|^4)^(1/4)"
     dw_checksum: str = ""
-
-    def rows(self):
-        return [dict(c) for c in self.cells]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "x_name": self.x_name, "cells": self.rows(),
-            "slopes": {k: (v.to_dict() if v is not None else None)
-                       for k, v in self.slopes.items()},
-            "dx_proxy_name": self.dx_proxy_name,
-            "dw_checksum": self.dw_checksum,
-        }
 
 
 def _dw_checksum(bundle: PathBundle) -> str:
@@ -343,43 +326,30 @@ def _deltas(grid: TimeGrid, XA, XB, solA: SchemeSolution, solB: SchemeSolution):
     }
 
 
-def _drift_shift_cell(spec: ProblemSpec, eps: float, grid, sched,
-                      bundle: PathBundle, sol0: SchemeSolution, basis: BasisSpec):
-    """One eps level of the drift-shift sweep: the leg with drift b + eps,
-    Euler-simulated on the base leg's increments and solved with its radius,
-    against the base leg.  Returns the cell; the leg's states and solution
-    are released before the next level is allocated."""
-    b0 = spec.drift
+def _coupled_cell(spec: ProblemSpec, bundle: PathBundle, sol0: SchemeSolution,
+                  X: np.ndarray, basis: BasisSpec) -> dict:
+    """The second leg of a stability cell against the base leg ``sol0``.
 
-    def drift_e(t, x):
-        return np.asarray(b0(t, x), dtype=float) + eps
-
-    spec_e = dataclasses.replace(spec, drift=drift_e)
-    bundle_e = euler_simulate(spec_e, dataclasses.replace(
-        bundle, X_euler=None, X_exact=None))
-    # the same increments object, so the report's one dW hash covers both legs
-    if bundle_e.dW is not bundle.dW:
-        raise RuntimeError("drift-shift leg does not share the base leg's increments")
-    # one radius shared by every leg so deltas never cross a truncation edge
-    sol_e = solve_backward(spec_e, grid, sched, bundle_e, basis, sol0.radius)
-    d = _deltas(grid, bundle.X_euler, bundle_e.X_euler, sol0, sol_e)
-    d["eps"] = eps
-    return d
+    The leg whose states are X is solved on the base leg's increments, with
+    its grid, schedule and radius (one radius for both legs, so no
+    difference crosses a truncation edge).  Returns the coupled differences
+    only; the leg's solution is released on return."""
+    leg = dataclasses.replace(bundle, X_euler=X)
+    sol = solve_backward(spec, sol0.grid, sol0.schedule, leg, basis, sol0.radius)
+    return _deltas(sol0.grid, bundle.X_euler, X, sol0, sol)
 
 
-def _euler_vs_exact_cell(spec: ProblemSpec, N: int, mc: MCConfig):
-    """One N level of the euler-vs-exact sweep: the Euler leg and the
-    exact-transition leg on the same increments, each solved with the Euler
-    leg's radius.  Returns the cell and the increments' checksum; both legs
-    are released before the next level is allocated."""
-    grid, sched, bundle, sol_e = _solve_mc(spec, N, mc)
-    bundle = exact_simulate(spec, bundle)
-    exact_leg = dataclasses.replace(bundle, X_euler=bundle.X_exact)
-    sol_x = solve_backward(spec, grid, sched, exact_leg, mc.basis, sol_e.radius)
-    d = _deltas(grid, bundle.X_exact, bundle.X_euler, sol_x, sol_e)
-    d["N"] = N
-    d["mesh"] = grid.mesh
-    return d, _dw_checksum(bundle)
+def _check_exact_coupling(spec: ProblemSpec, N: int, mc: MCConfig):
+    """Raise where the exact transition reproduces the Euler step on the
+    first level's paths, as it does for a drift constant in x: there every
+    euler-vs-exact difference would be 0."""
+    grid, _ = make_grid(N, spec.T)
+    probe = exact_simulate(spec, euler_simulate(
+        spec, sample_increments(grid, mc.n_paths, mc.seed, spec.m)))
+    if np.array_equal(probe.X_euler, probe.X_exact):
+        raise ValueError("euler-vs-exact coupling is degenerate: the exact "
+                         "transition equals the Euler step (drift constant "
+                         "in x), so every coupled difference would be 0")
 
 
 def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
@@ -390,7 +360,10 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
     decreasing eps list); both legs are Euler-simulated from bit-identical
     increments.  kind "euler-vs-exact": levels is an increasing N list; each
     cell couples the Euler states with exact-transition states sharing the
-    step increments.
+    step increments, and a drift for which the two coincide is rejected
+    before any solve.  Both kinds solve their second leg in the one helper
+    ``_coupled_cell``, which is where a further leg, such as a lattice one,
+    goes.
 
     Memory: a drift-shift run keeps the base leg and one shifted leg, and
     an euler-vs-exact run keeps the two legs of one N; each cell keeps only
@@ -398,23 +371,38 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
     """
     if not levels:
         raise ValueError("stability levels must not be empty")
+    cells = []
     if kind == "drift-shift":
         eps = [float(e) for e in levels]
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps levels must be strictly decreasing")
-        grid, sched, bundle, sol0 = _solve_mc(spec, N, mc)
+        _, _, bundle, sol0 = _solve_mc(spec, N, mc)
         checksum = _dw_checksum(bundle)
-        cells = [_drift_shift_cell(spec, e, grid, sched, bundle, sol0, mc.basis)
-                 for e in eps]
+        b0 = spec.drift
+        for e in eps:
+            spec_e = dataclasses.replace(
+                spec, drift=lambda t, x, e=e: np.asarray(b0(t, x), dtype=float) + e)
+            leg = euler_simulate(spec_e, dataclasses.replace(
+                bundle, X_euler=None, X_exact=None))
+            # the same increments object, so the report's one dW hash covers both legs
+            if leg.dW is not bundle.dW:
+                raise RuntimeError("drift-shift leg does not share the base leg's increments")
+            cells.append({**_coupled_cell(spec_e, bundle, sol0, leg.X_euler, mc.basis),
+                          "eps": e})
+            del leg   # released before the next leg is allocated
         x_key, x_name = "eps", "eps"
     elif kind == "euler-vs-exact":
         Ns = [int(n) for n in levels]
         if any(b <= a for a, b in zip(Ns, Ns[1:])):
             raise ValueError("N levels must be strictly increasing")
-        cells = []
+        _check_exact_coupling(spec, Ns[0], mc)
         for n in Ns:
-            d, checksum = _euler_vs_exact_cell(spec, n, mc)
-            cells.append(d)
+            grid, _, bundle, sol0 = _solve_mc(spec, n, mc)
+            bundle = exact_simulate(spec, bundle)
+            cells.append({**_coupled_cell(spec, bundle, sol0, bundle.X_exact, mc.basis),
+                          "N": n, "mesh": grid.mesh})
+            checksum = _dw_checksum(bundle)
+            del bundle, sol0   # released before the next N is allocated
         x_key, x_name = "mesh", "mesh"
     else:
         raise ValueError(f"unknown stability kind {kind!r}")
@@ -430,7 +418,7 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
 # a priori bound diagnostics
 
 @dataclass(frozen=True)
-class DiagnosticsReport:
+class DiagnosticsReport(_Report):
     tail_sum_max: float        # max over i of 99th-pct fitted conditional tail sum
     bound_value: float         # exp(4 alpha M)/alpha^2 [1 + 2 alpha M_f (1+M) T]
     passed: bool
@@ -438,16 +426,6 @@ class DiagnosticsReport:
     grid_N: int
     n_paths: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "tail_sum_max": self.tail_sum_max,
-            "bound_value": self.bound_value,
-            "passed": self.passed,
-            "moments": {k: {str(p): v for p, v in d.items()}
-                        for k, d in self.moments.items()},
-            "grid_N": self.grid_N, "n_paths": self.n_paths, "seed": self.seed,
-        }
 
 
 def bmo_bound_value(spec: ProblemSpec) -> float:

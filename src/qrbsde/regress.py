@@ -90,10 +90,6 @@ class DesignEvaluator:
                 hi = lo + 1.0
             self.lo, self.hi = lo, hi
 
-    @property
-    def dimension(self) -> int:
-        return self.spec.dimension
-
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.spec.kind == "polynomial":

@@ -25,7 +25,6 @@ from .regress import BasisSpec, build_basis, fit_least_squares, localize_basis
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
 MZ_AUTO_FLOOR = 0.1
-MZ_PILOT_RADIUS = 1e9
 MZ_PILOT_FRACTION = 0.1   # share of the paths the M_z pilot solves on
 
 
@@ -173,10 +172,11 @@ class BackwardStep(NamedTuple):
 
 def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
                    bundle: PathBundle, basis: BasisSpec,
-                   radius: TruncationRadius) -> Iterator[BackwardStep]:
+                   radius: Optional[TruncationRadius]) -> Iterator[BackwardStep]:
     """The truncated backward recursion on a simulated bundle, yielded one
     step at a time from i = N-1 down to 0.  It keeps nothing path-sized
-    beyond the step it yields, so each caller keeps what it needs of it."""
+    beyond the step it yields, so each caller keeps what it needs of it.
+    ``radius=None`` leaves Z untruncated and unclipped."""
     if bundle.X_euler is None:
         raise ValueError("bundle must be Euler-simulated before solving")
     if spec.L * grid.mesh >= 1.0:
@@ -188,7 +188,7 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
     X = bundle.X_euler
     m = bundle.m
     M = y_bound(spec)
-    z_hi = radius.M_z + 1.0
+    z_hi = np.inf if radius is None else radius.M_z + 1.0
     y_next = np.asarray(spec.obstacle(X[:, grid.N]), dtype=float)
     for i in range(grid.N - 1, -1, -1):
         ti = grid.times[i]
@@ -244,7 +244,7 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
 
 def estimate_Mz_auto(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
                      bundle: PathBundle, basis: BasisSpec) -> TruncationRadius:
-    """Pilot run with an effectively infinite radius; size M_z off the bulk of |Z|.
+    """Untruncated pilot run; size M_z off the bulk of |Z|.
 
     M_z = max(floor, 2 * max over steps of the 99.9th percentile of |Zbar|),
     computed on a pilot subsample of the paths.  The pilot walks
@@ -259,8 +259,7 @@ def estimate_Mz_auto(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSche
         X_euler=None if bundle.X_euler is None else bundle.X_euler[:P_pilot],
         X_exact=None if bundle.X_exact is None else bundle.X_exact[:P_pilot],
     )
-    steps = backward_steps(spec, grid, schedule, pilot, basis,
-                           TruncationRadius(MZ_PILOT_RADIUS, "user-supplied"))
+    steps = backward_steps(spec, grid, schedule, pilot, basis, None)
     per_step = [np.quantile(np.linalg.norm(step.z, axis=1), 0.999) for step in steps]
     return TruncationRadius(max(MZ_AUTO_FLOOR, 2.0 * float(np.max(per_step))),
                             "auto-estimated")

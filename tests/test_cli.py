@@ -224,6 +224,15 @@ def test_empty_stability_levels_exit_config_by_name(tmp_path, capsys):
     assert "stability levels must not be empty" in capsys.readouterr().err
 
 
+def test_degenerate_euler_vs_exact_exits_config_by_name(tmp_path, capsys):
+    # the default preset P1 has a drift constant in x: no coupling to measure
+    config = {"mc": {"paths": 500, "basis": {"degree": 3}},
+              "experiment": {"perturbation": "euler-vs-exact", "levels": [4, 8, 16]}}
+    assert main(["stability", "--config", json.dumps(config),
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "euler-vs-exact coupling is degenerate" in capsys.readouterr().err
+
+
 def test_empty_reflection_sweep_kappas_exit_config_by_name(tmp_path, capsys):
     config = '{"experiment": {"N": 8, "kappas": []}}'
     assert main(["reflect-sweep", "--config", config,

@@ -7,9 +7,10 @@ re-exporting ``__init__.py``, every name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere in that module; and across the
 package ``PchipInterpolator`` is constructed in exactly one function,
 ``fit_least_squares`` is called only by the step's projection and the
-diagnostics' tail-sum regression, and ``z_projection_step`` only by the
-one backward-step kernel.  A fresh interpreter that imports the
-package and runs a small convergence study never loads ``scipy.stats``,
+diagnostics' tail-sum regression, ``z_projection_step`` only by the
+one backward-step kernel, and ``solve_backward`` and ``_deltas`` only by
+the runners' one Monte Carlo leg and one coupled stability leg.  A fresh
+interpreter that imports the package and runs a small convergence study never loads ``scipy.stats``,
 ``scipy.linalg`` (each least-squares fit makes one numpy ``eigh``), nor
 ``scipy.interpolate`` and the subpackages that it pulls in; it loads
 ``scipy.special`` only at its first ``slope_fit``.  One that imports the
@@ -87,6 +88,9 @@ HOMES = {
     # the backward loop has one home: a second copy, such as a separate pilot
     # loop, would be a second caller
     "z_projection_step": ["scheme.backward_steps"],
+    # both stability kinds solve and compare their second leg in one helper
+    "solve_backward": ["lab._solve_mc", "lab._coupled_cell"],
+    "_deltas": ["lab._coupled_cell"],
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from qrbsde import lab, oracle
-from qrbsde.forward import exact_simulate, make_grid
+from qrbsde.forward import euler_simulate, exact_simulate, make_grid
 from qrbsde.model import build_preset
 from qrbsde.regress import BasisSpec
 from qrbsde.scheme import solve_backward
@@ -213,6 +213,17 @@ def test_stability_drift_shift_raises_unless_legs_share_increments(monkeypatch):
                           [0.1], lab.MCConfig(n_paths=200, seed=0), N=4)
 
 
+def _whole_array_deltas(grid, XA, XB, solA, solB):
+    return {
+        "dx_proxy": float(np.mean(np.max(np.square(np.square(XA - XB)),
+                                         axis=1))) ** 0.25,
+        "D_Y": float(np.mean(np.max((solA.Ybar - solB.Ybar) ** 2, axis=1))),
+        "D_Z": float(np.mean(np.sum(np.sum((solA.Zbar - solB.Zbar) ** 2, axis=-1)
+                                    * grid.dt[None, :], axis=1))),
+        "D_K": float(np.mean((solA.K_terminal - solB.K_terminal) ** 2)),
+    }
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_deltas_match_the_whole_array_formulas_bit_for_bit(m):
     spec = build_preset("P2-mixed-quadratic", {"m": m})
@@ -222,16 +233,36 @@ def test_deltas_match_the_whole_array_formulas_bit_for_bit(m):
     solB = solve_backward(spec, grid, sched, dataclasses.replace(
         bundle, X_euler=bundle.X_exact), mc.basis, solA.radius)
     XA, XB = bundle.X_euler, bundle.X_exact
-    want = {
-        "dx_proxy": float(np.mean(np.max(np.square(np.square(XA - XB)),
-                                         axis=1))) ** 0.25,
-        "D_Y": float(np.mean(np.max((solA.Ybar - solB.Ybar) ** 2, axis=1))),
-        "D_Z": float(np.mean(np.sum(np.sum((solA.Zbar - solB.Zbar) ** 2, axis=-1)
-                                    * grid.dt[None, :], axis=1))),
-        "D_K": float(np.mean((solA.K_terminal - solB.K_terminal) ** 2)),
-    }
+    want = _whole_array_deltas(grid, XA, XB, solA, solB)
     got = lab._deltas(grid, XA, XB, solA, solB)
     assert got == want and all(v > 0 for v in got.values())
+
+
+@pytest.mark.parametrize("kind, level", [("drift-shift", 0.2), ("euler-vs-exact", 8)])
+def test_stability_cell_is_the_direct_second_leg_solve_bit_for_bit(kind, level):
+    # the second leg solved here by hand, on the base leg's increments, grid,
+    # schedule and (auto) radius, against the base leg
+    spec = build_preset("P2-mixed-quadratic")
+    mc = lab.MCConfig(n_paths=1500, seed=3, basis=BasisSpec(degree=3))
+    N = 8
+    grid, _, bundle, sol0 = lab._solve_mc(spec, N, mc)
+    if kind == "drift-shift":
+        spec_b = dataclasses.replace(
+            spec, drift=lambda t, x: np.asarray(spec.drift(t, x), dtype=float) + level)
+        XB = euler_simulate(spec_b, dataclasses.replace(bundle, X_euler=None)).X_euler
+        tail = {"eps": level}
+    else:
+        spec_b = spec
+        XB = exact_simulate(spec, bundle).X_exact
+        tail = {"N": N, "mesh": grid.mesh}
+    solB = solve_backward(spec_b, sol0.grid, sol0.schedule, dataclasses.replace(
+        bundle, X_euler=XB), mc.basis, sol0.radius)
+    want = {**_whole_array_deltas(grid, bundle.X_euler, XB, sol0, solB), **tail}
+    want["ratio_Y"] = want["D_Y"] / want["dx_proxy"]
+
+    cell = lab.run_stability(spec, kind, [level], mc, N=N).cells[0]
+    assert list(cell.items()) == list(want.items())
+    assert all(want[k] > 0 for k in ("dx_proxy", "D_Y", "D_Z", "D_K"))
 
 
 @pytest.mark.parametrize("kind, levels, live", [
@@ -291,6 +322,19 @@ def test_stability_rejects_empty_levels_before_any_solve(kind, monkeypatch):
     monkeypatch.setattr(lab, "_solve_mc", no_solve)
     with pytest.raises(ValueError, match="levels must not be empty"):
         lab.run_stability(build_preset("P2-mixed-quadratic"), kind, [], SMALL_MC)
+
+
+def test_stability_rejects_a_degenerate_exact_coupling_before_any_solve(monkeypatch):
+    # P1's drift is constant in x, so its exact transition is the Euler step
+    # and every euler-vs-exact difference would be exactly 0
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the coupling")
+
+    monkeypatch.setattr(lab, "_solve_mc", no_solve)
+    monkeypatch.setattr(lab, "solve_backward", no_solve)
+    with pytest.raises(ValueError, match="coupling is degenerate"):
+        lab.run_stability(build_preset("P1-pure-quadratic"), "euler-vs-exact",
+                          [4, 8, 16], SMALL_MC)
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ def test_mz_auto_is_the_pilot_solve_quantile_rule_bit_for_bit(name, m, monkeypat
     pilot = dataclasses.replace(bundle, n_paths=P_pilot, dW=bundle.dW[:P_pilot],
                                 X_euler=bundle.X_euler[:P_pilot])
     sol = solve_backward(spec, grid, sched, pilot, basis,
-                         TruncationRadius(scheme.MZ_PILOT_RADIUS))
+                         TruncationRadius(1e9))
     per_step = np.quantile(np.linalg.norm(sol.Zbar, axis=2), 0.999, axis=0)
     want = max(scheme.MZ_AUTO_FLOOR, 2.0 * float(np.max(per_step)))
 
