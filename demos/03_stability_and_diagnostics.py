@@ -3,7 +3,7 @@
 Two experiments on the mixed-quadratic preset sharing one Brownian bundle
 per run: shift the drift by epsilon and watch the solution functionals
 scale down with it, then swap Euler paths for exact-transition paths.
-Finally the conditional tail sums E_i[sum Z^2 dt + (K_T - K_i)^2] are
+Finally the conditional tail sums E_i[sum_{j>=i} |Z_j|^2 dt_j] are
 checked against the closed-form exponential bound.
 
     python3 demos/03_stability_and_diagnostics.py

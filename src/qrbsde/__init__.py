@@ -14,10 +14,9 @@ from .lab import (ConvergenceReport, DiagnosticsReport, MCConfig, SlopeFit,
                   StabilityReport, bmo_bound_value, run_convergence,
                   run_diagnostics, run_discrete_reflection_sweep,
                   run_stability, slope_fit)
-from .model import (AffineInY, AssumptionReport, CloudConfig, ProblemSpec,
-                    TruncationRadius, build_preset, clip_obstacle,
-                    smooth_truncation, soft_clip_obstacle, validate_assumptions,
-                    y_bound)
+from .model import (AffineInY, AssumptionReport, ProblemSpec, TruncationRadius,
+                    build_preset, clip_obstacle, smooth_truncation,
+                    soft_clip_obstacle, validate_assumptions, y_bound)
 from .oracle import (GridSolution, SpaceGrid, brute_force_tiny,
                      build_space_grid, exact_scheme_solve, snell_cole_hopf)
 from .regress import (BasisSpec, DesignEvaluator, RegressionFit, build_basis,
@@ -28,8 +27,8 @@ from .scheme import (SchemeSolution, estimate_Mz_auto, implicit_y_step,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineInY", "AssumptionReport", "BasisSpec", "CloudConfig",
-    "ConvergenceReport", "DesignEvaluator", "DiagnosticsReport", "GridSolution",
+    "AffineInY", "AssumptionReport", "BasisSpec", "ConvergenceReport",
+    "DesignEvaluator", "DiagnosticsReport", "GridSolution",
     "MCConfig", "PathBundle", "ProblemSpec", "ReflectionSchedule",
     "RegressionFit", "SchemeSolution", "SlopeFit", "SpaceGrid",
     "StabilityReport", "TimeGrid", "TruncationRadius", "bmo_bound_value",

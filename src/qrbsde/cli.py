@@ -3,7 +3,8 @@
 One run owns one output directory and writes summary.json (numeric results,
 bit-reproducible across reruns), one CSV table per result family, and
 manifest.json (config hash, timings, file list).  Exit codes: 0 success,
-2 config error, 3 numeric failure, 4 a pass flag came back false.
+2 config error, 3 numeric failure, 4 a pass flag came back false: one of
+a lab report's ``flags``, or of the Skorokhod or cross-agreement flags.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "problem": {"preset": (str, "P1-pure-quadratic"),
                 "overrides": {key: (want,) for key, want in OVERRIDES.items()}},
-    "grid": {"N": (int, 64), "T": ((int, float),),
-             "reflection": ((str, dict, list), "all")},
+    "grid": {"N": (int, 64), "reflection": ((str, dict, list), "all")},
     "mc": {"paths": (int, 50_000), "seed": (int, 42),
            "basis": {"kind": (str, "polynomial"), "degree": (int, 6),
                      "cells": (int,), "ridge": ((int, float), 1e-8),
@@ -168,12 +168,8 @@ def parse_config(source, command: Optional[str] = None,
     if seed is not None:
         cfg["mc"]["seed"] = seed
 
-    preset = cfg["problem"]["preset"]
-    overrides = dict(cfg["problem"]["overrides"])
-    if "T" in cfg["grid"]:
-        overrides["T"] = cfg["grid"]["T"]
     try:
-        spec = build_preset(preset, overrides)
+        spec = build_preset(cfg["problem"]["preset"], cfg["problem"]["overrides"])
     except ValueError as exc:
         raise ConfigError(f"/problem: {exc}") from exc
 
@@ -232,7 +228,7 @@ def parse_config(source, command: Optional[str] = None,
 
 
 # ---------------------------------------------------------------------------
-# experiment dispatch: each runner returns (summary, tables, flags)
+# experiment dispatch: each runner returns (summary, tables, flags, bundle)
 
 def _run_solve(cfg: RunConfig):
     grid, sched, bundle, sol = lab._solve_mc(cfg.spec, cfg.N, cfg.mc,
@@ -253,41 +249,13 @@ def _run_solve(cfg: RunConfig):
     return summary, {"steps": steps}, flags, bundle
 
 
-def _run_converge(cfg: RunConfig):
-    exp = cfg.experiment
-    rep = lab.run_convergence(cfg.spec, exp["Ns"], cfg.mc, oracle=exp["oracle"])
-    cells = rep.rows()
-    mono = all(b["y0_err"] < a["y0_err"] for a, b in zip(cells, cells[1:]))
-    flags = {
-        "y0_err_monotone": mono,
-        "slopes_fitted": all(v is not None for v in rep.slopes.values()),
-    }
-    return rep.to_dict(), {"convergence": cells}, flags, None
-
-
-def _run_reflect_sweep(cfg: RunConfig):
-    exp = cfg.experiment
-    rep = lab.run_discrete_reflection_sweep(cfg.spec, exp["N"], exp["kappas"],
-                                            engine=exp["engine"])
-    flags = {"monotone_nondecreasing": rep.reference["monotone_nondecreasing"]}
-    return rep.to_dict(), {"reflection_sweep": rep.rows()}, flags, None
-
-
-def _run_stability(cfg: RunConfig):
-    exp = cfg.experiment
-    rep = lab.run_stability(cfg.spec, exp["perturbation"], exp["levels"],
-                            cfg.mc, N=cfg.N)
-    cells = rep.rows()
-
-    def decreasing(key):
-        return all(b[key] < a[key] for a, b in zip(cells, cells[1:]))
-
-    # cells are ordered from the largest perturbation to the smallest for
-    # drift-shift, and from the coarsest grid to the finest for euler-vs-exact
-    flags = {f"{k}_decreasing": decreasing(k) for k in ("D_Y", "D_Z", "D_K")}
-    ratios = [c["ratio_Y"] for c in cells]
-    flags["ratio_bounded"] = max(ratios) <= 2.0 * ratios[0]
-    return rep.to_dict(), {"stability": cells}, flags, None
+def _lab_report(table: str, call):
+    """The runner of a lab experiment with a report of its own: the summary
+    is the report's fields, the one table its cells, the flags its own."""
+    def runner(cfg: RunConfig):
+        rep = call(cfg, cfg.experiment)
+        return rep.to_dict(), {table: rep.rows()}, rep.flags, None
+    return runner
 
 
 def _run_diagnose(cfg: RunConfig):
@@ -298,8 +266,8 @@ def _run_diagnose(cfg: RunConfig):
             for q, d in rep.moments.items() for p, v in d.items()]
     rows.append({"quantity": "tail_sum_max", "p": "", "value": rep.tail_sum_max})
     rows.append({"quantity": "bound_value", "p": "", "value": rep.bound_value})
-    flags = {"within_bound": rep.passed,
-             "skorokhod": sol.skorokhod_flags(cfg.spec, bundle.X_euler)["all"]}
+    flags = dict(rep.flags,
+                 skorokhod=sol.skorokhod_flags(cfg.spec, bundle.X_euler)["all"])
     return rep.to_dict(), {"diagnostics": rows}, flags, bundle
 
 
@@ -343,9 +311,13 @@ def _run_validate(cfg: RunConfig):
 
 _RUNNERS = {
     "solve": _run_solve,
-    "converge": _run_converge,
-    "reflect-sweep": _run_reflect_sweep,
-    "stability": _run_stability,
+    "converge": _lab_report("convergence", lambda cfg, exp: lab.run_convergence(
+        cfg.spec, exp["Ns"], cfg.mc, oracle=exp["oracle"])),
+    "reflect-sweep": _lab_report(
+        "reflection_sweep", lambda cfg, exp: lab.run_discrete_reflection_sweep(
+            cfg.spec, exp["N"], exp["kappas"], engine=exp["engine"])),
+    "stability": _lab_report("stability", lambda cfg, exp: lab.run_stability(
+        cfg.spec, exp["perturbation"], exp["levels"], cfg.mc, N=cfg.N)),
     "diagnose": _run_diagnose,
     "oracle": _run_oracle,
     "validate": _run_validate,

@@ -2,7 +2,8 @@
 
 Each runner is seed-deterministic end to end and returns a frozen report
 dataclass that serializes from its own fields: ``to_dict()`` (for JSON) is
-``dataclasses.asdict``, and ``rows()`` (for CSV) is one flat dict per cell.
+``dataclasses.asdict``, ``rows()`` (for CSV) is one flat dict per cell, and
+the ``flags`` property, no field, is the pass verdict read off its fields.
 Rates are measured as ordinary least-squares slopes on log-log points, with
 a 95% confidence band from standard regression theory.
 """
@@ -112,6 +113,10 @@ class _CellReport(_Report):
         """One flat dict per cell."""
         return [dict(c) for c in self.cells]
 
+    def _decreasing(self, key: str) -> bool:
+        """key falls strictly from each cell to the next."""
+        return all(b[key] < a[key] for a, b in zip(self.cells, self.cells[1:]))
+
 
 # ---------------------------------------------------------------------------
 # convergence in the time grid
@@ -124,6 +129,16 @@ class ConvergenceReport(_CellReport):
     slopes: dict         # error name -> SlopeFit (None if not fittable)
     reference: dict      # oracle identities and reference values
     floor_limited: bool = False
+
+    @property
+    def flags(self) -> dict:
+        """y0_err falls strictly and every slope was fitted, or a sweep's
+        values do not decrease; floor_limited is informational."""
+        if self.kind == "reflection-sweep":
+            return {"monotone_nondecreasing":
+                    self.reference["monotone_nondecreasing"]}
+        return {"y0_err_monotone": self._decreasing("y0_err"),
+                "slopes_fitted": all(v is not None for v in self.slopes.values())}
 
 
 def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
@@ -298,11 +313,16 @@ class StabilityReport(_CellReport):
     cells: tuple
     slopes: dict
     dx_proxy_name: str = "(E sup_i |dX_i|^4)^(1/4)"
-    dw_checksum: str = ""
+    dw_checksum: str = ""   # sha256 of every level's increments, in level order
 
-
-def _dw_checksum(bundle: PathBundle) -> str:
-    return hashlib.sha256(bundle.dW.tobytes()).hexdigest()
+    @property
+    def flags(self) -> dict:
+        """Each D falls strictly from the largest perturbation (eps or mesh)
+        to the smallest, and no ratio_Y exceeds twice the first cell's."""
+        flags = {f"{k}_decreasing": self._decreasing(k) for k in ("D_Y", "D_Z", "D_K")}
+        ratios = [c["ratio_Y"] for c in self.cells]
+        flags["ratio_bounded"] = max(ratios) <= 2.0 * ratios[0]
+        return flags
 
 
 def _deltas(grid: TimeGrid, XA, XB, solA: SchemeSolution, solB: SchemeSolution):
@@ -363,7 +383,8 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
     step increments, and a drift for which the two coincide is rejected
     before any solve.  Both kinds solve their second leg in the one helper
     ``_coupled_cell``, which is where a further leg, such as a lattice one,
-    goes.
+    goes.  ``dw_checksum`` is one sha256 of every level's increments in
+    level order; drift-shift has one bundle, so it hashes that one ``dW``.
 
     Memory: a drift-shift run keeps the base leg and one shifted leg, and
     an euler-vs-exact run keeps the two legs of one N; each cell keeps only
@@ -372,19 +393,20 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
     if not levels:
         raise ValueError("stability levels must not be empty")
     cells = []
+    dw = hashlib.sha256()
     if kind == "drift-shift":
         eps = [float(e) for e in levels]
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps levels must be strictly decreasing")
         _, _, bundle, sol0 = _solve_mc(spec, N, mc)
-        checksum = _dw_checksum(bundle)
+        dw.update(bundle.dW.tobytes())
         b0 = spec.drift
         for e in eps:
             spec_e = dataclasses.replace(
                 spec, drift=lambda t, x, e=e: np.asarray(b0(t, x), dtype=float) + e)
             leg = euler_simulate(spec_e, dataclasses.replace(
                 bundle, X_euler=None, X_exact=None))
-            # the same increments object, so the report's one dW hash covers both legs
+            # the same increments object, so the one dW hash covers both legs
             if leg.dW is not bundle.dW:
                 raise RuntimeError("drift-shift leg does not share the base leg's increments")
             cells.append({**_coupled_cell(spec_e, bundle, sol0, leg.X_euler, mc.basis),
@@ -401,7 +423,7 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
             bundle = exact_simulate(spec, bundle)
             cells.append({**_coupled_cell(spec, bundle, sol0, bundle.X_exact, mc.basis),
                           "N": n, "mesh": grid.mesh})
-            checksum = _dw_checksum(bundle)
+            dw.update(bundle.dW.tobytes())
             del bundle, sol0   # released before the next N is allocated
         x_key, x_name = "mesh", "mesh"
     else:
@@ -411,7 +433,7 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
         d["ratio_Y"] = d["D_Y"] / d["dx_proxy"] if d["dx_proxy"] > 0 else 0.0
     slopes = _slopes(cells, x_key, ("dx_proxy", "D_Y", "D_Z", "D_K"))
     return StabilityReport(kind=kind, x_name=x_name, cells=tuple(cells),
-                           slopes=slopes, dw_checksum=checksum)
+                           slopes=slopes, dw_checksum=dw.hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +448,10 @@ class DiagnosticsReport(_Report):
     grid_N: int
     n_paths: int
     seed: int
+
+    @property
+    def flags(self) -> dict:
+        return {"within_bound": self.passed}
 
 
 def bmo_bound_value(spec: ProblemSpec) -> float:

@@ -266,18 +266,13 @@ def smooth_truncation(z, n: float):
 # ---------------------------------------------------------------------------
 # sampled assumption validation
 
-@dataclass(frozen=True)
-class CloudConfig:
-    n_points: int = 2048
-    x_half_width: float = 3.0   # box around x0
-    y_bound: float = 2.0
-    z_bound: float = 3.0
-    fd_step: float = 1e-5
-
-    def __post_init__(self):
-        if self.n_points < 1000:
-            raise ValueError("cloud must contain at least 10^3 points")
-
+# the fixed cloud of validate_assumptions: its size, its half-widths in x
+# (around x0), y and z, and the step of its finite differences of g
+_CLOUD_POINTS = 2048
+_CLOUD_X = 3.0
+_CLOUD_Y = 2.0
+_CLOUD_Z = 3.0
+_FD_STEP = 1e-5
 
 _PASS_TOL = 1.0 + 1e-6
 _TINY = 1e-300
@@ -290,8 +285,13 @@ def _worst(name, ratios, witnesses):
                        worst_ratio=float(ratios[k]), witness=tuple(witnesses[k]))
 
 
-def validate_assumptions(spec: ProblemSpec, cloud: CloudConfig = CloudConfig()) -> AssumptionReport:
+def validate_assumptions(spec: ProblemSpec) -> AssumptionReport:
     """Check (HX), (HF), (HT), (H1), (H2) numerically on a quasi-random cloud.
+
+    The cloud is fixed: 2048 unscrambled Sobol points with t in [0, T],
+    x in x0 +/- 3, |y| <= 2 and each z component in [-3, 3], each paired
+    with a partner at one of six separations; derivatives of g are central
+    differences of step 1e-5.
 
     Each inequality is evaluated as the ratio observed-LHS / permitted-RHS; a
     check passes iff the worst ratio over the cloud is <= 1 + 1e-6.  Failures
@@ -300,7 +300,7 @@ def validate_assumptions(spec: ProblemSpec, cloud: CloudConfig = CloudConfig()) 
     # imported at its one use, so that `import qrbsde` never loads scipy.stats
     from scipy.stats import qmc
 
-    n = cloud.n_points
+    n = _CLOUD_POINTS
     sob = qmc.Sobol(d=7, scramble=False, seed=0)
     u = sob.random(n)
     # skip the all-zeros first Sobol point to avoid degenerate pairs
@@ -308,16 +308,16 @@ def validate_assumptions(spec: ProblemSpec, cloud: CloudConfig = CloudConfig()) 
 
     t = u[:, 0] * spec.T
     s = u[:, 1] * t  # s <= t for the time-Hoelder pairs
-    x = spec.x0 + (2.0 * u[:, 2] - 1.0) * cloud.x_half_width
-    y = (2.0 * u[:, 3] - 1.0) * cloud.y_bound
-    z = (2.0 * u[:, 4] - 1.0)[:, None] * cloud.z_bound * np.ones((1, spec.m))
+    x = spec.x0 + (2.0 * u[:, 2] - 1.0) * _CLOUD_X
+    y = (2.0 * u[:, 3] - 1.0) * _CLOUD_Y
+    z = (2.0 * u[:, 4] - 1.0)[:, None] * _CLOUD_Z * np.ones((1, spec.m))
     if spec.m > 1:
         z[:, 1:] *= (2.0 * u[:, 5:6] - 1.0)
     # partner points at a spread of separations, so kinks at any scale show up
     scales = np.logspace(-3, -0.5, 6)[np.arange(n) % 6]
-    xp = x + scales * cloud.x_half_width
-    yp = y + scales * cloud.y_bound
-    zp = z + scales[:, None] * cloud.z_bound
+    xp = x + scales * _CLOUD_X
+    yp = y + scales * _CLOUD_Y
+    zp = z + scales[:, None] * _CLOUD_Z
 
     checks = {}
 
@@ -382,7 +382,7 @@ def validate_assumptions(spec: ProblemSpec, cloud: CloudConfig = CloudConfig()) 
         list(zip(s, t, x)))
 
     # --- (H1) / (H2): finite-difference derivatives of g
-    h = cloud.fd_step
+    h = _FD_STEP
     dg = (g(x + h) - g(x - h)) / (2.0 * h)
     dgp = (g(xp + h) - g(xp - h)) / (2.0 * h)
     checks["H1.dg_bound"] = _worst(
@@ -403,6 +403,6 @@ def validate_assumptions(spec: ProblemSpec, cloud: CloudConfig = CloudConfig()) 
         list(zip(s, t)))
 
     desc = (f"{n} Sobol points; t in [0,{spec.T}], x in "
-            f"[{spec.x0 - cloud.x_half_width},{spec.x0 + cloud.x_half_width}], "
-            f"|y| <= {cloud.y_bound}, |z| <= {cloud.z_bound}")
+            f"[{spec.x0 - _CLOUD_X},{spec.x0 + _CLOUD_X}], "
+            f"|y| <= {_CLOUD_Y}, |z| <= {_CLOUD_Z}")
     return AssumptionReport(checks=checks, cloud_description=desc)

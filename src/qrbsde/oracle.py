@@ -142,11 +142,11 @@ class SpaceGrid:
                            range(len(tail)), range(-len(tail), 0))
 
 
-def build_space_grid(spec: ProblemSpec, J: int = 401, quad_order: int = 15,
-                     n_sigmas: float = 6.0) -> SpaceGrid:
-    """Nodes covering x0 +/- n_sigmas * sigma_bar * sqrt(T), padded for drift."""
+def build_space_grid(spec: ProblemSpec, J: int = 401,
+                     quad_order: int = 15) -> SpaceGrid:
+    """Nodes covering x0 +/- 6 sigma_bar sqrt(T), padded for drift."""
     sigma_bar = max(spec.sigma_norm(t) for t in np.linspace(0.0, spec.T, 9))
-    half = n_sigmas * sigma_bar * math.sqrt(spec.T)
+    half = 6.0 * sigma_bar * math.sqrt(spec.T)
     lo, hi = spec.x0 - half, spec.x0 + half
     # one expansion pass so drift cannot push quadrature points off the grid
     bmax = float(np.max(np.abs(np.asarray(

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from qrbsde.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, config_hash, main,
-                        parse_config)
+from qrbsde import lab
+from qrbsde.cli import (EXIT_CONFIG, EXIT_FLAGS, EXIT_OK, ConfigError,
+                        config_hash, main, parse_config)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:quadrature points left the space grid")
@@ -86,13 +87,16 @@ def test_config_hash_stable_under_key_reordering():
     ({"mc": {"seed": 2 ** 64}}, "/mc/seed"),
     # integers beyond the float range are not finite numbers
     ({"problem": {"overrides": {"T": 10 ** 400}}}, "/problem/overrides/T"),
-    ({"grid": {"T": 10 ** 400}}, "/grid/T"),
+    # T has one way in, /problem/overrides/T: /grid/T is a foreign key
+    ({"grid": {"T": 2}}, "/grid/T"),
+    # more integers beyond the float range
     ({"truncation": {"M_z": 10 ** 400}}, "/truncation/M_z"),
     ({"mc": {"basis": {"domain": [0, 10 ** 400]}}}, "/mc/basis/domain"),
     ({"experiment": {"kind": "stability", "levels": [10 ** 400]}},
      "/experiment/levels"),
     # too long for repr (over 4300 digits): the error names the type instead
-    ({"grid": {"T": 10 ** 5000}}, "^/grid/T: bad value <int too long to print>$"),
+    ({"problem": {"overrides": {"T": 10 ** 5000}}},
+     "^/problem/overrides/T: bad value <int too long to print>$"),
     ({"mc": {"basis": {"domain": [0, 10 ** 5000]}}},
      "^/mc/basis/domain: bad value <list too long to print>$"),
 ])
@@ -111,6 +115,12 @@ def test_experiment_echo_carries_its_defaults():
     levels = parse_config({"experiment": {"perturbation": "euler-vs-exact"}},
                           command="stability").experiment["levels"]
     assert levels == [8, 16, 32, 64]
+
+
+def test_grid_T_is_an_unknown_key(tmp_path, capsys):
+    assert main(["solve", "--config", '{"grid": {"T": 2}}',
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "/grid/T: unknown key 'T'" in capsys.readouterr().err
 
 
 def test_reflection_forms():
@@ -212,7 +222,7 @@ def test_ill_typed_overrides_exit_config(tmp_path, overrides):
 
 
 def test_int_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
-    config = '{"grid": {"T": 1%s}}' % ("0" * 5000)
+    config = '{"problem": {"overrides": {"T": 1%s}}}' % ("0" * 5000)
     assert main(["validate", "--config", config,
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert "config is not readable JSON" in capsys.readouterr().err
@@ -287,3 +297,54 @@ def test_env_var_out_root(tmp_path, monkeypatch):
     code = main(["solve", "--config", json.dumps(SMALL_SOLVE)])
     assert code == EXIT_OK
     assert (tmp_path / "root" / "solve" / "summary.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# pass flags: a lab report's own, written as they are
+
+SMALL_P2 = dict(SMALL_SOLVE, problem={"preset": "P2-mixed-quadratic"})
+
+
+@pytest.mark.parametrize("command, runner, config", [
+    ("converge", "run_convergence",
+     dict(SMALL_SOLVE, experiment={"Ns": [4, 8, 16, 32]})),
+    ("reflect-sweep", "run_discrete_reflection_sweep",
+     {"experiment": {"N": 8, "kappas": [2, 4]}}),
+    ("stability", "run_stability", SMALL_P2),
+    ("stability", "run_stability",
+     dict(SMALL_P2, experiment={"perturbation": "euler-vs-exact", "levels": [4, 8, 16]})),
+    ("diagnose", "run_diagnostics", SMALL_SOLVE),
+], ids=["converge", "reflect-sweep", "drift-shift", "euler-vs-exact", "diagnose"])
+def test_summary_flags_are_the_report_flags(tmp_path, monkeypatch, command,
+                                            runner, config):
+    reports, call = [], getattr(lab, runner)
+
+    def recorded(*args, **kwargs):
+        reports.append(call(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(lab, runner, recorded)
+    code, out = _run(tmp_path, command, config)
+    summary = json.loads((out / "summary.json").read_text())
+    want = dict(reports[0].flags)
+    if command == "diagnose":
+        want["skorokhod"] = True
+    assert summary["flags"] == want
+    assert summary["pass"] == all(want.values())
+    assert code == (EXIT_OK if summary["pass"] else EXIT_FLAGS)
+
+
+def test_a_false_report_flag_exits_4(tmp_path, monkeypatch):
+    # D_Y rises from the first cell to the second; every other flag holds
+    cells = tuple({"eps": e, "dx_proxy": 1.0, "D_Y": d, "D_Z": 1.0 / n,
+                   "D_K": 1.0 / n, "ratio_Y": d}
+                  for n, (e, d) in enumerate([(0.2, 0.1), (0.1, 0.15)], 1))
+    rep = lab.StabilityReport(kind="drift-shift", x_name="eps", cells=cells,
+                              slopes={})
+    monkeypatch.setattr(lab, "run_stability", lambda *a, **k: rep)
+    code, out = _run(tmp_path, "stability", {})
+    assert code == 4 == EXIT_FLAGS
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False
+    assert summary["flags"] == {"D_Y_decreasing": False, "D_Z_decreasing": True,
+                                "D_K_decreasing": True, "ratio_bounded": True}

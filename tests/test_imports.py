@@ -7,7 +7,8 @@ re-exporting ``__init__.py``, every name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere in that module; and across the
 package ``PchipInterpolator`` is constructed in exactly one function,
 ``fit_least_squares`` is called only by the step's projection and the
-diagnostics' tail-sum regression, ``z_projection_step`` only by the
+diagnostics' tail-sum regression, ``localize_basis`` only by the backward
+loop and that regression, ``z_projection_step`` only by the
 one backward-step kernel, and ``solve_backward`` and ``_deltas`` only by
 the runners' one Monte Carlo leg and one coupled stability leg.  A fresh
 interpreter that imports the package and runs a small convergence study never loads ``scipy.stats``,
@@ -85,6 +86,8 @@ def test_checker_finds_every_pchip_builder():
 HOMES = {
     "PchipInterpolator": ["oracle.SpaceGrid.interpolate"],
     "fit_least_squares": ["lab.run_diagnostics", "scheme.z_projection_step"],
+    # one place localizes a basis for each of the two regressions above
+    "localize_basis": ["lab.run_diagnostics", "scheme.backward_steps"],
     # the backward loop has one home: a second copy, such as a separate pilot
     # loop, would be a second caller
     "z_projection_step": ["scheme.backward_steps"],

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import weakref
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from scipy import stats
 
 from qrbsde import lab, oracle
-from qrbsde.forward import euler_simulate, exact_simulate, make_grid
+from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
+                            sample_increments)
 from qrbsde.model import build_preset
 from qrbsde.regress import BasisSpec
 from qrbsde.scheme import solve_backward
@@ -190,6 +192,22 @@ def test_stability_drift_shift_scaling():
     assert rep.dw_checksum
 
 
+@pytest.mark.parametrize("kind, levels, Ns", [
+    ("drift-shift", [0.2, 0.1], [8]),
+    ("euler-vs-exact", [4, 8, 16], [4, 8, 16]),
+])
+def test_stability_checksum_hashes_every_level_in_order(kind, levels, Ns):
+    # drift-shift's legs share one bundle: its checksum is that dW's sha256
+    spec = build_preset("P2-mixed-quadratic")
+    mc = lab.MCConfig(n_paths=300, seed=0, basis=BasisSpec(degree=2), M_z=2.0)
+    rep = lab.run_stability(spec, kind, levels, mc, N=8)
+    want = hashlib.sha256()
+    for n in Ns:
+        grid, _ = make_grid(n, spec.T)
+        want.update(sample_increments(grid, 300, 0, spec.m).dW.tobytes())
+    assert rep.dw_checksum == want.hexdigest()
+
+
 def test_stability_zero_perturbation_is_exact_zero():
     spec = build_preset("P2-mixed-quadratic")
     rep = lab.run_stability(spec, "drift-shift", [0.1, 0.0], SMALL_MC, N=8)
@@ -335,6 +353,67 @@ def test_stability_rejects_a_degenerate_exact_coupling_before_any_solve(monkeypa
     with pytest.raises(ValueError, match="coupling is degenerate"):
         lab.run_stability(build_preset("P1-pure-quadratic"), "euler-vs-exact",
                           [4, 8, 16], SMALL_MC)
+
+
+# ---------------------------------------------------------------------------
+# pass flags, read off hand-built reports
+
+def _stability_report(**columns):
+    """A two-cell drift-shift report whose every flag holds unless columns
+    replace one; ratio_Y's second cell sits on its bound."""
+    cols = {"D_Y": (2.0, 1.0), "D_Z": (2.0, 1.0), "D_K": (2.0, 1.0),
+            "ratio_Y": (1.0, 2.0), **columns}
+    cells = tuple({k: v[j] for k, v in cols.items()} for j in range(2))
+    return lab.StabilityReport(kind="drift-shift", x_name="eps", cells=cells,
+                               slopes={})
+
+
+@pytest.mark.parametrize("column, values, flag", [
+    ("D_Y", (1.0, 1.0), "D_Y_decreasing"),
+    ("D_Z", (1.0, 3.0), "D_Z_decreasing"),
+    ("D_K", (1.0, 1.5), "D_K_decreasing"),
+    ("ratio_Y", (1.0, 2.5), "ratio_bounded"),
+])
+def test_stability_flags(column, values, flag):
+    held = {"D_Y_decreasing": True, "D_Z_decreasing": True,
+            "D_K_decreasing": True, "ratio_bounded": True}
+    assert _stability_report().flags == held
+    assert _stability_report(**{column: values}).flags == dict(held, **{flag: False})
+
+
+def _convergence_report(y0_err=(0.2, 0.1), z_slope=lab.SlopeFit(1.0, 0.0, 0.1, 3)):
+    cells = tuple({"mesh": h, "y0_err": e} for h, e in zip((0.5, 0.25), y0_err))
+    return lab.ConvergenceReport(
+        kind="grid-refinement", x_name="mesh", cells=cells,
+        slopes={"y0_err": lab.SlopeFit(1.0, 0.0, 0.1, 3), "z_err": z_slope},
+        reference={})
+
+
+def test_convergence_flags():
+    assert _convergence_report().flags == {"y0_err_monotone": True,
+                                           "slopes_fitted": True}
+    assert _convergence_report(y0_err=(0.1, 0.1)).flags == {
+        "y0_err_monotone": False, "slopes_fitted": True}
+    assert _convergence_report(z_slope=None).flags == {
+        "y0_err_monotone": True, "slopes_fitted": False}
+
+
+@pytest.mark.parametrize("monotone", [True, False])
+def test_reflection_sweep_flags_read_the_reference(monotone):
+    # the y0 column falls here: the flag is the reference's, not a new rule
+    cells = ({"reflection_mesh": 0.5, "y0": 0.2}, {"reflection_mesh": 0.25, "y0": 0.1})
+    rep = lab.ConvergenceReport(kind="reflection-sweep", x_name="reflection_mesh",
+                                cells=cells, slopes={"gap": None},
+                                reference={"monotone_nondecreasing": monotone})
+    assert rep.flags == {"monotone_nondecreasing": monotone}
+
+
+@pytest.mark.parametrize("passed", [True, False])
+def test_diagnostics_flags(passed):
+    rep = lab.DiagnosticsReport(tail_sum_max=1.0, bound_value=1.5, passed=passed,
+                                moments={}, grid_N=4, n_paths=10, seed=0)
+    assert rep.flags == {"within_bound": passed}
+    assert "flags" not in rep.to_dict()
 
 
 # ---------------------------------------------------------------------------

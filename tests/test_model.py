@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrbsde.forward import euler_simulate, make_grid, sample_increments
-from qrbsde.model import (AffineInY, CloudConfig, build_preset, clip_obstacle,
+from qrbsde.model import (AffineInY, build_preset, clip_obstacle,
                           smooth_truncation, soft_clip_obstacle,
                           validate_assumptions, y_bound)
 from qrbsde.regress import BasisSpec
@@ -192,11 +192,6 @@ def test_kinked_obstacle_fails_h1_smooth_variant_passes():
     smooth = build_preset("P1-pure-quadratic", {"smooth_g": True, "L": 100.0})
     srep = validate_assumptions(smooth)
     assert srep.passes("H1") and srep.passes("H2")
-
-
-def test_cloud_config_minimum_size():
-    with pytest.raises(ValueError):
-        CloudConfig(n_points=100)
 
 
 def test_soft_clip_tracks_clip():
