@@ -37,4 +37,4 @@ print("== conditional tail sums vs the exponential bound ==")
 for name in ("P1-pure-quadratic", "P2-mixed-quadratic", "P3-lipschitz"):
     d = lab.run_diagnostics(build_preset(name), 64, mc)
     print(f"{name:<22} max tail sum {d.tail_sum_max:>8.4f}  "
-          f"bound {d.bound_value:>8.2f}  passed={d.passed}")
+          f"bound {d.bound_value:>8.2f}  passed={d.flags['within_bound']}")

@@ -23,7 +23,8 @@ from .forward import (PathBundle, TimeGrid, euler_simulate, exact_simulate,
 from .model import ProblemSpec, TruncationRadius, y_bound
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec, build_basis, fit_least_squares, localize_basis
-from .scheme import SchemeSolution, estimate_Mz_auto, solve_backward
+from .scheme import (SchemeSolution, backward_steps, estimate_Mz_auto,
+                     solve_backward, y0_estimates)
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,21 @@ class MCConfig:
             raise ValueError("need at least one path")
 
 
-def _solve_mc(spec, N, mc: MCConfig, reflection="all"):
-    """Monte Carlo leg of a runner: grid, Euler bundle, truncation radius, solve."""
+def _mc_setup(spec, N, mc: MCConfig, reflection="all"):
+    """Grid, Euler bundle and truncation radius: the user's M_z, else the pilot's."""
     grid, sched = make_grid(N, spec.T, reflection)
     bundle = euler_simulate(spec, sample_increments(grid, mc.n_paths, mc.seed, spec.m))
     if mc.M_z is not None:
         radius = TruncationRadius(float(mc.M_z), "user-supplied")
     else:
         radius = estimate_Mz_auto(spec, grid, sched, bundle, mc.basis)
-    sol = solve_backward(spec, grid, sched, bundle, mc.basis, radius)
-    return grid, sched, bundle, sol
+    return grid, sched, bundle, radius
+
+
+def _solve_mc(spec, N, mc: MCConfig, reflection="all"):
+    """Monte Carlo leg of a runner: its set-up and the stored path solve."""
+    grid, sched, bundle, radius = _mc_setup(spec, N, mc, reflection)
+    return grid, sched, bundle, solve_backward(spec, grid, sched, bundle, mc.basis, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -143,42 +149,42 @@ class ConvergenceReport(_CellReport):
 
 def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
                       stride: int, y0_ref: float):
-    """One grid size of ``run_convergence``: the path solve and the lattice
-    solve at N, compared with each other and with the reference on the path
-    cloud.  Returns the cell and the lattice solve's off-grid count; the
-    paths and both solutions are released before the next grid size."""
-    grid, sched, bundle, sol = _solve_mc(spec, N, mc)
+    """One grid size of ``run_convergence``: the path scheme, read as each
+    ``backward_steps`` step is yielded and kept nowhere, and the lattice solve
+    at N, compared with each other and with the reference on the path cloud.
+    Returns the cell and the lattice solve's off-grid count."""
+    grid, sched, bundle, radius = _mc_setup(spec, N, mc)
     X = bundle.X_euler
     orc = exact_scheme_solve(spec, grid, sched, space)
     y0_orc = orc.y0
 
     sup_y = 0.0           # quadrature-at-N vs fine reference
     mc_sup_y = 0.0        # path solver vs quadrature-at-N
-    z_terms = np.zeros(mc.n_paths)
-    mc_z_terms = np.zeros(mc.n_paths)
-    for i in range(N):
+    z_terms, mc_z_terms = np.zeros(mc.n_paths), np.zeros(mc.n_paths)
+    for step in backward_steps(spec, grid, sched, bundle, mc.basis, radius):
+        i = step.i
         v = space.interpolate(np.column_stack(
             [ref.y[stride * i], orc.y[i], ref.z[stride * i], orc.z[i]]), X[:, i])
         y_ref_i, y_orc_i = v[:, 0], v[:, 1]
         z_ref_i, z_orc_i = v[:, 2:2 + spec.m], v[:, 2 + spec.m:]
         sup_y = max(sup_y, float(np.sqrt(np.mean((y_orc_i - y_ref_i) ** 2))))
-        mc_sup_y = max(mc_sup_y,
-                       float(np.sqrt(np.mean((sol.Ybar[:, i] - y_orc_i) ** 2))))
+        mc_sup_y = max(mc_sup_y, float(np.sqrt(np.mean((step.y - y_orc_i) ** 2))))
         z_terms += np.sum((z_orc_i - z_ref_i) ** 2, axis=-1) * grid.dt[i]
-        mc_z_terms += np.sum((sol.Zbar[:, i, :] - z_orc_i) ** 2,
-                             axis=-1) * grid.dt[i]
+        mc_z_terms += np.sum((step.z - z_orc_i) ** 2, axis=-1) * grid.dt[i]
+    # the last step is i = 0: its y is Ybar_0 and its y_next is Ybar_1
+    y0_fit, y0_se = y0_estimates(step.y, step.y_next)
 
     cell = {
         "N": N, "mesh": grid.mesh,
-        "y0_scheme": sol.y0_fit, "y0_se": sol.y0_se,
+        "y0_scheme": y0_fit, "y0_se": y0_se,
         "y0_oracle": y0_orc, "y0_ref": y0_ref,
         "y0_err": abs(y0_orc - y0_ref),
         "y_sup_err": sup_y,
         "z_err": float(np.mean(z_terms)),
-        "mc_y0_gap": abs(sol.y0_fit - y0_orc),
+        "mc_y0_gap": abs(y0_fit - y0_orc),
         "mc_y_sup_err": mc_sup_y,
         "mc_z_gap": float(np.mean(mc_z_terms)),
-        "M_z": sol.radius.M_z,
+        "M_z": radius.M_z,
     }
     return cell, orc.off_grid
 
@@ -206,6 +212,9 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
 
     Spatial L2 norms are taken over the simulated path cloud, so both layers
     use the same (forward-law) weighting.
+
+    Memory: a cell keeps its increments, Euler states, lattice solve and a
+    few (P,) sums; it reads the path scheme one step at a time, storing none.
     """
     Ns = [int(n) for n in Ns]
     if len(Ns) < 4:
@@ -443,7 +452,6 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
 class DiagnosticsReport(_Report):
     tail_sum_max: float        # max over i of 99th-pct fitted conditional tail sum
     bound_value: float         # exp(4 alpha M)/alpha^2 [1 + 2 alpha M_f (1+M) T]
-    passed: bool
     moments: dict              # {"sumZ2": {p: E[S^p]}, "K_T": {p: E[K^p]}}
     grid_N: int
     n_paths: int
@@ -451,7 +459,7 @@ class DiagnosticsReport(_Report):
 
     @property
     def flags(self) -> dict:
-        return {"within_bound": self.passed}
+        return {"within_bound": self.tail_sum_max <= self.bound_value}
 
 
 def bmo_bound_value(spec: ProblemSpec) -> float:
@@ -505,6 +513,5 @@ def run_diagnostics(spec: ProblemSpec, N: int, mc: MCConfig,
         "K_T": {p: float(np.mean(K ** p)) for p in (1, 2, 4)},
     }
     return DiagnosticsReport(
-        tail_sum_max=tail_max, bound_value=bound,
-        passed=bool(tail_max <= bound), moments=moments,
+        tail_sum_max=tail_max, bound_value=bound, moments=moments,
         grid_N=grid.N, n_paths=bundle.n_paths, seed=bundle.seed)

@@ -210,6 +210,13 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
         y_next = y
 
 
+def y0_estimates(y0: np.ndarray, y1: np.ndarray) -> tuple:
+    """A solve's (y0_fit, y0_se) from Ybar_0 and Ybar_1: Ybar_0 on any path,
+    as all share the deterministic X_0, and std(Ybar_1, ddof=1)/sqrt(P)."""
+    P = y1.shape[0]
+    return float(y0[0]), float(np.std(y1, ddof=1) / math.sqrt(P)) if P > 1 else 0.0
+
+
 def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
                    bundle: PathBundle, basis: BasisSpec,
                    radius: TruncationRadius) -> SchemeSolution:
@@ -230,11 +237,7 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
         Ybar[:, i], Zbar[:, i, :], dK[:, i] = step.y, step.z, step.dk
         picard[i], conds[i], rmses[i] = step.picard, step.cond, step.rmse
 
-    # the fitted value propagated through the step at x0, which every path
-    # shares since X_0 is deterministic
-    y0_fit = float(Ybar[0, 0])
-    y0_se = float(np.std(Ybar[:, 1], ddof=1) / math.sqrt(P)) if P > 1 else 0.0
-
+    y0_fit, y0_se = y0_estimates(Ybar[:, 0], Ybar[:, 1])
     return SchemeSolution(
         grid=grid, schedule=schedule, radius=radius,
         Ybar=Ybar, Zbar=Zbar, dK=dK, y0_fit=y0_fit, y0_se=y0_se,

@@ -186,6 +186,15 @@ def test_validate_always_reports(tmp_path):
     assert not groups["H1"]
 
 
+def test_validate_flags_are_its_group_verdicts(tmp_path):
+    # P1 fails (H1)/(H2), so the run does not pass, yet still exits 0
+    code, out = _run(tmp_path, "validate", {"problem": {"preset": "P1-pure-quadratic"}})
+    assert code == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False
+    assert summary["flags"] == summary["results"]["groups"]
+
+
 def test_oracle_subcommand(tmp_path):
     code, out = _run(tmp_path, "oracle", {"grid": {"N": 16}})
     assert code == EXIT_OK

@@ -9,8 +9,9 @@ package ``PchipInterpolator`` is constructed in exactly one function,
 ``fit_least_squares`` is called only by the step's projection and the
 diagnostics' tail-sum regression, ``localize_basis`` only by the backward
 loop and that regression, ``z_projection_step`` only by the
-one backward-step kernel, and ``solve_backward`` and ``_deltas`` only by
-the runners' one Monte Carlo leg and one coupled stability leg.  A fresh
+one backward-step kernel, ``backward_steps`` only by the stored solve, the
+M_z pilot and the convergence cell, and ``solve_backward`` and ``_deltas``
+only by the runners' one Monte Carlo leg and one coupled stability leg.  A fresh
 interpreter that imports the package and runs a small convergence study never loads ``scipy.stats``,
 ``scipy.linalg`` (each least-squares fit makes one numpy ``eigh``), nor
 ``scipy.interpolate`` and the subpackages that it pulls in; it loads
@@ -91,6 +92,10 @@ HOMES = {
     # the backward loop has one home: a second copy, such as a separate pilot
     # loop, would be a second caller
     "z_projection_step": ["scheme.backward_steps"],
+    # the stored solve, the M_z pilot and the convergence cell, which reads
+    # each step as it is yielded, walk the one backward loop
+    "backward_steps": ["lab._convergence_cell", "scheme.solve_backward",
+                       "scheme.estimate_Mz_auto"],
     # both stability kinds solve and compare their second leg in one helper
     "solve_backward": ["lab._solve_mc", "lab._coupled_cell"],
     "_deltas": ["lab._coupled_cell"],

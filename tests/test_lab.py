@@ -95,6 +95,62 @@ def test_convergence_evaluates_each_oracle_step_once(monkeypatch):
     assert len(evals) == sum(Ns)
 
 
+def test_convergence_stores_no_path_solution(monkeypatch):
+    def no_stored_solve(*args, **kwargs):
+        raise AssertionError("run_convergence reached a stored path solve")
+
+    monkeypatch.setattr(lab, "solve_backward", no_stored_solve)
+    monkeypatch.setattr(lab, "_solve_mc", no_stored_solve)
+    rep = lab.run_convergence(build_preset("P1-pure-quadratic"), [4, 8, 16, 32],
+                              lab.MCConfig(n_paths=500, seed=0, basis=BasisSpec(degree=2)))
+    assert [c["N"] for c in rep.cells] == [4, 8, 16, 32]
+
+
+def _whole_array_cell(spec, N, mc, space, ref, stride, y0_ref):
+    """A convergence cell from the stored solve, its columns read in
+    ascending time order."""
+    grid, sched, bundle, sol = lab._solve_mc(spec, N, mc)
+    X = bundle.X_euler
+    orc = oracle.exact_scheme_solve(spec, grid, sched, space)
+    sup_y = mc_sup_y = 0.0
+    z_terms, mc_z_terms = np.zeros(mc.n_paths), np.zeros(mc.n_paths)
+    for i in range(N):
+        v = space.interpolate(np.column_stack(
+            [ref.y[stride * i], orc.y[i], ref.z[stride * i], orc.z[i]]), X[:, i])
+        y_ref_i, y_orc_i, z_ref_i, z_orc_i = v[:, 0], v[:, 1], v[:, 2:3], v[:, 3:]
+        sup_y = max(sup_y, float(np.sqrt(np.mean((y_orc_i - y_ref_i) ** 2))))
+        mc_sup_y = max(mc_sup_y,
+                       float(np.sqrt(np.mean((sol.Ybar[:, i] - y_orc_i) ** 2))))
+        z_terms += np.sum((z_orc_i - z_ref_i) ** 2, axis=-1) * grid.dt[i]
+        mc_z_terms += np.sum((sol.Zbar[:, i, :] - z_orc_i) ** 2, axis=-1) * grid.dt[i]
+    return {
+        "N": N, "mesh": grid.mesh, "y0_scheme": sol.y0_fit, "y0_se": sol.y0_se,
+        "y0_oracle": orc.y0, "y0_ref": y0_ref, "y0_err": abs(orc.y0 - y0_ref),
+        "y_sup_err": sup_y, "z_err": float(np.mean(z_terms)),
+        "mc_y0_gap": abs(sol.y0_fit - orc.y0), "mc_y_sup_err": mc_sup_y,
+        "mc_z_gap": float(np.mean(mc_z_terms)), "M_z": sol.radius.M_z,
+    }
+
+
+@pytest.mark.parametrize("M_z", [None, 2.0])
+def test_streamed_convergence_cell_matches_the_stored_solve(M_z):
+    # the cell reads each backward step as it is yielded, so its z sums add
+    # in descending time order: only those two may move, in the last bits
+    spec = build_preset("P1-pure-quadratic")
+    mc = lab.MCConfig(n_paths=1500, seed=3, basis=BasisSpec(degree=3), M_z=M_z)
+    N = 8
+    space = oracle.build_space_grid(spec)
+    grid_ref, sched_ref = make_grid(2 * N, spec.T, "all")
+    ref = oracle.exact_scheme_solve(spec, grid_ref, sched_ref, space)
+    args = (spec, N, mc, space, ref, 2, ref.y0)
+    got, _ = lab._convergence_cell(*args)
+    want = _whole_array_cell(*args)
+    assert list(got) == list(want)
+    for key in ("z_err", "mc_z_gap"):
+        assert got.pop(key) == pytest.approx(want.pop(key), rel=1e-12, abs=0)
+    assert got == want
+
+
 def test_convergence_small_run_shapes_and_monotonicity():
     spec = build_preset("P1-pure-quadratic")
     rep = lab.run_convergence(spec, [4, 8, 16, 32], SMALL_MC)
@@ -410,7 +466,7 @@ def test_reflection_sweep_flags_read_the_reference(monotone):
 
 @pytest.mark.parametrize("passed", [True, False])
 def test_diagnostics_flags(passed):
-    rep = lab.DiagnosticsReport(tail_sum_max=1.0, bound_value=1.5, passed=passed,
+    rep = lab.DiagnosticsReport(tail_sum_max=1.0 if passed else 2.0, bound_value=1.5,
                                 moments={}, grid_N=4, n_paths=10, seed=0)
     assert rep.flags == {"within_bound": passed}
     assert "flags" not in rep.to_dict()
@@ -432,7 +488,7 @@ def test_bound_value_closed_forms():
 def test_diagnostics_p1_small():
     spec = build_preset("P1-pure-quadratic")
     rep = lab.run_diagnostics(spec, 16, SMALL_MC)
-    assert rep.passed and rep.tail_sum_max <= rep.bound_value
+    assert rep.flags["within_bound"] and rep.tail_sum_max <= rep.bound_value
     assert set(rep.moments) == {"sumZ2", "K_T"}
     for d in rep.moments.values():
         assert set(d) == {1, 2, 4}
