@@ -7,8 +7,6 @@ noise-free oracles. Run from the repo root:
     python3 demos/01_solve_and_inspect.py
 """
 
-import numpy as np
-
 from qrbsde.forward import euler_simulate, make_grid, sample_increments
 from qrbsde.model import build_preset, y_bound
 from qrbsde.oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
@@ -31,12 +29,12 @@ print(f"auto truncation radius M_z = {radius.M_z:.3f} ({radius.provenance})")
 sol = solve_backward(spec, grid, sched, bundle, basis, radius)
 print(f"Y0 (fit at x0)  = {sol.y0_fit:.5f}  (SE {sol.y0_se:.1e})")
 
-# the discrete Skorokhod conditions hold exactly, not approximately
-flags = sol.skorokhod_flags(spec, bundle.X_euler)
-print("skorokhod flags:", flags)
-kT = sol.K_terminal
-print(f"K_T: mean {np.mean(kT):.4f}, max {np.max(kT):.4f}, "
-      f"fraction of paths ever pushed: {np.mean(kT > 0):.2%}")
+# the discrete Skorokhod conditions hold exactly, not approximately; they
+# are checked, like K_T, as the backward steps are yielded
+print("skorokhod flags:", sol.skorokhod)
+summary = sol.summary()
+print(f"K_T: mean {summary['K_T_mean']:.4f}, std {summary['K_T_std']:.4f}, "
+      f"max {summary['K_T_max']:.4f}")
 
 # cross-check against quadrature and the exponential-transform Snell value
 space = build_space_grid(spec)

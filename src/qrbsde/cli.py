@@ -233,20 +233,13 @@ def parse_config(source, command: Optional[str] = None,
 def _run_solve(cfg: RunConfig):
     grid, sched, bundle, sol = lab._solve_mc(cfg.spec, cfg.N, cfg.mc,
                                              cfg.reflection)
-    sk = sol.skorokhod_flags(cfg.spec, bundle.X_euler)
     summary = sol.summary()
-    summary["skorokhod"] = sk
-    steps = [{
-        "i": i, "t": float(grid.times[i]),
-        "picard_iters": int(sol.picard_counts[i]),
-        "fit_cond": float(sol.fit_conds[i]),
-        "fit_rmse": float(sol.fit_rmses[i]),
-        "max_abs_z": summary["max_abs_z_per_step"][i],
-        "mean_dK": float(np.mean(sol.dK[:, i])),
-        "reflected_frac": float(np.count_nonzero(sol.dK[:, i] > 0)) / bundle.n_paths,
-    } for i in range(grid.N)]
-    flags = {"skorokhod": sk["all"]}
-    return summary, {"steps": steps}, flags, bundle
+    columns = {"picard_iters": sol.picard_counts, "fit_cond": sol.fit_conds,
+               "fit_rmse": sol.fit_rmses, "max_abs_z": sol.max_abs_z,
+               "mean_dK": sol.mean_dK, "reflected_frac": sol.reflected_frac}
+    steps = [{"i": i, "t": float(grid.times[i]),
+              **{k: v[i].item() for k, v in columns.items()}} for i in range(grid.N)]
+    return summary, {"steps": steps}, {"skorokhod": sol.skorokhod["all"]}, bundle
 
 
 def _lab_report(table: str, call):
@@ -259,16 +252,13 @@ def _lab_report(table: str, call):
 
 
 def _run_diagnose(cfg: RunConfig):
-    grid, sched, bundle, sol = lab._solve_mc(cfg.spec, cfg.N, cfg.mc,
-                                             cfg.reflection)
-    rep = lab.run_diagnostics(cfg.spec, cfg.N, cfg.mc, sol=sol, bundle=bundle)
+    setup = lab._mc_setup(cfg.spec, cfg.N, cfg.mc, cfg.reflection)
+    rep = lab.run_diagnostics(cfg.spec, cfg.N, cfg.mc, setup=setup)
     rows = [{"quantity": q, "p": p, "value": v}
             for q, d in rep.moments.items() for p, v in d.items()]
     rows.append({"quantity": "tail_sum_max", "p": "", "value": rep.tail_sum_max})
     rows.append({"quantity": "bound_value", "p": "", "value": rep.bound_value})
-    flags = dict(rep.flags,
-                 skorokhod=sol.skorokhod_flags(cfg.spec, bundle.X_euler)["all"])
-    return rep.to_dict(), {"diagnostics": rows}, flags, bundle
+    return rep.to_dict(), {"diagnostics": rows}, rep.flags, setup[2]
 
 
 def _run_oracle(cfg: RunConfig):

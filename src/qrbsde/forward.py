@@ -11,6 +11,7 @@ serves as the strong-error oracle.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -116,22 +117,30 @@ class PathBundle:
     n_paths: int
     seed: int
     m: int
-    # path arrays come from path_array: each time slice X[:, i] or
+    # path arrays come from path_array(mapped=True): each time slice X[:, i] or
     # dW[:, i, :] is one contiguous column-major block
     dW: np.ndarray                      # (P, N, m)
     X_euler: Optional[np.ndarray] = None  # (P, N+1)
     X_exact: Optional[np.ndarray] = None  # (P, N+1)
 
 
-def path_array(P: int, *tail: int) -> np.ndarray:
+def path_array(P: int, *tail: int, mapped: bool = False) -> np.ndarray:
     """Zeroed path-indexed array of shape (P, *tail), path axis fastest.
 
     Every engine walks the paths one time slice at a time, so each index of
     the first tail axis owns one contiguous block in which the path axis
     runs fastest: a (P, N+1) array is column-major, and a (P, N, m) slice
-    [:, i, :] is a column-major (P, m) block.
+    [:, i, :] is a column-major (P, m) block.  ``mapped`` arrays (the
+    bundle's) get their own anonymous mapping, unmapped on release: no heap
+    hole is left whose reuse by the next bundle, or not, made peak memory vary.
     """
-    return np.moveaxis(np.zeros(tail + (P,)), -1, 0)
+    if not mapped:
+        return np.moveaxis(np.zeros(tail + (P,)), -1, 0)
+    n = P * math.prod(tail)
+    buf = mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    # huge pages where the kernel has them, as numpy advises its large arrays
+    buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
+    return np.moveaxis(np.frombuffer(buf, count=n).reshape(tail + (P,)), -1, 0)
 
 
 def _step_rng(seed: int, i: int, stream: int) -> np.random.Generator:
@@ -148,7 +157,7 @@ def sample_increments(grid: TimeGrid, P: int, seed: int, m: int = 1) -> PathBund
     if not 0 <= seed < SEED_BOUND:
         raise ValueError("seed must be in 0..2**64 - 1")
     N = grid.N
-    dW = path_array(P, N, m)
+    dW = path_array(P, N, m, mapped=True)
     for i, dti in enumerate(grid.dt):
         rng = _step_rng(seed, i, _STREAM_EULER)
         np.multiply(rng.standard_normal((P, m)), math.sqrt(dti), out=dW[:, i, :])
@@ -159,7 +168,7 @@ def euler_simulate(spec: ProblemSpec, bundle: PathBundle) -> PathBundle:
     """Left-endpoint Euler recursion for X^pi on the bundle's grid."""
     grid = bundle.grid
     P, N = bundle.n_paths, grid.N
-    X = path_array(P, N + 1)
+    X = path_array(P, N + 1, mapped=True)
     X[:, 0] = spec.x0
     for i in range(N):
         ti = grid.times[i]
@@ -209,7 +218,7 @@ def exact_simulate(spec: ProblemSpec, bundle: PathBundle) -> PathBundle:
     s2 = float(sig0 @ sig0)
 
     P, N = bundle.n_paths, grid.N
-    X = path_array(P, N + 1)
+    X = path_array(P, N + 1, mapped=True)
     X[:, 0] = spec.x0
     for i in range(N):
         dti = grid.dt[i]

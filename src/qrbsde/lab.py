@@ -18,13 +18,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forward import (PathBundle, TimeGrid, euler_simulate, exact_simulate,
-                      make_grid, sample_increments)
+from .forward import (TimeGrid, euler_simulate, exact_simulate, make_grid,
+                      sample_increments)
 from .model import ProblemSpec, TruncationRadius, y_bound
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec, build_basis, fit_least_squares, localize_basis
-from .scheme import (SchemeSolution, backward_steps, estimate_Mz_auto,
-                     solve_backward, y0_estimates)
+from .scheme import (SKOROKHOD_CONDITIONS, backward_steps, estimate_Mz_auto,
+                     skorokhod_check, solve_backward, y0_estimates)
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def _mc_setup(spec, N, mc: MCConfig, reflection="all"):
 
 
 def _solve_mc(spec, N, mc: MCConfig, reflection="all"):
-    """Monte Carlo leg of a runner: its set-up and the stored path solve."""
+    """The CLI's path solve: its set-up and the solve's per-step record."""
     grid, sched, bundle, radius = _mc_setup(spec, N, mc, reflection)
     return grid, sched, bundle, solve_backward(spec, grid, sched, bundle, mc.basis, radius)
 
@@ -171,8 +171,7 @@ def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
         mc_sup_y = max(mc_sup_y, float(np.sqrt(np.mean((step.y - y_orc_i) ** 2))))
         z_terms += np.sum((z_orc_i - z_ref_i) ** 2, axis=-1) * grid.dt[i]
         mc_z_terms += np.sum((step.z - z_orc_i) ** 2, axis=-1) * grid.dt[i]
-    # the last step is i = 0: its y is Ybar_0 and its y_next is Ybar_1
-    y0_fit, y0_se = y0_estimates(step.y, step.y_next)
+    y0_fit, y0_se = y0_estimates(step.y, step.y_next)   # the last step is i = 0
 
     cell = {
         "N": N, "mesh": grid.mesh,
@@ -334,38 +333,38 @@ class StabilityReport(_CellReport):
         return flags
 
 
-def _deltas(grid: TimeGrid, XA, XB, solA: SchemeSolution, solB: SchemeSolution):
-    """Path-wise coupled differences between two solved legs on one grid,
-    accumulated one contiguous time column at a time."""
-    dx4 = np.square(np.square(XA[:, 0] - XB[:, 0]))
-    dY = np.square(solA.Ybar[:, 0] - solB.Ybar[:, 0])
-    for i in range(1, grid.N + 1):
+def _deltas(grid: TimeGrid, XA, XB, legA, legB):
+    """Path-wise coupled differences between two legs on one grid, folded
+    over their backward steps in lockstep from i = N-1 down to 0, so the
+    sums of D_Z and of each leg's K_T add in descending i."""
+    N = grid.N
+    dx4 = np.square(np.square(XA[:, N] - XB[:, N]))
+    dZ, KA, KB = (np.zeros(XA.shape[0]) for _ in range(3))
+    for a, b in zip(legA, legB):
+        i = a.i
+        if i == N - 1:
+            dY = np.square(a.y_next - b.y_next)
         np.maximum(dx4, np.square(np.square(XA[:, i] - XB[:, i])), out=dx4)
-        np.maximum(dY, np.square(solA.Ybar[:, i] - solB.Ybar[:, i]), out=dY)
-    dZ = np.zeros(XA.shape[0])
-    for i, dti in enumerate(grid.dt):
-        dz = solA.Zbar[:, i, :] - solB.Zbar[:, i, :]
-        dZ += np.sum(np.square(dz), axis=1) * dti
-    dK = np.square(solA.K_terminal - solB.K_terminal)
+        np.maximum(dY, np.square(a.y - b.y), out=dY)
+        dZ += np.sum(np.square(a.z - b.z), axis=1) * grid.dt[i]
+        KA += a.dk
+        KB += b.dk
     return {
         "dx_proxy": float(np.mean(dx4)) ** 0.25,
         "D_Y": float(np.mean(dY)),
         "D_Z": float(np.mean(dZ)),
-        "D_K": float(np.mean(dK)),
+        "D_K": float(np.mean(np.square(KA - KB))),
     }
 
 
-def _coupled_cell(spec: ProblemSpec, bundle: PathBundle, sol0: SchemeSolution,
-                  X: np.ndarray, basis: BasisSpec) -> dict:
-    """The second leg of a stability cell against the base leg ``sol0``.
-
-    The leg whose states are X is solved on the base leg's increments, with
-    its grid, schedule and radius (one radius for both legs, so no
-    difference crosses a truncation edge).  Returns the coupled differences
-    only; the leg's solution is released on return."""
+def _coupled_cell(spec: ProblemSpec, setup, base, X, basis: BasisSpec) -> dict:
+    """The coupled differences of a stability cell's second leg, with states
+    X, walked in lockstep with the base leg's steps ``base`` on its increments,
+    grid, schedule and radius (one radius: no difference crosses a truncation edge)."""
+    grid, sched, bundle, radius = setup
     leg = dataclasses.replace(bundle, X_euler=X)
-    sol = solve_backward(spec, sol0.grid, sol0.schedule, leg, basis, sol0.radius)
-    return _deltas(sol0.grid, bundle.X_euler, X, sol0, sol)
+    steps = backward_steps(spec, grid, sched, leg, basis, radius)
+    return _deltas(grid, bundle.X_euler, X, base, steps)
 
 
 def _check_exact_coupling(spec: ProblemSpec, N: int, mc: MCConfig):
@@ -395,9 +394,13 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
     goes.  ``dw_checksum`` is one sha256 of every level's increments in
     level order; drift-shift has one bundle, so it hashes that one ``dW``.
 
-    Memory: a drift-shift run keeps the base leg and one shifted leg, and
-    an euler-vs-exact run keeps the two legs of one N; each cell keeps only
-    its dict of coupled differences.
+    ``C_Y``, ``C_Z`` and ``C_K`` are each D over dx_proxy², the constant of
+    the squared bound; ``ratio_Y`` = D_Y / dx_proxy keeps its meaning.
+
+    Memory: an euler-vs-exact cell walks its two legs in lockstep and stores
+    neither.  A drift-shift run stores its base leg's steps once, as a list
+    (walked in lockstep, it would be solved again for every eps), and walks
+    each shifted leg against it.  A cell keeps only its coupled differences.
     """
     if not levels:
         raise ValueError("stability levels must not be empty")
@@ -407,7 +410,8 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
         eps = [float(e) for e in levels]
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps levels must be strictly decreasing")
-        _, _, bundle, sol0 = _solve_mc(spec, N, mc)
+        grid, sched, bundle, radius = setup = _mc_setup(spec, N, mc)
+        base = list(backward_steps(spec, grid, sched, bundle, mc.basis, radius))
         dw.update(bundle.dW.tobytes())
         b0 = spec.drift
         for e in eps:
@@ -418,7 +422,7 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
             # the same increments object, so the one dW hash covers both legs
             if leg.dW is not bundle.dW:
                 raise RuntimeError("drift-shift leg does not share the base leg's increments")
-            cells.append({**_coupled_cell(spec_e, bundle, sol0, leg.X_euler, mc.basis),
+            cells.append({**_coupled_cell(spec_e, setup, base, leg.X_euler, mc.basis),
                           "eps": e})
             del leg   # released before the next leg is allocated
         x_key, x_name = "eps", "eps"
@@ -428,18 +432,22 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
             raise ValueError("N levels must be strictly increasing")
         _check_exact_coupling(spec, Ns[0], mc)
         for n in Ns:
-            grid, _, bundle, sol0 = _solve_mc(spec, n, mc)
+            grid, sched, bundle, radius = _mc_setup(spec, n, mc)
             bundle = exact_simulate(spec, bundle)
-            cells.append({**_coupled_cell(spec, bundle, sol0, bundle.X_exact, mc.basis),
+            base = backward_steps(spec, grid, sched, bundle, mc.basis, radius)
+            cells.append({**_coupled_cell(spec, (grid, sched, bundle, radius), base,
+                                          bundle.X_exact, mc.basis),
                           "N": n, "mesh": grid.mesh})
             dw.update(bundle.dW.tobytes())
-            del bundle, sol0   # released before the next N is allocated
+            del bundle, base   # released before the next N is allocated
         x_key, x_name = "mesh", "mesh"
     else:
         raise ValueError(f"unknown stability kind {kind!r}")
 
     for d in cells:
-        d["ratio_Y"] = d["D_Y"] / d["dx_proxy"] if d["dx_proxy"] > 0 else 0.0
+        dx = d["dx_proxy"]
+        d["ratio_Y"] = d["D_Y"] / dx if dx > 0 else 0.0
+        d.update({f"C_{k}": d[f"D_{k}"] / dx ** 2 if dx > 0 else 0.0 for k in "YZK"})
     slopes = _slopes(cells, x_key, ("dx_proxy", "D_Y", "D_Z", "D_K"))
     return StabilityReport(kind=kind, x_name=x_name, cells=tuple(cells),
                            slopes=slopes, dw_checksum=dw.hexdigest())
@@ -453,13 +461,15 @@ class DiagnosticsReport(_Report):
     tail_sum_max: float        # max over i of 99th-pct fitted conditional tail sum
     bound_value: float         # exp(4 alpha M)/alpha^2 [1 + 2 alpha M_f (1+M) T]
     moments: dict              # {"sumZ2": {p: E[S^p]}, "K_T": {p: E[K^p]}}
+    skorokhod: dict            # the solve's exact discrete Skorokhod conditions
     grid_N: int
     n_paths: int
     seed: int
 
     @property
     def flags(self) -> dict:
-        return {"within_bound": self.tail_sum_max <= self.bound_value}
+        return {"within_bound": self.tail_sum_max <= self.bound_value,
+                "skorokhod": self.skorokhod["all"]}
 
 
 def bmo_bound_value(spec: ProblemSpec) -> float:
@@ -474,44 +484,36 @@ def bmo_bound_value(spec: ProblemSpec) -> float:
         * (1.0 + 2.0 * a * spec.M_f * (1.0 + M) * spec.T)
 
 
-def _tail_sums(Zbar, dt):
-    """Yield (i, sum_{j>=i} |Z_j|^2 dt_j) for i = N-1 down to 0, built one
-    time column at a time in one (P,) array that each step updates in place.
-    The columns are nonnegative, so 0 + the last one is that column exactly,
-    and the sums add in the order of a cumsum over the reversed steps: they
-    match that cumsum bit for bit."""
-    tail = np.zeros(Zbar.shape[0])
-    for i in range(len(dt) - 1, -1, -1):
-        tail += np.sum(Zbar[:, i, :] ** 2, axis=-1) * dt[i]
-        yield i, tail
-
-
 def run_diagnostics(spec: ProblemSpec, N: int, mc: MCConfig,
-                    sol: Optional[SchemeSolution] = None,
-                    bundle: Optional[PathBundle] = None) -> DiagnosticsReport:
+                    setup: Optional[tuple] = None) -> DiagnosticsReport:
     """Estimate sup_i of the conditional tail sum E_i[sum_{j>=i} |Z_j|^2 dt_j]
     by cross-sectional regression and compare to the closed-form bound.
+    The one solve, on ``setup`` (an ``_mc_setup``; by default one reflecting
+    at every grid time), also gathers K_T and the Skorokhod conditions.
 
-    Memory: besides the solution and its paths it keeps one (P,) running
-    tail sum, regressed at each step from the last one down to the first."""
-    if sol is None or bundle is None:
-        grid, sched, bundle, sol = _solve_mc(spec, N, mc)
-    grid = sol.grid
+    Memory: besides the paths it keeps two (P,) sums, the tail sum (its
+    columns add as a reversed cumsum's do, bit for bit) and K_T, and
+    regresses each tail sum as its step is yielded."""
+    grid, sched, bundle, radius = setup or _mc_setup(spec, N, mc)
     X = bundle.X_euler
 
     tail_max = 0.0
-    for i, S in _tail_sums(sol.Zbar, grid.dt):
-        xs = X[:, i]
+    S, K = np.zeros(bundle.n_paths), np.zeros(bundle.n_paths)
+    skorokhod = dict.fromkeys(SKOROKHOD_CONDITIONS, True)
+    for step in backward_steps(spec, grid, sched, bundle, mc.basis, radius):
+        xs = X[:, step.i]
+        S += np.sum(step.z ** 2, axis=-1) * grid.dt[step.i]
         phi = build_basis(localize_basis(mc.basis, xs), xs)
         fitted = fit_least_squares(phi, xs, S).fitted
         tail_max = max(tail_max, float(np.quantile(fitted, 0.99)))
+        K += step.dk
+        skorokhod_check(skorokhod, spec, X, sched, step)
+    skorokhod["all"] = all(skorokhod.values())
 
-    bound = bmo_bound_value(spec)
-    K = sol.K_terminal
     moments = {
         "sumZ2": {p: float(np.mean(S ** p)) for p in (1, 2, 4)},
         "K_T": {p: float(np.mean(K ** p)) for p in (1, 2, 4)},
     }
     return DiagnosticsReport(
-        tail_sum_max=tail_max, bound_value=bound, moments=moments,
-        grid_N=grid.N, n_paths=bundle.n_paths, seed=bundle.seed)
+        tail_sum_max=tail_max, bound_value=bmo_bound_value(spec), moments=moments,
+        skorokhod=skorokhod, grid_N=grid.N, n_paths=bundle.n_paths, seed=bundle.seed)

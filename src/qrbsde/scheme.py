@@ -30,60 +30,36 @@ MZ_PILOT_FRACTION = 0.1   # share of the paths the M_z pilot solves on
 
 @dataclass(frozen=True)
 class SchemeSolution:
+    """A solve's Y0 and its per-step and whole-solve values, gathered as the
+    steps are yielded; no field is path-sized (Ybar, Zbar, dK are not kept)."""
     grid: TimeGrid
     schedule: ReflectionSchedule
     radius: TruncationRadius
-    # path arrays come from forward.path_array: each time slice Ybar[:, i]
-    # or Zbar[:, i, :] is one contiguous column-major block
-    Ybar: np.ndarray          # (P, N+1)
-    Zbar: np.ndarray          # (P, N, m)
-    dK: np.ndarray            # (P, N+1), nonzero only at reflection steps
     y0_fit: float
-    y0_se: float              # std(Ybar[:, 1]) / sqrt(P); not the SE of y0_fit
+    y0_se: float              # std(Ybar_1) / sqrt(P); not the SE of y0_fit
     picard_counts: np.ndarray  # (N,)
     fit_conds: np.ndarray      # (N,) cond of each step's design (Z and mean share it)
     fit_rmses: np.ndarray      # (N,) in-sample RMSE of the mean column
-
-    @property
-    def K_terminal(self) -> np.ndarray:
-        return np.sum(self.dK, axis=1)
-
-    def skorokhod_flags(self, spec: ProblemSpec, X: np.ndarray) -> dict:
-        """Exact discrete Skorokhod conditions (zero tolerance), checked one
-        contiguous time column at a time."""
-        flags = dict.fromkeys(("dK_nonnegative", "dK_zero_off_schedule",
-                               "Ybar_above_obstacle", "flat_off"), True)
-        for i, reflected in enumerate(self.schedule.mask):
-            dk = self.dK[:, i]
-            flags["dK_nonnegative"] &= bool(np.all(dk >= 0.0))
-            if not reflected:
-                flags["dK_zero_off_schedule"] &= bool(np.all(dk == 0.0))
-                continue
-            y = self.Ybar[:, i]
-            g = np.asarray(spec.obstacle(X[:, i]), dtype=float)
-            flags["Ybar_above_obstacle"] &= bool(np.all(y >= g))
-            flags["flat_off"] &= bool(np.all(dk * (y - g) == 0.0))
-        flags["all"] = all(flags.values())
-        return flags
+    max_abs_z: np.ndarray      # (N,) max over paths and components of |Z_i|
+    mean_dK: np.ndarray        # (N,)
+    reflected_frac: np.ndarray  # (N,) share of paths with dK_i > 0
+    K_T: dict                  # mean, std and max over paths of K_T = sum_i dK_i
+    skorokhod: dict            # the exact discrete Skorokhod conditions, and "all"
 
     def summary(self) -> dict:
         counts, edges = np.histogram(self.picard_counts,
                                      bins=np.arange(0.5, PICARD_MAX_ITER + 1.5))
         hist = {int(e + 0.5): int(c) for e, c in zip(edges[:-1], counts) if c}
-        kT = self.K_terminal
         return {
             "y0": self.y0_fit,
             "y0_se": self.y0_se,
-            # one time column at a time: no (P, N, m) temporary
-            "max_abs_z_per_step": [float(np.max(np.abs(self.Zbar[:, i, :])))
-                                   for i in range(self.grid.N)],
-            "K_T_mean": float(np.mean(kT)),
-            "K_T_std": float(np.std(kT)),
-            "K_T_max": float(np.max(kT)),
+            "max_abs_z_per_step": self.max_abs_z.tolist(),
+            **{f"K_T_{k}": v for k, v in self.K_T.items()},
             "picard_iteration_histogram": hist,
             "truncation_radius": self.radius.M_z,
             "truncation_provenance": self.radius.provenance,
             "max_fit_condition_number": float(np.max(self.fit_conds)),
+            "skorokhod": self.skorokhod,
         }
 
 
@@ -211,38 +187,59 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
 
 
 def y0_estimates(y0: np.ndarray, y1: np.ndarray) -> tuple:
-    """A solve's (y0_fit, y0_se) from Ybar_0 and Ybar_1: Ybar_0 on any path,
-    as all share the deterministic X_0, and std(Ybar_1, ddof=1)/sqrt(P)."""
+    """A solve's (y0_fit, y0_se) from Ybar_0 and Ybar_1, the y and y_next of
+    its i = 0 step: Ybar_0 on any path, as all share the deterministic X_0,
+    and std(Ybar_1, ddof=1)/sqrt(P)."""
     P = y1.shape[0]
     return float(y0[0]), float(np.std(y1, ddof=1) / math.sqrt(P)) if P > 1 else 0.0
+
+
+SKOROKHOD_CONDITIONS = ("dK_nonnegative", "dK_zero_off_schedule",
+                        "Ybar_above_obstacle", "flat_off")
+
+
+def skorokhod_check(flags: dict, spec: ProblemSpec, X: np.ndarray,
+                    schedule: ReflectionSchedule, step: BackwardStep) -> None:
+    """Fold the exact discrete Skorokhod conditions (zero tolerance) of the
+    step's time column into ``flags``; the i = N-1 step also checks column
+    N, where Ybar_N = g(X_N) and dK_N = 0."""
+    cols = [(step.i, step.y, step.dk)]
+    if step.i == schedule.mask.size - 2:
+        cols.append((step.i + 1, step.y_next, np.zeros_like(step.y_next)))
+    for i, y, dk in cols:
+        flags["dK_nonnegative"] &= bool(np.all(dk >= 0.0))
+        if not schedule.mask[i]:
+            flags["dK_zero_off_schedule"] &= bool(np.all(dk == 0.0))
+            continue
+        g = np.asarray(spec.obstacle(X[:, i]), dtype=float)
+        flags["Ybar_above_obstacle"] &= bool(np.all(y >= g))
+        flags["flat_off"] &= bool(np.all(dk * (y - g) == 0.0))
 
 
 def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
                    bundle: PathBundle, basis: BasisSpec,
                    radius: TruncationRadius) -> SchemeSolution:
-    """Run the full truncated backward recursion on a simulated bundle and
-    keep every step's Ybar, Zbar and dK."""
-    P, N = bundle.n_paths, grid.N
-    Ybar = path_array(P, N + 1)
-    Zbar = path_array(P, N, bundle.m)
-    dK = path_array(P, N + 1)
-    picard = np.zeros(N, dtype=int)
-    conds = np.zeros(N)
-    rmses = np.zeros(N)
-
+    """Run the full truncated backward recursion on a simulated bundle, with
+    each step's values recorded as it is yielded and one running sum of dK."""
+    picard = np.zeros(grid.N, dtype=int)
+    conds, rmses, max_z, mean_dk, frac = (np.zeros(grid.N) for _ in range(5))
+    K = np.zeros(bundle.n_paths)
+    flags = dict.fromkeys(SKOROKHOD_CONDITIONS, True)
     for step in backward_steps(spec, grid, schedule, bundle, basis, radius):
         i = step.i
-        if i == N - 1:
-            Ybar[:, N] = step.y_next
-        Ybar[:, i], Zbar[:, i, :], dK[:, i] = step.y, step.z, step.dk
         picard[i], conds[i], rmses[i] = step.picard, step.cond, step.rmse
-
-    y0_fit, y0_se = y0_estimates(Ybar[:, 0], Ybar[:, 1])
+        max_z[i] = np.max(np.abs(step.z))
+        mean_dk[i] = np.mean(step.dk)
+        frac[i] = np.count_nonzero(step.dk > 0) / bundle.n_paths
+        K += step.dk
+        skorokhod_check(flags, spec, bundle.X_euler, schedule, step)
+    flags["all"] = all(flags.values())
+    y0_fit, y0_se = y0_estimates(step.y, step.y_next)   # the last step is i = 0
     return SchemeSolution(
-        grid=grid, schedule=schedule, radius=radius,
-        Ybar=Ybar, Zbar=Zbar, dK=dK, y0_fit=y0_fit, y0_se=y0_se,
+        grid=grid, schedule=schedule, radius=radius, y0_fit=y0_fit, y0_se=y0_se,
         picard_counts=picard, fit_conds=conds, fit_rmses=rmses,
-    )
+        max_abs_z=max_z, mean_dK=mean_dk, reflected_frac=frac, skorokhod=flags,
+        K_T={"mean": float(np.mean(K)), "std": float(np.std(K)), "max": float(np.max(K))})
 
 
 def estimate_Mz_auto(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,

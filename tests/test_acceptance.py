@@ -149,7 +149,7 @@ def test_07_a_priori_bound(p1, report):
     assert report("07 a priori bound", ok, ", ".join(details))
 
 
-def test_08_truncation_contract(p1, report):
+def test_08_truncation_contract(p1, report, stacked):
     rng = np.random.default_rng(12345)
     n = 1.3
     z = rng.normal(scale=4.0, size=(10 ** 5, 1))
@@ -163,12 +163,10 @@ def test_08_truncation_contract(p1, report):
     grid, sched = make_grid(16, p1.T, "all")
     bundle = euler_simulate(p1, sample_increments(grid, 5000, 42, 1))
     basis = BasisSpec(degree=6)
-    sol_r = solve_backward(p1, grid, sched, bundle, basis, TruncationRadius(8.0))
-    big_enough = float(np.max(np.abs(sol_r.Zbar))) + 1.0 <= 8.0
-    sol_10r = solve_backward(p1, grid, sched, bundle, basis, TruncationRadius(80.0))
-    noop = bool(np.array_equal(sol_r.Ybar, sol_10r.Ybar)
-                and np.array_equal(sol_r.Zbar, sol_10r.Zbar)
-                and np.array_equal(sol_r.dK, sol_10r.dK))
+    sol_r = stacked(p1, grid, sched, bundle, basis, TruncationRadius(8.0))
+    big_enough = float(np.max(np.abs(sol_r[1]))) + 1.0 <= 8.0
+    sol_10r = stacked(p1, grid, sched, bundle, basis, TruncationRadius(80.0))
+    noop = all(np.array_equal(a, b) for a, b in zip(sol_r, sol_10r))
     ok = identity and bounded and lipschitz and big_enough and noop
     assert report("08 truncation contract", ok,
                   f"identity={identity}, |h|<=n+1={bounded}, "
@@ -177,13 +175,13 @@ def test_08_truncation_contract(p1, report):
 
 def test_09_discrete_skorokhod(p1, p1_reference_solve, report):
     grid, sched, bundle, basis, radius, sol = p1_reference_solve
-    flags = sol.skorokhod_flags(p1, bundle.X_euler)
+    flags = sol.skorokhod
     # also on a sparse schedule
     grid2, sched2 = make_grid(32, p1.T, ("every", 4))
     bundle2 = euler_simulate(p1, sample_increments(grid2, 5000, 7, 1))
     sol2 = solve_backward(p1, grid2, sched2, bundle2, BasisSpec(degree=6),
                           TruncationRadius(5.0))
-    flags2 = sol2.skorokhod_flags(p1, bundle2.X_euler)
+    flags2 = sol2.skorokhod
     ok = flags["all"] and flags2["all"]
     assert report("09 discrete skorokhod", ok,
                   f"dense schedule {flags}, sparse schedule {flags2}")

@@ -336,8 +336,6 @@ def test_summary_flags_are_the_report_flags(tmp_path, monkeypatch, command,
     code, out = _run(tmp_path, command, config)
     summary = json.loads((out / "summary.json").read_text())
     want = dict(reports[0].flags)
-    if command == "diagnose":
-        want["skorokhod"] = True
     assert summary["flags"] == want
     assert summary["pass"] == all(want.values())
     assert code == (EXIT_OK if summary["pass"] else EXIT_FLAGS)

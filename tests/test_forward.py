@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import mmap
 
 import numpy as np
 import pytest
 
+from qrbsde import forward
 from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
                             sample_increments)
 from qrbsde.model import build_preset
@@ -194,3 +196,27 @@ def test_simulated_states_are_bit_equal_to_the_matrix_product_recursion(preset, 
     assert X.tobytes() == np.ascontiguousarray(bundle.X_euler).tobytes()
     if preset == "P1-pure-quadratic":    # no drift: the exact leg adds the same
         assert bundle.X_exact.tobytes() == bundle.X_euler.tobytes()
+
+
+def _buffer_owner(arr):
+    base = arr
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else base
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_bundle_arrays_are_writable_zeroed_anonymous_mappings(m):
+    # each long-lived bundle array has its own mapping, released with it
+    spec = build_preset("P2-mixed-quadratic", {"m": m})
+    grid, _ = make_grid(4, spec.T)
+    bundle = exact_simulate(spec, euler_simulate(
+        spec, sample_increments(grid, 300, 3, m)))
+    for arr in (bundle.dW, bundle.X_euler, bundle.X_exact):
+        assert arr.flags.writeable
+        assert isinstance(_buffer_owner(arr), mmap.mmap)
+    fresh = forward.path_array(300, 4, m, mapped=True)
+    assert fresh.shape == (300, 4, m) and fresh.flags.writeable
+    assert isinstance(_buffer_owner(fresh), mmap.mmap)
+    assert not np.any(fresh)
+    assert all(fresh[:, i, :].flags.f_contiguous for i in range(4))

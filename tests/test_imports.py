@@ -9,9 +9,12 @@ package ``PchipInterpolator`` is constructed in exactly one function,
 ``fit_least_squares`` is called only by the step's projection and the
 diagnostics' tail-sum regression, ``localize_basis`` only by the backward
 loop and that regression, ``z_projection_step`` only by the
-one backward-step kernel, ``backward_steps`` only by the stored solve, the
-M_z pilot and the convergence cell, and ``solve_backward`` and ``_deltas``
-only by the runners' one Monte Carlo leg and one coupled stability leg.  A fresh
+one backward-step kernel, ``backward_steps`` only by the solve, the M_z
+pilot, the convergence cell, the stability legs (the base leg in each of
+the two kinds, the second leg in the one coupled-leg helper) and the
+diagnostics, ``solve_backward`` only by the CLI's one Monte Carlo solve, and
+``_deltas`` only by the one coupled stability leg.  The callers are read
+with ``_callers`` below.  A fresh
 interpreter that imports the package and runs a small convergence study never loads ``scipy.stats``,
 ``scipy.linalg`` (each least-squares fit makes one numpy ``eigh``), nor
 ``scipy.interpolate`` and the subpackages that it pulls in; it loads
@@ -92,12 +95,15 @@ HOMES = {
     # the backward loop has one home: a second copy, such as a separate pilot
     # loop, would be a second caller
     "z_projection_step": ["scheme.backward_steps"],
-    # the stored solve, the M_z pilot and the convergence cell, which reads
-    # each step as it is yielded, walk the one backward loop
-    "backward_steps": ["lab._convergence_cell", "scheme.solve_backward",
+    # every consumer reads the one backward loop as its steps are yielded:
+    # the convergence cell, the second stability leg, each stability kind's
+    # base leg, the diagnostics, the solve and the M_z pilot
+    "backward_steps": ["lab._convergence_cell", "lab._coupled_cell",
+                       "lab.run_stability", "lab.run_stability",
+                       "lab.run_diagnostics", "scheme.solve_backward",
                        "scheme.estimate_Mz_auto"],
-    # both stability kinds solve and compare their second leg in one helper
-    "solve_backward": ["lab._solve_mc", "lab._coupled_cell"],
+    # the only caller of the solve that records each step is the CLI's solve
+    "solve_backward": ["lab._solve_mc"],
     "_deltas": ["lab._coupled_cell"],
 }
 

@@ -11,7 +11,7 @@ from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
                             sample_increments)
 from qrbsde.model import build_preset
 from qrbsde.regress import BasisSpec
-from qrbsde.scheme import solve_backward
+from qrbsde.scheme import backward_steps, y0_estimates
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:quadrature points left the space grid")
@@ -106,10 +106,12 @@ def test_convergence_stores_no_path_solution(monkeypatch):
     assert [c["N"] for c in rep.cells] == [4, 8, 16, 32]
 
 
-def _whole_array_cell(spec, N, mc, space, ref, stride, y0_ref):
-    """A convergence cell from the stored solve, its columns read in
+def _whole_array_cell(stacked, spec, N, mc, space, ref, stride, y0_ref):
+    """A convergence cell from the stacked solve, its columns read in
     ascending time order."""
-    grid, sched, bundle, sol = lab._solve_mc(spec, N, mc)
+    grid, sched, bundle, radius = lab._mc_setup(spec, N, mc)
+    Ybar, Zbar, _ = stacked(spec, grid, sched, bundle, mc.basis, radius)
+    y0_fit, y0_se = y0_estimates(Ybar[:, 0], Ybar[:, 1])
     X = bundle.X_euler
     orc = oracle.exact_scheme_solve(spec, grid, sched, space)
     sup_y = mc_sup_y = 0.0
@@ -120,20 +122,20 @@ def _whole_array_cell(spec, N, mc, space, ref, stride, y0_ref):
         y_ref_i, y_orc_i, z_ref_i, z_orc_i = v[:, 0], v[:, 1], v[:, 2:3], v[:, 3:]
         sup_y = max(sup_y, float(np.sqrt(np.mean((y_orc_i - y_ref_i) ** 2))))
         mc_sup_y = max(mc_sup_y,
-                       float(np.sqrt(np.mean((sol.Ybar[:, i] - y_orc_i) ** 2))))
+                       float(np.sqrt(np.mean((Ybar[:, i] - y_orc_i) ** 2))))
         z_terms += np.sum((z_orc_i - z_ref_i) ** 2, axis=-1) * grid.dt[i]
-        mc_z_terms += np.sum((sol.Zbar[:, i, :] - z_orc_i) ** 2, axis=-1) * grid.dt[i]
+        mc_z_terms += np.sum((Zbar[:, i, :] - z_orc_i) ** 2, axis=-1) * grid.dt[i]
     return {
-        "N": N, "mesh": grid.mesh, "y0_scheme": sol.y0_fit, "y0_se": sol.y0_se,
+        "N": N, "mesh": grid.mesh, "y0_scheme": y0_fit, "y0_se": y0_se,
         "y0_oracle": orc.y0, "y0_ref": y0_ref, "y0_err": abs(orc.y0 - y0_ref),
         "y_sup_err": sup_y, "z_err": float(np.mean(z_terms)),
-        "mc_y0_gap": abs(sol.y0_fit - orc.y0), "mc_y_sup_err": mc_sup_y,
-        "mc_z_gap": float(np.mean(mc_z_terms)), "M_z": sol.radius.M_z,
+        "mc_y0_gap": abs(y0_fit - orc.y0), "mc_y_sup_err": mc_sup_y,
+        "mc_z_gap": float(np.mean(mc_z_terms)), "M_z": radius.M_z,
     }
 
 
 @pytest.mark.parametrize("M_z", [None, 2.0])
-def test_streamed_convergence_cell_matches_the_stored_solve(M_z):
+def test_streamed_convergence_cell_matches_the_stored_solve(M_z, stacked):
     # the cell reads each backward step as it is yielded, so its z sums add
     # in descending time order: only those two may move, in the last bits
     spec = build_preset("P1-pure-quadratic")
@@ -144,7 +146,7 @@ def test_streamed_convergence_cell_matches_the_stored_solve(M_z):
     ref = oracle.exact_scheme_solve(spec, grid_ref, sched_ref, space)
     args = (spec, N, mc, space, ref, 2, ref.y0)
     got, _ = lab._convergence_cell(*args)
-    want = _whole_array_cell(*args)
+    want = _whole_array_cell(stacked, *args)
     assert list(got) == list(want)
     for key in ("z_err", "mc_z_gap"):
         assert got.pop(key) == pytest.approx(want.pop(key), rel=1e-12, abs=0)
@@ -270,6 +272,7 @@ def test_stability_zero_perturbation_is_exact_zero():
     c0 = [c for c in rep.cells if c["eps"] == 0.0][0]
     assert c0["dx_proxy"] == 0.0
     assert c0["D_Y"] == 0.0 and c0["D_Z"] == 0.0 and c0["D_K"] == 0.0
+    assert [c0[k] for k in ("ratio_Y", "C_Y", "C_Z", "C_K")] == [0.0] * 4
 
 
 def test_stability_drift_shift_raises_unless_legs_share_increments(monkeypatch):
@@ -287,39 +290,62 @@ def test_stability_drift_shift_raises_unless_legs_share_increments(monkeypatch):
                           [0.1], lab.MCConfig(n_paths=200, seed=0), N=4)
 
 
-def _whole_array_deltas(grid, XA, XB, solA, solB):
+def _whole_array_deltas(grid, XA, XB, legA, legB):
+    """The coupled differences of two stacked legs (Ybar, Zbar, dK), from
+    whole-array reductions."""
+    (YA, ZA, KA), (YB, ZB, KB) = legA, legB
     return {
         "dx_proxy": float(np.mean(np.max(np.square(np.square(XA - XB)),
                                          axis=1))) ** 0.25,
-        "D_Y": float(np.mean(np.max((solA.Ybar - solB.Ybar) ** 2, axis=1))),
-        "D_Z": float(np.mean(np.sum(np.sum((solA.Zbar - solB.Zbar) ** 2, axis=-1)
+        "D_Y": float(np.mean(np.max((YA - YB) ** 2, axis=1))),
+        "D_Z": float(np.mean(np.sum(np.sum((ZA - ZB) ** 2, axis=-1)
                                     * grid.dt[None, :], axis=1))),
-        "D_K": float(np.mean((solA.K_terminal - solB.K_terminal) ** 2)),
+        "D_K": float(np.mean((np.sum(KA, axis=1) - np.sum(KB, axis=1)) ** 2)),
     }
 
 
+def _descending_deltas(grid, XA, XB, legA, legB):
+    """The same differences with the sums of D_Z and of each K_T added
+    one time column at a time from i = N-1 down to 0, as the steps come."""
+    (YA, ZA, KA), (YB, ZB, KB) = legA, legB
+    dZ, kA, kB = (np.zeros(XA.shape[0]) for _ in range(3))
+    for i in range(grid.N - 1, -1, -1):
+        dZ += np.sum((ZA[:, i, :] - ZB[:, i, :]) ** 2, axis=1) * grid.dt[i]
+        kA += KA[:, i]
+        kB += KB[:, i]
+    return dict(_whole_array_deltas(grid, XA, XB, legA, legB),
+                D_Z=float(np.mean(dZ)), D_K=float(np.mean((kA - kB) ** 2)))
+
+
 @pytest.mark.parametrize("m", [1, 2])
-def test_deltas_match_the_whole_array_formulas_bit_for_bit(m):
+def test_deltas_match_the_whole_array_formulas_bit_for_bit(m, stacked):
+    # the maxima are bit for bit; D_Z and D_K add in descending i, bit for
+    # bit against that order and within 1e-12 of the whole-array sums
     spec = build_preset("P2-mixed-quadratic", {"m": m})
     mc = lab.MCConfig(n_paths=1500, seed=3, basis=BasisSpec(degree=3), M_z=2.0)
-    grid, sched, bundle, solA = lab._solve_mc(spec, 8, mc)
+    grid, sched, bundle, radius = lab._mc_setup(spec, 8, mc)
     bundle = exact_simulate(spec, bundle)
-    solB = solve_backward(spec, grid, sched, dataclasses.replace(
-        bundle, X_euler=bundle.X_exact), mc.basis, solA.radius)
+    legs = [(spec, grid, sched, dataclasses.replace(bundle, X_euler=X), mc.basis, radius)
+            for X in (bundle.X_euler, bundle.X_exact)]
     XA, XB = bundle.X_euler, bundle.X_exact
-    want = _whole_array_deltas(grid, XA, XB, solA, solB)
-    got = lab._deltas(grid, XA, XB, solA, solB)
-    assert got == want and all(v > 0 for v in got.values())
+    got = lab._deltas(grid, XA, XB, *(backward_steps(*leg) for leg in legs))
+    arrays = [stacked(*leg) for leg in legs]
+    assert got == _descending_deltas(grid, XA, XB, *arrays)
+    want = _whole_array_deltas(grid, XA, XB, *arrays)
+    for key in ("dx_proxy", "D_Y"):
+        assert got.pop(key) == want.pop(key)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert all(v > 0 for v in want.values())
 
 
 @pytest.mark.parametrize("kind, level", [("drift-shift", 0.2), ("euler-vs-exact", 8)])
-def test_stability_cell_is_the_direct_second_leg_solve_bit_for_bit(kind, level):
+def test_stability_cell_is_the_direct_second_leg_solve_bit_for_bit(kind, level, stacked):
     # the second leg solved here by hand, on the base leg's increments, grid,
     # schedule and (auto) radius, against the base leg
     spec = build_preset("P2-mixed-quadratic")
     mc = lab.MCConfig(n_paths=1500, seed=3, basis=BasisSpec(degree=3))
     N = 8
-    grid, _, bundle, sol0 = lab._solve_mc(spec, N, mc)
+    grid, sched, bundle, radius = lab._mc_setup(spec, N, mc)
     if kind == "drift-shift":
         spec_b = dataclasses.replace(
             spec, drift=lambda t, x: np.asarray(spec.drift(t, x), dtype=float) + level)
@@ -329,26 +355,40 @@ def test_stability_cell_is_the_direct_second_leg_solve_bit_for_bit(kind, level):
         spec_b = spec
         XB = exact_simulate(spec, bundle).X_exact
         tail = {"N": N, "mesh": grid.mesh}
-    solB = solve_backward(spec_b, sol0.grid, sol0.schedule, dataclasses.replace(
-        bundle, X_euler=XB), mc.basis, sol0.radius)
-    want = {**_whole_array_deltas(grid, bundle.X_euler, XB, sol0, solB), **tail}
-    want["ratio_Y"] = want["D_Y"] / want["dx_proxy"]
+    legA = stacked(spec, grid, sched, bundle, mc.basis, radius)
+    legB = stacked(spec_b, grid, sched, dataclasses.replace(bundle, X_euler=XB),
+                   mc.basis, radius)
+    want = {**_descending_deltas(grid, bundle.X_euler, XB, legA, legB), **tail}
+    dx = want["dx_proxy"]
+    want["ratio_Y"] = want["D_Y"] / dx
+    want.update({f"C_{k}": want[f"D_{k}"] / dx ** 2 for k in "YZK"})
 
     cell = lab.run_stability(spec, kind, [level], mc, N=N).cells[0]
     assert list(cell.items()) == list(want.items())
     assert all(want[k] > 0 for k in ("dx_proxy", "D_Y", "D_Z", "D_K"))
 
 
+def test_stability_constants_are_d_over_dx_proxy_squared():
+    # C_Y, C_Z and C_K are D_Y, D_Z and D_K over dx_proxy**2, bit for bit,
+    # beside ratio_Y = D_Y / dx_proxy, whose meaning stays
+    rep = lab.run_stability(build_preset("P2-mixed-quadratic"), "drift-shift",
+                            [0.4, 0.2, 0.1], SMALL_MC, N=8)
+    for c in rep.rows():
+        assert c["ratio_Y"] == c["D_Y"] / c["dx_proxy"]
+        for k in "YZK":
+            assert c[f"C_{k}"] == c[f"D_{k}"] / c["dx_proxy"] ** 2
+
+
 @pytest.mark.parametrize("kind, levels, live", [
-    ("drift-shift", [0.4, 0.2, 0.1], [(0, 1)] + [(1, 2)] * 3),
-    ("euler-vs-exact", [4, 8, 16], [(0, 1), (1, 1)] * 3),
+    ("drift-shift", [0.4, 0.2, 0.1], [(0, 1)] + [(4, 2)] * 3),
+    ("euler-vs-exact", [4, 8, 16], [(0, 1)] * 6),
 ])
 def test_stability_holds_one_leg_at_a_time(kind, levels, live, monkeypatch):
-    # at each solve start, the earlier solutions and the Euler states still
-    # alive: only the base leg (drift-shift) or the Euler leg of the same N
-    # (euler-vs-exact) may be, besides the states the solve is about to read
-    solutions, states, seen = [], [], []
-    solve, euler = lab.solve_backward, lab.euler_simulate
+    # at each leg's start, the earlier legs' yielded steps and the Euler
+    # states still alive: only the drift-shift base leg's 4 stored steps may
+    # be, besides the states the legs are about to read
+    kept, states, seen = [], [], []
+    steps, euler = lab.backward_steps, lab.euler_simulate
 
     def alive(refs):
         return sum(ref() is not None for ref in refs)
@@ -358,14 +398,17 @@ def test_stability_holds_one_leg_at_a_time(kind, levels, live, monkeypatch):
         states.append(weakref.ref(out.X_euler))
         return out
 
-    def tracked_solve(*args):
-        seen.append((alive(solutions), alive(states)))
-        sol = solve(*args)
-        solutions.append(weakref.ref(sol))
-        return sol
+    def tracked_steps(*args):
+        seen.append((alive(kept), alive(states)))
+
+        def walk():
+            for step in steps(*args):
+                kept.append(weakref.ref(step.y))
+                yield step
+        return walk()
 
     monkeypatch.setattr(lab, "euler_simulate", tracked_euler)
-    monkeypatch.setattr(lab, "solve_backward", tracked_solve)
+    monkeypatch.setattr(lab, "backward_steps", tracked_steps)
     mc = lab.MCConfig(n_paths=300, seed=0, basis=BasisSpec(degree=2), M_z=2.0)
     lab.run_stability(build_preset("P2-mixed-quadratic"), kind, levels, mc, N=4)
     assert seen == live
@@ -393,7 +436,7 @@ def test_stability_rejects_empty_levels_before_any_solve(kind, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking the levels")
 
-    monkeypatch.setattr(lab, "_solve_mc", no_solve)
+    monkeypatch.setattr(lab, "_mc_setup", no_solve)
     with pytest.raises(ValueError, match="levels must not be empty"):
         lab.run_stability(build_preset("P2-mixed-quadratic"), kind, [], SMALL_MC)
 
@@ -404,8 +447,8 @@ def test_stability_rejects_a_degenerate_exact_coupling_before_any_solve(monkeypa
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking the coupling")
 
-    monkeypatch.setattr(lab, "_solve_mc", no_solve)
-    monkeypatch.setattr(lab, "solve_backward", no_solve)
+    monkeypatch.setattr(lab, "_mc_setup", no_solve)
+    monkeypatch.setattr(lab, "backward_steps", no_solve)
     with pytest.raises(ValueError, match="coupling is degenerate"):
         lab.run_stability(build_preset("P1-pure-quadratic"), "euler-vs-exact",
                           [4, 8, 16], SMALL_MC)
@@ -467,8 +510,9 @@ def test_reflection_sweep_flags_read_the_reference(monotone):
 @pytest.mark.parametrize("passed", [True, False])
 def test_diagnostics_flags(passed):
     rep = lab.DiagnosticsReport(tail_sum_max=1.0 if passed else 2.0, bound_value=1.5,
-                                moments={}, grid_N=4, n_paths=10, seed=0)
-    assert rep.flags == {"within_bound": passed}
+                                moments={}, skorokhod={"all": True}, grid_N=4,
+                                n_paths=10, seed=0)
+    assert rep.flags == {"within_bound": passed, "skorokhod": True}
     assert "flags" not in rep.to_dict()
 
 
@@ -509,14 +553,24 @@ def test_diagnostics_zero_driver_constant_obstacle():
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_tail_sums_match_the_reversed_cumsum_bit_for_bit(m):
+def test_tail_sums_match_the_reversed_cumsum_bit_for_bit(m, stacked, monkeypatch):
+    # the targets that run_diagnostics regresses, step by step
     spec = build_preset("P2-mixed-quadratic", {"m": m})
     mc = lab.MCConfig(n_paths=1500, seed=4, basis=BasisSpec(degree=3), M_z=2.0)
-    grid, _, _, sol = lab._solve_mc(spec, 8, mc)
-    step2 = np.sum(sol.Zbar ** 2, axis=-1) * grid.dt[None, :]
+    setup = lab._mc_setup(spec, 8, mc)
+    grid = setup[0]
+    Zbar = stacked(spec, *setup[:3], mc.basis, setup[3])[1]
+    step2 = np.sum(Zbar ** 2, axis=-1) * grid.dt[None, :]
     want = np.cumsum(step2[:, ::-1], axis=1)[:, ::-1]
-    got = [(i, tail.tobytes()) for i, tail in lab._tail_sums(sol.Zbar, grid.dt)]
-    assert got == [(i, want[:, i].tobytes()) for i in range(grid.N - 1, -1, -1)]
+    got, fit = [], lab.fit_least_squares
+
+    def recorded(phi, xs, ys):
+        got.append(ys.tobytes())
+        return fit(phi, xs, ys)
+
+    monkeypatch.setattr(lab, "fit_least_squares", recorded)
+    lab.run_diagnostics(spec, 8, mc, setup=setup)
+    assert got == [want[:, i].tobytes() for i in range(grid.N - 1, -1, -1)]
 
 
 def test_diagnostics_moments_seed_stable():

@@ -29,13 +29,18 @@ def _zero_driver(spec):
         pure_quadratic=False)
 
 
-def _solved(spec, N=8, P=4000, seed=0, reflection="all", radius=None,
+def _inputs(spec, N=8, P=4000, seed=0, reflection="all", radius=None,
             basis=None):
+    """solve_backward's arguments: spec, grid, schedule, bundle, basis, radius."""
     grid, sched = make_grid(N, spec.T, reflection)
     bundle = euler_simulate(spec, sample_increments(grid, P, seed, spec.m))
-    basis = basis or BasisSpec(degree=3)
-    radius = radius or TruncationRadius(5.0)
-    return grid, sched, bundle, solve_backward(spec, grid, sched, bundle, basis, radius)
+    return (spec, grid, sched, bundle, basis or BasisSpec(degree=3),
+            radius or TruncationRadius(5.0))
+
+
+def _solved(spec, **kwargs):
+    args = _inputs(spec, **kwargs)
+    return args[1], args[2], args[3], solve_backward(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -199,69 +204,78 @@ def test_single_step_terminal_expectation():
     assert sol.y0_fit == pytest.approx(want, abs=4.0 * sol.y0_se)
 
 
-def test_constant_obstacle_constant_solution():
+def test_constant_obstacle_constant_solution(stacked):
     spec = _zero_driver(_p1())
     spec = dataclasses.replace(spec, obstacle=lambda x: np.full(np.shape(x), 0.3))
-    grid, sched, bundle, sol = _solved(spec, N=6, P=20000, seed=4,
-                                       basis=BasisSpec(degree=0))
-    np.testing.assert_allclose(sol.Ybar, 0.3, atol=1e-10)
-    np.testing.assert_allclose(sol.dK, 0.0, atol=1e-10)
+    args = _inputs(spec, N=6, P=20000, seed=4, basis=BasisSpec(degree=0))
+    Ybar, Zbar, dK = stacked(*args)
+    np.testing.assert_allclose(Ybar, 0.3, atol=1e-10)
+    np.testing.assert_allclose(dK, 0.0, atol=1e-10)
     # Z is pure regression noise: the projection of 0.3*dW/dt has standard
     # error 0.3 / sqrt(P*dt) per step under the constant basis
-    noise = 0.3 / math.sqrt(20000 * grid.dt[0])
-    assert float(np.max(np.abs(sol.Zbar))) < 5.0 * noise
+    noise = 0.3 / math.sqrt(20000 * args[1].dt[0])
+    assert float(np.max(np.abs(Zbar))) < 5.0 * noise
 
 
-def test_skorokhod_conditions_exact():
-    spec = _p1()
-    grid, sched, bundle, sol = _solved(spec, N=16, P=3000, seed=5,
-                                       reflection=("every", 4))
-    flags = sol.skorokhod_flags(spec, bundle.X_euler)
+def test_skorokhod_conditions_exact(stacked):
+    args = _inputs(_p1(), N=16, P=3000, seed=5, reflection=("every", 4))
+    _, grid, sched = args[:3]
+    flags = solve_backward(*args).skorokhod
     assert flags["all"], flags
     refl = np.zeros(grid.N + 1, dtype=bool)
     refl[sched.indices] = True
-    assert np.all(sol.dK[:, ~refl] == 0.0)
+    assert np.all(stacked(*args)[2][:, ~refl] == 0.0)
 
 
-def _skorokhod_reference(sol, spec, X):
+def _skorokhod_reference(Ybar, dK, refl, spec, X):
     # the whole-array form of the four conditions
-    refl = sol.schedule.mask
     g = np.asarray(spec.obstacle(X), dtype=float)
     flags = {
-        "dK_nonnegative": bool(np.all(sol.dK >= 0.0)),
-        "dK_zero_off_schedule": bool(np.all(sol.dK[:, ~refl] == 0.0)),
-        "Ybar_above_obstacle": bool(np.all(sol.Ybar[:, refl] >= g[:, refl])),
-        "flat_off": bool(np.all(sol.dK[:, refl] * (sol.Ybar - g)[:, refl] == 0.0)),
+        "dK_nonnegative": bool(np.all(dK >= 0.0)),
+        "dK_zero_off_schedule": bool(np.all(dK[:, ~refl] == 0.0)),
+        "Ybar_above_obstacle": bool(np.all(Ybar[:, refl] >= g[:, refl])),
+        "flat_off": bool(np.all(dK[:, refl] * (Ybar - g)[:, refl] == 0.0)),
     }
     flags["all"] = all(flags.values())
     return flags
 
 
-def test_skorokhod_flags_each_violation_matches_whole_array_reference():
-    spec = _p1()
-    grid, sched, bundle, sol = _solved(spec, N=8, P=500, seed=5,
-                                       reflection=("every", 2))
+def test_skorokhod_flags_each_violation_matches_whole_array_reference(
+        stacked, monkeypatch):
+    # each case edits one entry of the stacked arrays, and solve_backward
+    # reads the edited arrays back as the steps of its one walk
+    args = _inputs(_p1(), N=8, P=500, seed=5, reflection=("every", 2))
+    spec, grid, sched, bundle = args[:4]
     X = bundle.X_euler
+    arrays = dict(zip(("Ybar", "Zbar", "dK"), stacked(*args)))
     g = np.asarray(spec.obstacle(X), dtype=float)
     on = int(np.flatnonzero(sched.mask[:-1])[-1])
     off = int(np.flatnonzero(~sched.mask)[0])
-    above = int(np.flatnonzero(sol.Ybar[:, on] > g[:, on])[0])
+    above = int(np.flatnonzero(arrays["Ybar"][:, on] > g[:, on])[0])
 
     def edited(name, p, i, value):
-        arr = getattr(sol, name).copy(order="K")
+        arr = arrays[name].copy(order="K")
         arr[p, i] = value
-        return dataclasses.replace(sol, **{name: arr})
+        return dict(arrays, **{name: arr})
+
+    def steps_of(case):
+        Y, Z, K = case["Ybar"], case["Zbar"], case["dK"]
+        return lambda *a: (scheme.BackwardStep(i, Y[:, i + 1], Z[:, i, :], Y[:, i],
+                                               K[:, i], 1, 1.0, 0.0)
+                           for i in range(grid.N - 1, -1, -1))
 
     cases = {
-        None: sol,
+        None: arrays,
         "dK_nonnegative": edited("dK", above, on, -1e-3),
         "dK_zero_off_schedule": edited("dK", 0, off, 1e-3),
         "Ybar_above_obstacle": edited("Ybar", above, on, g[above, on] - 1e-3),
         "flat_off": edited("dK", above, on, 1e-3),
     }
     for broken, case in cases.items():
-        flags = case.skorokhod_flags(spec, X)
-        assert flags == _skorokhod_reference(case, spec, X), broken
+        monkeypatch.setattr(scheme, "backward_steps", steps_of(case))
+        flags = solve_backward(*args).skorokhod
+        assert flags == _skorokhod_reference(case["Ybar"], case["dK"], sched.mask,
+                                             spec, X), broken
         assert flags["all"] == (broken is None)
         if broken is not None:
             assert not flags[broken]
@@ -276,40 +290,35 @@ def test_contraction_precondition_enforced():
                        TruncationRadius(5.0))
 
 
-def test_truncation_noop_bit_identical():
-    spec = _p1()
-    grid, sched = make_grid(8, spec.T)
-    bundle = euler_simulate(spec, sample_increments(grid, 4000, 6, 1))
-    basis = BasisSpec(degree=3)
-    sol_a = solve_backward(spec, grid, sched, bundle, basis, TruncationRadius(8.0))
-    assert float(np.max(np.abs(sol_a.Zbar))) + 1.0 <= 8.0
-    sol_b = solve_backward(spec, grid, sched, bundle, basis, TruncationRadius(80.0))
-    np.testing.assert_array_equal(sol_a.Ybar, sol_b.Ybar)
-    np.testing.assert_array_equal(sol_a.Zbar, sol_b.Zbar)
-    np.testing.assert_array_equal(sol_a.dK, sol_b.dK)
+def test_truncation_noop_bit_identical(stacked):
+    args = _inputs(_p1(), N=8, P=4000, seed=6, radius=TruncationRadius(8.0))
+    Ybar_a, Zbar_a, dK_a = stacked(*args)
+    assert float(np.max(np.abs(Zbar_a))) + 1.0 <= 8.0
+    Ybar_b, Zbar_b, dK_b = stacked(*args[:-1], TruncationRadius(80.0))
+    np.testing.assert_array_equal(Ybar_a, Ybar_b)
+    np.testing.assert_array_equal(Zbar_a, Zbar_b)
+    np.testing.assert_array_equal(dK_a, dK_b)
 
 
-def test_obstacle_monotonicity_statistical():
+def test_obstacle_monotonicity_statistical(stacked):
     spec = _zero_driver(_p1())
     lifted = dataclasses.replace(
         spec, obstacle=lambda x: clip_obstacle(x) + 0.05)
-    _, _, _, lo = _solved(spec, N=8, P=5000, seed=7)
-    _, _, _, hi = _solved(lifted, N=8, P=5000, seed=7)
-    assert np.all(hi.Ybar >= lo.Ybar - 1e-12)
+    lo = stacked(*_inputs(spec, N=8, P=5000, seed=7))[0]
+    hi = stacked(*_inputs(lifted, N=8, P=5000, seed=7))[0]
+    assert np.all(hi >= lo - 1e-12)
 
 
-def test_determinism_same_inputs():
+def test_determinism_same_inputs(stacked):
     spec = _p1()
-    _, _, _, a = _solved(spec, N=8, P=2000, seed=8)
-    _, _, _, b = _solved(spec, N=8, P=2000, seed=8)
-    np.testing.assert_array_equal(a.Ybar, b.Ybar)
-    assert a.y0_fit == b.y0_fit
+    a, b = (_inputs(spec, N=8, P=2000, seed=8) for _ in range(2))
+    np.testing.assert_array_equal(stacked(*a)[0], stacked(*b)[0])
+    assert solve_backward(*a).y0_fit == solve_backward(*b).y0_fit
 
 
-def test_y_clamped_by_bound():
-    spec = _p1()
-    _, _, _, sol = _solved(spec, N=8, P=2000, seed=9)
-    assert float(np.max(np.abs(sol.Ybar))) <= 0.5 + 1e-12   # M = M_g for P1
+def test_y_clamped_by_bound(stacked):
+    Ybar = stacked(*_inputs(_p1(), N=8, P=2000, seed=9))[0]
+    assert float(np.max(np.abs(Ybar))) <= 0.5 + 1e-12   # M = M_g for P1
 
 
 def test_mz_auto_floor_and_passthrough():
@@ -338,7 +347,8 @@ def test_mz_auto_stable_across_seeds():
 
 @pytest.mark.parametrize("name, m", [("P1-pure-quadratic", 1),
                                      ("P2-mixed-quadratic", 2)])
-def test_mz_auto_is_the_pilot_solve_quantile_rule_bit_for_bit(name, m, monkeypatch):
+def test_mz_auto_is_the_pilot_solve_quantile_rule_bit_for_bit(name, m, monkeypatch,
+                                                              stacked):
     spec = build_preset(name, {"m": m})
     grid, sched = make_grid(16, spec.T)
     bundle = euler_simulate(spec, sample_increments(grid, 20000, 24, m))
@@ -346,9 +356,8 @@ def test_mz_auto_is_the_pilot_solve_quantile_rule_bit_for_bit(name, m, monkeypat
     P_pilot = int(bundle.n_paths * scheme.MZ_PILOT_FRACTION)
     pilot = dataclasses.replace(bundle, n_paths=P_pilot, dW=bundle.dW[:P_pilot],
                                 X_euler=bundle.X_euler[:P_pilot])
-    sol = solve_backward(spec, grid, sched, pilot, basis,
-                         TruncationRadius(1e9))
-    per_step = np.quantile(np.linalg.norm(sol.Zbar, axis=2), 0.999, axis=0)
+    Zbar = stacked(spec, grid, sched, pilot, basis, TruncationRadius(1e9))[1]
+    per_step = np.quantile(np.linalg.norm(Zbar, axis=2), 0.999, axis=0)
     want = max(scheme.MZ_AUTO_FLOOR, 2.0 * float(np.max(per_step)))
 
     def no_solve(*args):
@@ -404,8 +413,8 @@ def test_one_design_and_one_fit_per_step(monkeypatch, m):
     monkeypatch.setattr(scheme, "fit_least_squares", counted_fit)
     monkeypatch.setattr(scheme, "z_projection_step", counted_projection)
     spec = build_preset("P1-pure-quadratic", {"m": m})
-    _, _, _, sol = _solved(spec, N=6, P=2000, seed=12)
-    assert sol.Zbar.shape == (2000, 6, m)
+    _, _, bundle, sol = _solved(spec, N=6, P=2000, seed=12)
+    assert bundle.dW.shape == (2000, 6, m) and sol.max_abs_z.shape == (6,)
     assert calls == {"design": 6, "fit": 6, "z_projection_step": 6}
 
 
@@ -417,14 +426,16 @@ def test_every_time_slice_is_contiguous(m):
     grid, sched = make_grid(6, spec.T)
     bundle = sample_increments(grid, 500, 13, m)
     bundle = exact_simulate(spec, euler_simulate(spec, bundle))
-    sol = solve_backward(spec, grid, sched, bundle, BasisSpec(degree=3),
-                         TruncationRadius(5.0))
     for i in range(grid.N + 1):
-        for X in (bundle.X_euler, bundle.X_exact, sol.Ybar, sol.dK):
+        for X in (bundle.X_euler, bundle.X_exact):
             assert X[:, i].flags.contiguous
     for i in range(grid.N):
-        for dW_or_Z in (bundle.dW, sol.Zbar):
-            assert dW_or_Z[:, i, :].flags.f_contiguous
+        assert bundle.dW[:, i, :].flags.f_contiguous
+    # each yielded step's slices too
+    for step in scheme.backward_steps(spec, grid, sched, bundle, BasisSpec(degree=3),
+                                      TruncationRadius(5.0)):
+        assert step.y.flags.contiguous and step.dk.flags.contiguous
+        assert step.z.flags.f_contiguous
 
 
 def _reference_backward(spec, grid, sched, bundle, basis, radius):
@@ -464,29 +475,59 @@ def _reference_backward(spec, grid, sched, bundle, basis, radius):
 
 
 @pytest.mark.parametrize("degree", [6, 12])
-def test_backward_matches_the_reference_kernel(degree):
-    spec = _p1()
-    basis = BasisSpec(degree=degree)
-    grid, sched, bundle, sol = _solved(spec, N=16, P=3000, seed=21, basis=basis,
-                                       radius=TruncationRadius(2.0))
-    Ybar, Zbar, dK, picard = _reference_backward(
-        spec, grid, sched, bundle, basis, sol.radius)
-    for got, want in ((sol.Ybar, Ybar), (sol.Zbar, Zbar), (sol.dK, dK)):
+def test_backward_matches_the_reference_kernel(degree, stacked):
+    args = _inputs(_p1(), N=16, P=3000, seed=21, basis=BasisSpec(degree=degree),
+                   radius=TruncationRadius(2.0))
+    Ybar, Zbar, dK, picard = _reference_backward(*args)
+    for got, want in zip(stacked(*args), (Ybar, Zbar, dK)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
-    np.testing.assert_array_equal(sol.picard_counts, picard)
+    np.testing.assert_array_equal(solve_backward(*args).picard_counts, picard)
 
 
 def test_solution_keeps_only_the_reflected_value_z_and_push_up():
+    # the name predates the streamed solve: now no field is path-sized
     P = 1500
     _, _, _, sol = _solved(_p1(), N=6, P=P, seed=23)
     path_arrays = {f.name for f in dataclasses.fields(sol)
                    if np.shape(getattr(sol, f.name))[:1] == (P,)}
-    assert path_arrays == {"Ybar", "Zbar", "dK"}
+    assert path_arrays == set()
     assert "y0_path_mean" not in sol.summary()
 
 
-def test_summary_max_abs_z_is_the_whole_array_maximum():
-    spec = build_preset("P1-pure-quadratic", {"m": 2})
-    _, _, _, sol = _solved(spec, N=6, P=1500, seed=22)
-    assert sol.summary()["max_abs_z_per_step"] == \
-        np.max(np.abs(sol.Zbar), axis=(0, 2)).tolist()
+def test_summary_max_abs_z_is_the_whole_array_maximum(stacked):
+    args = _inputs(build_preset("P1-pure-quadratic", {"m": 2}), N=6, P=1500, seed=22)
+    assert solve_backward(*args).summary()["max_abs_z_per_step"] == \
+        np.max(np.abs(stacked(*args)[1]), axis=(0, 2)).tolist()
+
+
+@pytest.mark.parametrize("reflection", ["all", ("every", 2)])
+def test_step_records_match_the_whole_arrays(reflection, stacked):
+    # each recorded column and the K_T statistics, against the stacked
+    # arrays: K_T adds its steps in descending i, the rest is bit for bit
+    args = _inputs(_p1(), N=8, P=1500, seed=26, reflection=reflection)
+    Ybar, Zbar, dK = stacked(*args)
+    sol = solve_backward(*args)
+    N, P = args[1].N, args[3].n_paths
+    np.testing.assert_array_equal(sol.mean_dK, [np.mean(dK[:, i]) for i in range(N)])
+    np.testing.assert_array_equal(sol.reflected_frac,
+                                  np.count_nonzero(dK[:, :N] > 0, axis=0) / P)
+    kT = np.sum(dK, axis=1)
+    want = {"mean": np.mean(kT), "std": np.std(kT), "max": np.max(kT)}
+    assert sol.K_T.keys() == want.keys()
+    for k, v in want.items():
+        assert sol.K_T[k] == pytest.approx(v, rel=1e-12, abs=0.0), k
+    assert (sol.y0_fit, sol.y0_se) == scheme.y0_estimates(Ybar[:, 0], Ybar[:, 1])
+
+
+def test_solve_builds_no_path_array():
+    # the solve keeps per-step scalars and one running (P,) sum, so its
+    # traced peak stays below one (P, N+1) float64 array
+    args = _inputs(_p1(), N=16, P=2000, seed=27)
+    solve_backward(*args)     # warm-up
+    tracemalloc.start()
+    try:
+        solve_backward(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 17 * 8
