@@ -346,8 +346,10 @@ def run(cfg: RunConfig, out_dir: str, dump_paths: bool = False,
         threads: int = 1) -> dict:
     """Execute the configured experiment and write artifacts under out_dir.
 
-    Returns the manifest.  ``threads`` is recorded for bookkeeping only; no
-    stage parallelizes internally, so results never depend on it.
+    Returns the manifest.  ``threads`` is recorded for bookkeeping only.
+    Whatever it says, each convergence cell walks its path recursion on one
+    fixed helper thread beside the lattice lookups, and no other stage runs
+    in parallel; results never depend on either.
     """
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
@@ -430,7 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="recorded in the manifest; no effect on the computation")
+                       help="recorded in the manifest only; a convergence cell "
+                            "always walks its paths on one helper thread, and "
+                            "results never depend on either")
         p.add_argument("--dump-paths", action="store_true",
                        help="solve, diagnose: also write the paths as CSV")
     return parser

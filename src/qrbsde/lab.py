@@ -10,9 +10,12 @@ a 95% confidence band from standard regression theory.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import hashlib
 import math
+import queue
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -40,15 +43,24 @@ class MCConfig:
             raise ValueError("need at least one path")
 
 
-def _mc_setup(spec, N, mc: MCConfig, reflection="all"):
-    """Grid, Euler bundle and truncation radius: the user's M_z, else the pilot's."""
+def _mc_paths(spec, N, mc: MCConfig, reflection="all"):
+    """Grid, schedule and Euler bundle of a path solve."""
     grid, sched = make_grid(N, spec.T, reflection)
-    bundle = euler_simulate(spec, sample_increments(grid, mc.n_paths, mc.seed, spec.m))
+    return grid, sched, euler_simulate(
+        spec, sample_increments(grid, mc.n_paths, mc.seed, spec.m))
+
+
+def _mc_radius(spec, grid, sched, bundle, mc: MCConfig) -> TruncationRadius:
+    """The truncation radius: the user's M_z, else the pilot's."""
     if mc.M_z is not None:
-        radius = TruncationRadius(float(mc.M_z), "user-supplied")
-    else:
-        radius = estimate_Mz_auto(spec, grid, sched, bundle, mc.basis)
-    return grid, sched, bundle, radius
+        return TruncationRadius(float(mc.M_z), "user-supplied")
+    return estimate_Mz_auto(spec, grid, sched, bundle, mc.basis)
+
+
+def _mc_setup(spec, N, mc: MCConfig, reflection="all"):
+    """Grid, schedule, Euler bundle and truncation radius."""
+    grid, sched, bundle = _mc_paths(spec, N, mc, reflection)
+    return grid, sched, bundle, _mc_radius(spec, grid, sched, bundle, mc)
 
 
 def _solve_mc(spec, N, mc: MCConfig, reflection="all"):
@@ -147,12 +159,69 @@ class ConvergenceReport(_CellReport):
                 "slopes_fitted": all(v is not None for v in self.slopes.values())}
 
 
+_END = object()
+
+
+def _ahead(steps):
+    """Iterate the generator ``steps`` on one daemon worker thread, one item
+    ahead of the caller: while the caller holds item k, the worker computes
+    item k+1 and then waits, so at most two items are alive at once.
+
+    The worker runs in a copy of the caller's context, so ``np.errstate``
+    holds there too.  An exception from ``steps`` is raised in the caller as
+    it was raised.  On any exit, early ones included, the worker is told to
+    stop, closes ``steps`` and is joined, so no thread outlives the walk."""
+    box = queue.Queue(maxsize=1)
+    wanted = threading.Semaphore(0)
+    stop = threading.Event()
+
+    def walk():
+        try:
+            while True:
+                wanted.acquire()
+                if stop.is_set():
+                    return
+                item = next(steps, _END)
+                box.put((item, None))
+                if item is _END:
+                    return
+        except BaseException as exc:   # handed to the caller, which raises it
+            box.put((_END, exc))
+        finally:
+            steps.close()
+
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(walk,), daemon=True)
+    worker.start()
+    try:
+        wanted.release()
+        while True:
+            item, exc = box.get()
+            if exc is not None:
+                raise exc
+            if item is _END:
+                return
+            wanted.release()
+            yield item
+    finally:
+        stop.set()
+        wanted.release()
+        worker.join()
+
+
 def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
                       stride: int, y0_ref: float):
     """One grid size of ``run_convergence``: the path scheme, read as each
     ``backward_steps`` step is yielded and kept nowhere, and the lattice solve
     at N, compared with each other and with the reference on the path cloud.
-    Returns the cell and the lattice solve's off-grid count."""
+    Returns the cell and the lattice solve's off-grid count.
+
+    The path recursion walks on ``_ahead``'s worker thread: while it computes
+    step i-1, this thread interpolates the lattice columns at step i and adds
+    its sums, still in descending i, so the cell is bit for bit the serial
+    one.  The lattice solve runs before the walk starts, and during it this
+    thread calls only ``SpaceGrid.interpolate`` and numpy: the benchmark's
+    tracer keeps one span stack per process."""
     grid, sched, bundle, radius = _mc_setup(spec, N, mc)
     X = bundle.X_euler
     orc = exact_scheme_solve(spec, grid, sched, space)
@@ -161,7 +230,7 @@ def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
     sup_y = 0.0           # quadrature-at-N vs fine reference
     mc_sup_y = 0.0        # path solver vs quadrature-at-N
     z_terms, mc_z_terms = np.zeros(mc.n_paths), np.zeros(mc.n_paths)
-    for step in backward_steps(spec, grid, sched, bundle, mc.basis, radius):
+    for step in _ahead(backward_steps(spec, grid, sched, bundle, mc.basis, radius)):
         i = step.i
         v = space.interpolate(np.column_stack(
             [ref.y[stride * i], orc.y[i], ref.z[stride * i], orc.z[i]]), X[:, i])
@@ -214,6 +283,8 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
 
     Memory: a cell keeps its increments, Euler states, lattice solve and a
     few (P,) sums; it reads the path scheme one step at a time, storing none.
+    The walk runs one step ahead on a helper thread (``_ahead``), so at most
+    two yielded steps are alive at once; the results do not depend on it.
     """
     Ns = [int(n) for n in Ns]
     if len(Ns) < 4:
@@ -367,14 +438,11 @@ def _coupled_cell(spec: ProblemSpec, setup, base, X, basis: BasisSpec) -> dict:
     return _deltas(grid, bundle.X_euler, X, base, steps)
 
 
-def _check_exact_coupling(spec: ProblemSpec, N: int, mc: MCConfig):
+def _check_exact_coupling(bundle):
     """Raise where the exact transition reproduces the Euler step on the
     first level's paths, as it does for a drift constant in x: there every
     euler-vs-exact difference would be 0."""
-    grid, _ = make_grid(N, spec.T)
-    probe = exact_simulate(spec, euler_simulate(
-        spec, sample_increments(grid, mc.n_paths, mc.seed, spec.m)))
-    if np.array_equal(probe.X_euler, probe.X_exact):
+    if np.array_equal(bundle.X_euler, bundle.X_exact):
         raise ValueError("euler-vs-exact coupling is degenerate: the exact "
                          "transition equals the Euler step (drift constant "
                          "in x), so every coupled difference would be 0")
@@ -430,10 +498,12 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
         Ns = [int(n) for n in levels]
         if any(b <= a for a, b in zip(Ns, Ns[1:])):
             raise ValueError("N levels must be strictly increasing")
-        _check_exact_coupling(spec, Ns[0], mc)
         for n in Ns:
-            grid, sched, bundle, radius = _mc_setup(spec, n, mc)
+            grid, sched, bundle = _mc_paths(spec, n, mc)
             bundle = exact_simulate(spec, bundle)
+            if n == Ns[0]:
+                _check_exact_coupling(bundle)   # before the pilot and any solve
+            radius = _mc_radius(spec, grid, sched, bundle, mc)
             base = backward_steps(spec, grid, sched, bundle, mc.basis, radius)
             cells.append({**_coupled_cell(spec, (grid, sched, bundle, radius), base,
                                           bundle.X_exact, mc.basis),

@@ -13,7 +13,8 @@ one backward-step kernel, ``backward_steps`` only by the solve, the M_z
 pilot, the convergence cell, the stability legs (the base leg in each of
 the two kinds, the second leg in the one coupled-leg helper) and the
 diagnostics, ``solve_backward`` only by the CLI's one Monte Carlo solve, and
-``_deltas`` only by the one coupled stability leg.  The callers are read
+``_deltas`` only by the one coupled stability leg, and ``_ahead``, the
+walk on a helper thread, only by the convergence cell.  The callers are read
 with ``_callers`` below.  A fresh
 interpreter that imports the package and runs a small convergence study never loads ``scipy.stats``,
 ``scipy.linalg`` (each least-squares fit makes one numpy ``eigh``), nor
@@ -105,6 +106,9 @@ HOMES = {
     # the only caller of the solve that records each step is the CLI's solve
     "solve_backward": ["lab._solve_mc"],
     "_deltas": ["lab._coupled_cell"],
+    # the walk on a helper thread was measured faster only in the
+    # convergence cell (slower in the drift-shift leg, no gain in the solve)
+    "_ahead": ["lab._convergence_cell"],
 }
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -151,6 +153,92 @@ def test_streamed_convergence_cell_matches_the_stored_solve(M_z, stacked):
     for key in ("z_err", "mc_z_gap"):
         assert got.pop(key) == pytest.approx(want.pop(key), rel=1e-12, abs=0)
     assert got == want
+
+
+def test_convergence_is_bit_identical_to_the_serial_walk(monkeypatch):
+    # the worker thread changes only where the path recursion runs
+    spec = build_preset("P1-pure-quadratic")
+    threaded = lab.run_convergence(spec, [4, 8, 16, 32], SMALL_MC).to_dict()
+    monkeypatch.setattr(lab, "_ahead", iter)
+    assert lab.run_convergence(spec, [4, 8, 16, 32], SMALL_MC).to_dict() == threaded
+
+
+def _convergence_raises(error, match):
+    """Run a small convergence study that must raise ``error``; afterwards
+    no thread it started may be left."""
+    before = set(threading.enumerate())
+    with pytest.raises(error, match=match):
+        lab.run_convergence(build_preset("P1-pure-quadratic"), [4, 8, 16, 32],
+                            lab.MCConfig(n_paths=500, seed=0, basis=BasisSpec(degree=2)))
+    assert set(threading.enumerate()) == before
+
+
+def test_convergence_raises_a_failing_path_walk_as_it_was(monkeypatch):
+    steps = lab.backward_steps
+
+    def failing(*args):
+        for k, step in enumerate(steps(*args)):
+            if k == 2:
+                raise RuntimeError("walk failed at its third step")
+            yield step
+
+    monkeypatch.setattr(lab, "backward_steps", failing)
+    _convergence_raises(RuntimeError, "^walk failed at its third step$")
+
+
+def test_convergence_joins_the_walk_when_a_lookup_fails(monkeypatch):
+    # the third lookup on the path cloud fails while the worker walks
+    original, calls = oracle.SpaceGrid.interpolate, []
+
+    def failing(self, values, x):
+        if np.size(x) == 500:
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("lookup failed")
+        return original(self, values, x)
+
+    monkeypatch.setattr(oracle.SpaceGrid, "interpolate", failing)
+    _convergence_raises(ValueError, "^lookup failed$")
+    assert len(calls) == 3
+
+
+def test_ahead_walks_in_the_callers_errstate():
+    def overflowing():
+        yield np.float64(1.0)
+        yield np.float64(1e308) * 10.0
+
+    before = threading.active_count()
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            list(lab._ahead(overflowing()))
+    assert threading.active_count() == before
+
+
+def test_ahead_runs_one_item_ahead_and_closes_the_walk_on_early_exit():
+    made, closed = [], []
+
+    def counting():
+        try:
+            for k in range(10):
+                made.append(k)
+                yield k
+        finally:
+            closed.append(True)
+
+    before = threading.active_count()
+    steps = counting()   # held here, so only an explicit close ends it
+    walk = lab._ahead(steps)
+    for k in walk:
+        deadline = time.monotonic() + 5.0
+        while len(made) < k + 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.01)   # time for a worker that ran further to show it
+        assert len(made) == k + 2
+        if k == 3:
+            break
+    walk.close()
+    assert closed == [True] and len(made) == 5
+    assert threading.active_count() == before
 
 
 def test_convergence_small_run_shapes_and_monotonicity():
@@ -437,8 +525,23 @@ def test_stability_rejects_empty_levels_before_any_solve(kind, monkeypatch):
         raise AssertionError("solved before checking the levels")
 
     monkeypatch.setattr(lab, "_mc_setup", no_solve)
+    monkeypatch.setattr(lab, "_mc_paths", no_solve)
     with pytest.raises(ValueError, match="levels must not be empty"):
         lab.run_stability(build_preset("P2-mixed-quadratic"), kind, [], SMALL_MC)
+
+
+def test_stability_euler_vs_exact_simulates_each_level_once(monkeypatch):
+    # the coupling check reads the first level's bundle, simulating none
+    simulated, euler = [], lab.euler_simulate
+
+    def recorded(spec, bundle):
+        simulated.append(bundle.grid.N)
+        return euler(spec, bundle)
+
+    monkeypatch.setattr(lab, "euler_simulate", recorded)
+    lab.run_stability(build_preset("P2-mixed-quadratic"), "euler-vs-exact",
+                      [4, 8, 16], lab.MCConfig(n_paths=300, seed=0, M_z=2.0))
+    assert simulated == [4, 8, 16]
 
 
 def test_stability_rejects_a_degenerate_exact_coupling_before_any_solve(monkeypatch):
