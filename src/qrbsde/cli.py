@@ -347,9 +347,12 @@ def run(cfg: RunConfig, out_dir: str, dump_paths: bool = False,
     """Execute the configured experiment and write artifacts under out_dir.
 
     Returns the manifest.  ``threads`` is recorded for bookkeeping only.
-    Whatever it says, each convergence cell walks its path recursion on one
-    fixed helper thread beside the lattice lookups, and no other stage runs
-    in parallel; results never depend on either.
+    Whatever it says, a bundle of at least 3 * 10^4 paths
+    (``forward.AHEAD_MIN_PATHS``) draws its increments and walks its
+    backward recursion with one helper thread beside the caller, and each
+    convergence cell walks its whole path recursion on one helper beside
+    the lattice lookups.  Helpers never nest, so a walk already on a helper
+    stays on it alone, and results never depend on any of them.
     """
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
@@ -432,9 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="recorded in the manifest only; a convergence cell "
-                            "always walks its paths on one helper thread, and "
-                            "results never depend on either")
+                       help="recorded in the manifest only; from 3*10^4 "
+                            "paths the sampling and the backward walk share "
+                            "their work with one helper thread, a convergence "
+                            "cell walks its paths on one, and results never "
+                            "depend on either")
         p.add_argument("--dump-paths", action="store_true",
                        help="solve, diagnose: also write the paths as CSV")
     return parser

@@ -2,7 +2,12 @@
 
 Brownian increments come from counter-based Philox streams keyed on
 (seed, step), so any (path, step) draw is reproducible independently of the
-order in which steps are generated and of any thread count.  Euler states
+order in which steps are generated and of any thread count.  From
+AHEAD_MIN_PATHS paths on, the draws are shared with one helper thread (the
+odd steps there, the even ones on the caller), through ``_ahead``, the
+package's one helper primitive, which ``scheme.backward_steps`` and the
+convergence cell use too; helpers never nest, no helper outlives the call
+that started it, and no result depends on them.  Euler states
 follow the left-endpoint recursion; presets with affine, time-constant drift
 also admit exact transition sampling coupled to the same increments, which
 serves as the strong-error oracle.
@@ -10,8 +15,11 @@ serves as the strong-error oracle.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import mmap
+import queue
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -23,6 +31,9 @@ from .model import ProblemSpec
 _STREAM_EULER = 0
 _STREAM_EXACT_RESIDUAL = 1
 SEED_BOUND = 2 ** 64    # a seed has 64 key bits; a larger one aliases a tag
+# a stage shares its work with a helper thread only from this many paths
+# (measured break-even about 2 * 10^4 on a 2-core host)
+AHEAD_MIN_PATHS = 30_000
 
 
 @dataclass(frozen=True)
@@ -150,17 +161,90 @@ def _step_rng(seed: int, i: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_END = object()
+_helper = threading.local()    # .active is set on a helper thread
+
+
+def helper_pays(n_paths: int) -> bool:
+    """Whether a stage over ``n_paths`` paths shares its work with a helper
+    thread: from AHEAD_MIN_PATHS paths on, and never on a helper thread
+    already, so helpers do not nest."""
+    return n_paths >= AHEAD_MIN_PATHS and not getattr(_helper, "active", False)
+
+
+def _ahead(items):
+    """Iterate the generator ``items`` on one daemon helper thread, one item
+    ahead of the caller: while the caller holds item k, the helper computes
+    item k+1 and then waits, so at most two items are alive at once.
+
+    The helper runs in a copy of the caller's context, so ``np.errstate``
+    holds there too.  An exception from ``items`` is raised in the caller as
+    it was raised.  On any exit, early ones included, the helper is told to
+    stop, closes ``items`` and is joined, so no thread outlives the walk."""
+    box = queue.Queue(maxsize=1)
+    wanted = threading.Semaphore(0)
+    stop = threading.Event()
+
+    def walk():
+        _helper.active = True
+        try:
+            while True:
+                wanted.acquire()
+                if stop.is_set():
+                    return
+                item = next(items, _END)
+                box.put((item, None))
+                if item is _END:
+                    return
+        except BaseException as exc:   # handed to the caller, which raises it
+            box.put((_END, exc))
+        finally:
+            items.close()
+
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(walk,), daemon=True)
+    worker.start()
+    try:
+        wanted.release()
+        while True:
+            item, exc = box.get()
+            if exc is not None:
+                raise exc
+            if item is _END:
+                return
+            wanted.release()
+            yield item
+    finally:
+        stop.set()
+        wanted.release()
+        worker.join()
+
+
 def sample_increments(grid: TimeGrid, P: int, seed: int, m: int = 1) -> PathBundle:
-    """Draw Brownian increments dW[p, i, :] ~ N(0, dt_i I_m), reproducibly."""
+    """Draw Brownian increments dW[p, i, :] ~ N(0, dt_i I_m), reproducibly.
+
+    Where ``helper_pays(P)``, a helper thread draws the odd steps while the
+    caller draws the even ones; each step has its own stream, so the bundle
+    is bit for bit the one-thread draw."""
     if P < 1:
         raise ValueError("need at least one path")
     if not 0 <= seed < SEED_BOUND:
         raise ValueError("seed must be in 0..2**64 - 1")
-    N = grid.N
+    N, dt = grid.N, grid.dt
     dW = path_array(P, N, m, mapped=True)
-    for i, dti in enumerate(grid.dt):
+
+    def draw(i):
         rng = _step_rng(seed, i, _STREAM_EULER)
-        np.multiply(rng.standard_normal((P, m)), math.sqrt(dti), out=dW[:, i, :])
+        np.multiply(rng.standard_normal((P, m)), math.sqrt(dt[i]), out=dW[:, i, :])
+
+    odd = (draw(i) for i in range(1, N, 2))
+    odd = _ahead(odd) if N > 1 and helper_pays(P) else odd
+    try:
+        for i in range(0, N, 2):
+            draw(i)
+            next(odd, None)
+    finally:
+        odd.close()
     return PathBundle(grid=grid, n_paths=P, seed=seed, m=m, dW=dW)
 
 

@@ -10,19 +10,16 @@ a 95% confidence band from standard regression theory.
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
 import hashlib
 import math
-import queue
-import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .forward import (TimeGrid, euler_simulate, exact_simulate, make_grid,
-                      sample_increments)
+from .forward import (TimeGrid, _ahead, euler_simulate, exact_simulate,
+                      make_grid, sample_increments)
 from .model import ProblemSpec, TruncationRadius, y_bound
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec, build_basis, fit_least_squares, localize_basis
@@ -159,56 +156,6 @@ class ConvergenceReport(_CellReport):
                 "slopes_fitted": all(v is not None for v in self.slopes.values())}
 
 
-_END = object()
-
-
-def _ahead(steps):
-    """Iterate the generator ``steps`` on one daemon worker thread, one item
-    ahead of the caller: while the caller holds item k, the worker computes
-    item k+1 and then waits, so at most two items are alive at once.
-
-    The worker runs in a copy of the caller's context, so ``np.errstate``
-    holds there too.  An exception from ``steps`` is raised in the caller as
-    it was raised.  On any exit, early ones included, the worker is told to
-    stop, closes ``steps`` and is joined, so no thread outlives the walk."""
-    box = queue.Queue(maxsize=1)
-    wanted = threading.Semaphore(0)
-    stop = threading.Event()
-
-    def walk():
-        try:
-            while True:
-                wanted.acquire()
-                if stop.is_set():
-                    return
-                item = next(steps, _END)
-                box.put((item, None))
-                if item is _END:
-                    return
-        except BaseException as exc:   # handed to the caller, which raises it
-            box.put((_END, exc))
-        finally:
-            steps.close()
-
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(walk,), daemon=True)
-    worker.start()
-    try:
-        wanted.release()
-        while True:
-            item, exc = box.get()
-            if exc is not None:
-                raise exc
-            if item is _END:
-                return
-            wanted.release()
-            yield item
-    finally:
-        stop.set()
-        wanted.release()
-        worker.join()
-
-
 def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
                       stride: int, y0_ref: float):
     """One grid size of ``run_convergence``: the path scheme, read as each
@@ -216,12 +163,13 @@ def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
     at N, compared with each other and with the reference on the path cloud.
     Returns the cell and the lattice solve's off-grid count.
 
-    The path recursion walks on ``_ahead``'s worker thread: while it computes
-    step i-1, this thread interpolates the lattice columns at step i and adds
-    its sums, still in descending i, so the cell is bit for bit the serial
-    one.  The lattice solve runs before the walk starts, and during it this
-    thread calls only ``SpaceGrid.interpolate`` and numpy: the benchmark's
-    tracer keeps one span stack per process."""
+    The path recursion walks on ``_ahead``'s helper thread, which starts no
+    helper of its own: while it computes step i-1, this thread interpolates
+    the lattice columns at step i and adds its sums, still in descending i,
+    so the cell is bit for bit the serial one.  The lattice solve runs
+    before the walk starts, and during it this thread calls only
+    ``SpaceGrid.interpolate`` and numpy: the benchmark's tracer keeps one
+    span stack per process."""
     grid, sched, bundle, radius = _mc_setup(spec, N, mc)
     X = bundle.X_euler
     orc = exact_scheme_solve(spec, grid, sched, space)

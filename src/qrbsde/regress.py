@@ -90,12 +90,20 @@ class DesignEvaluator:
                 hi = lo + 1.0
             self.lo, self.hi = lo, hi
 
-    def __call__(self, x) -> np.ndarray:
+    def __call__(self, x, out=None) -> np.ndarray:
+        """phi(x), (P, d); with ``out``, a column-major (P, >= d) block such
+        as a path_array, written into its first d columns."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        d = self.spec.dimension
+        if out is None:
+            out = path_array(x.size, d)
+        else:
+            out = out[:, :d]
+            if self.spec.kind != "polynomial":
+                out.fill(0.0)
         if self.spec.kind == "polynomial":
             # monomials u^k = u^(k-1) * u, the products np.vander forms,
             # written one contiguous column at a time; u itself is column 1
-            out = path_array(x.size, self.spec.degree + 1)
             out[:, 0] = 1.0
             if self.spec.degree >= 1:
                 u = np.clip(x, self.lo, self.hi, out=out[:, 1])
@@ -105,10 +113,8 @@ class DesignEvaluator:
                 np.multiply(out[:, k - 1], u, out=out[:, k])
             return out
         # piecewise-constant one-hot; overflow clamped to the edge cells
-        c = self.spec.cells
-        j = np.floor((x - self.lo) / (self.hi - self.lo) * c).astype(int)
-        j = np.clip(j, 0, c - 1)
-        out = path_array(x.size, c)
+        j = np.floor((x - self.lo) / (self.hi - self.lo) * d).astype(int)
+        j = np.clip(j, 0, d - 1)
         out[np.arange(x.size), j] = 1.0
         return out
 
@@ -142,21 +148,32 @@ def build_basis(spec: BasisSpec, xs) -> DesignEvaluator:
     return DesignEvaluator(spec, np.asarray(xs, dtype=float))
 
 
-def localize_basis(spec: BasisSpec, xs) -> BasisSpec:
+def localize_basis(spec: BasisSpec, xs, scratch=None) -> BasisSpec:
     """Clip a domain-free polynomial basis to the central 99% of xs.
 
     The domain becomes the 0.5%/99.5% quantiles of the sample, so outside
     that box the fit continues as a constant; this keeps the tail
     oscillation of a global polynomial out of the reflection step.  A sample
     without spread (the deterministic X_0) gets the constant basis, so its
-    fit is the cross-path mean.  Other bases are returned unchanged.  Both
-    quantiles come from one sort and match np.quantile bit for bit.
+    fit is the cross-path mean.  Other bases are returned unchanged.  The
+    spread and both quantiles come from one sort, sorted in ``scratch``, a
+    contiguous float array of xs's shape, when it is given; the quantiles
+    match np.quantile bit for bit.
     """
-    if np.ptp(xs) == 0:
-        return BasisSpec(kind="polynomial", degree=0, ridge=spec.ridge)
     if spec.kind != "polynomial" or spec.domain is not None:
+        s, spread = None, np.ptp(xs)
+    else:
+        if scratch is None:
+            s = np.sort(xs)
+        else:
+            s = scratch
+            s[...] = xs
+            s.sort()
+        spread = s[-1] - s[0]     # np.ptp's max - min; NaN sorts last
+    if spread == 0:
+        return BasisSpec(kind="polynomial", degree=0, ridge=spec.ridge)
+    if s is None:
         return spec
-    s = np.sort(xs)
     return dataclasses.replace(spec, domain=(_sorted_quantile(s, 0.005),
                                              _sorted_quantile(s, 0.995)))
 
@@ -174,31 +191,43 @@ def _sorted_quantile(s: np.ndarray, q: float) -> float:
     return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def fit_least_squares(phi: DesignEvaluator, xs, ys) -> RegressionFit:
-    """Least squares of ys, (P,) or (P, k), on phi(xs), ridged by phi's basis.
-    One eigh G = V diag(lam) V^T of the Gram serves the singularity guard,
-    cond, the solve V diag(1/lam) V^T b and its one refinement step."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape[0] != ys.shape[0]:
-        raise ValueError("xs and ys must have matching length")
-    A = phi(xs)
-    d = A.shape[1]
-    if xs.shape[0] < d:
+def factor_design(phi: DesignEvaluator, A: np.ndarray) -> tuple:
+    """(lam, V), the eigh G = V diag(lam) V^T of the ridged Gram
+    A^T A + ridge I of a design A = phi(xs), with its singularity guard."""
+    P, d = A.shape
+    if P < d:
         raise ValueError("need at least as many samples as basis functions")
-    ridge = phi.spec.ridge
     G = phi.gram(A)
-    G[np.diag_indices(d)] += ridge
+    G[np.diag_indices(d)] += phi.spec.ridge
     lam, V = np.linalg.eigh(G)
     if not lam[0] > d * np.finfo(float).eps * lam[-1]:
         raise np.linalg.LinAlgError("numerically singular design matrix; "
                                     "supply a positive ridge parameter")
+    return lam, V
+
+
+def fit_least_squares(phi: DesignEvaluator, xs, ys, A=None,
+                      factor=None) -> RegressionFit:
+    """Least squares of ys, (P,) or (P, k), on phi(xs), ridged by phi's basis.
+    One eigh of the Gram, ``factor_design``'s (lam, V), serves the
+    singularity guard, cond, the solve V diag(1/lam) V^T b and its one
+    refinement step.  A caller that holds the design A = phi(xs) and its
+    factor passes them; otherwise both are made here."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.shape[0] != ys.shape[0]:
+        raise ValueError("xs and ys must have matching length")
+    if A is None:
+        A = phi(xs)
+    lam, V = factor_design(phi, A) if factor is None else factor
+    ridge = phi.spec.ridge
     Vs = V / lam
     # targets, residual and fitted values as their (k, P) transposes: each
     # column of the column-major (P, k) arrays is one contiguous row
     yt = np.asfortranarray(ys).T
     coef = Vs @ (V.T @ (A.T @ ys))
-    res = yt - coef.T @ A.T
+    res = coef.T @ A.T
+    np.subtract(yt, res, out=res)
     # one refinement step recovers the accuracy the normal equations lose
     coef += Vs @ (V.T @ (A.T @ res.T - ridge * coef))
     cond = float(np.sqrt(lam[-1] / lam[0]))

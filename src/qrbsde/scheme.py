@@ -7,6 +7,17 @@ at the truncated Z (in closed form for a driver declared affine in y), then
 apply discrete reflection against the obstacle.
 Conditional expectations are least-squares regressions on a spatial basis
 of the current Euler state.
+
+A step has two halves.  Its state half reads only X_{t_i}: the localized
+basis, the design and its Gram's factor.  Its value half is the
+recursion: the projection onto that factor, the implicit step and the
+reflection against g(X_{t_i}).  For a walk of at least
+``forward.AHEAD_MIN_PATHS`` paths that is not on a helper thread already,
+``forward._ahead`` computes the state half of step i-1 on one helper
+thread while the caller runs step i's value half and its own work on the
+yielded step; the designs then alternate between two per-walk blocks.
+Every other walk is serial, with one block.  The halves run the same
+operations on either path, so no result depends on the helper.
 """
 
 from __future__ import annotations
@@ -17,10 +28,12 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .forward import PathBundle, ReflectionSchedule, TimeGrid, path_array
+from .forward import (PathBundle, ReflectionSchedule, TimeGrid, _ahead,
+                      helper_pays, path_array)
 from .model import (AffineInY, ProblemSpec, TruncationRadius, smooth_truncation,
                     y_bound)
-from .regress import BasisSpec, build_basis, fit_least_squares, localize_basis
+from .regress import (BasisSpec, DesignEvaluator, build_basis, factor_design,
+                      fit_least_squares, localize_basis)
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
@@ -63,10 +76,11 @@ class SchemeSolution:
         }
 
 
-def z_projection_step(y_next, dW_i, dt_i, phi, xs):
+def z_projection_step(y_next, dW_i, dt_i, phi, xs, A=None, factor=None):
     """The step's one projection: the RegressionFit on phi(xs) of Z, the m
     columns y_next * dW_i / dt_i (dW_i of shape (P, m)), and last the mean
-    column y_next, with one design, one eigh of its Gram and phi's ridge."""
+    column y_next, with one design, one eigh of its Gram and phi's ridge;
+    the design A and its factor are the step state's when given."""
     if dt_i <= 0:
         raise ValueError("dt must be positive")
     y_next = np.asarray(y_next, dtype=float)
@@ -75,7 +89,7 @@ def z_projection_step(y_next, dW_i, dt_i, phi, xs):
     np.multiply(y_next[:, None], dW_i, out=targets[:, :m])
     targets[:, :m] /= dt_i
     targets[:, m] = y_next
-    return fit_least_squares(phi, xs, targets)
+    return fit_least_squares(phi, xs, targets, A, factor)
 
 
 def implicit_y_step(e, zbar, spec: ProblemSpec, t_i: float, x_i, dt: float,
@@ -105,7 +119,11 @@ def implicit_y_step(e, zbar, spec: ProblemSpec, t_i: float, x_i, dt: float,
         f0 = np.asarray(f.f0(t_i, x_i, hz), dtype=float)
         if not np.all(np.isfinite(f0)):
             raise FloatingPointError(f"non-finite driver value at t={t_i}")
-        return np.clip((e + dt * f0) / (1.0 - f.a * dt), -M, M), 1
+        # (e + dt f0) / (1 - a dt), clipped, in one new array
+        y = np.multiply(dt, f0)
+        y += e
+        y /= 1.0 - f.a * dt
+        return np.clip(y, -M, M, out=y), 1
     y = e.copy()
     y_new, diff = np.empty_like(y), np.empty_like(y)
     for k in range(1, PICARD_MAX_ITER + 1):
@@ -133,6 +151,25 @@ def reflect_step(ytilde, g_vals, is_reflection_time: bool):
     return ybar, ybar - ytilde
 
 
+class StepState(NamedTuple):
+    """The state half of step i: its regression's basis, design and factor."""
+    i: int
+    phi: DesignEvaluator
+    A: np.ndarray        # phi(xs), in one of the walk's design blocks
+    factor: tuple        # factor_design(phi, A)
+
+
+def step_state(basis: BasisSpec, X: np.ndarray, i: int,
+               block: np.ndarray) -> StepState:
+    """The state half of step i on the Euler states X, with the design, and
+    before it the localizing sort, written into ``block``, a (P, >= d)
+    path_array."""
+    xs = X[:, i]
+    phi = build_basis(localize_basis(basis, xs, scratch=block[:, 0]), xs)
+    A = phi(xs, out=block)
+    return StepState(i, phi, A, factor_design(phi, A))
+
+
 class BackwardStep(NamedTuple):
     """Step i of the backward recursion: from y_next = Ybar_{i+1} to the
     clipped Z_i, the reflected Ybar_i and the push-up dK_i."""
@@ -151,7 +188,8 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
                    radius: Optional[TruncationRadius]) -> Iterator[BackwardStep]:
     """The truncated backward recursion on a simulated bundle, yielded one
     step at a time from i = N-1 down to 0.  It keeps nothing path-sized
-    beyond the step it yields, so each caller keeps what it needs of it.
+    beyond the step it yields and the state halves of it and the next step
+    (the module docstring), so each caller keeps what it needs of it.
     ``radius=None`` leaves Z untruncated and unclipped."""
     if bundle.X_euler is None:
         raise ValueError("bundle must be Euler-simulated before solving")
@@ -165,25 +203,36 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
     m = bundle.m
     M = y_bound(spec)
     z_hi = np.inf if radius is None else radius.M_z + 1.0
+    ahead = helper_pays(bundle.n_paths)
+    # step i's design lives in block i % 2 while the helper fills the other
+    blocks = [path_array(bundle.n_paths, basis.dimension) for _ in range(1 + ahead)]
+    states = (step_state(basis, X, i, blocks[i % len(blocks)])
+              for i in range(grid.N - 1, -1, -1))
+    states = _ahead(states) if ahead else states
     y_next = np.asarray(spec.obstacle(X[:, grid.N]), dtype=float)
-    for i in range(grid.N - 1, -1, -1):
-        ti = grid.times[i]
-        dti = grid.dt[i]
-        xs = X[:, i]
-        phi = build_basis(localize_basis(basis, xs), xs)
+    try:
+        for state in states:
+            i = state.i
+            ti = grid.times[i]
+            dti = grid.dt[i]
+            xs = X[:, i]
+            fit = z_projection_step(y_next, bundle.dW[:, i, :], dti, state.phi, xs,
+                                    state.A, state.factor)
+            z = np.clip(fit.fitted[:, :m], -z_hi, z_hi)
+            e = np.clip(fit.fitted[:, m], -M, M)
+            cond, rmse = fit.cond, fit.rmse[m]
+            del fit, state    # free the fitted values before the implicit step
 
-        fit = z_projection_step(y_next, bundle.dW[:, i, :], dti, phi, xs)
-        z = np.clip(fit.fitted[:, :m], -z_hi, z_hi)
-        e = np.clip(fit.fitted[:, m], -M, M)
-
-        ytilde, picard = implicit_y_step(e, z, spec, ti, xs, dti, radius, M)
-        g_vals = np.asarray(spec.obstacle(xs), dtype=float)
-        y, dk = reflect_step(ytilde, g_vals, bool(schedule.mask[i]))
-        step = BackwardStep(i, y_next, z, y, dk, picard, fit.cond, fit.rmse[m])
-        # free the step's temporaries before the next step allocates its own
-        del fit, e, ytilde, g_vals
-        yield step
-        y_next = y
+            ytilde, picard = implicit_y_step(e, z, spec, ti, xs, dti, radius, M)
+            g_vals = np.asarray(spec.obstacle(xs), dtype=float)
+            y, dk = reflect_step(ytilde, g_vals, bool(schedule.mask[i]))
+            step = BackwardStep(i, y_next, z, y, dk, picard, cond, rmse)
+            # free the step's temporaries before the next step allocates its own
+            del e, ytilde, g_vals
+            yield step
+            y_next = y
+    finally:
+        states.close()   # joins the helper on an early exit
 
 
 def y0_estimates(y0: np.ndarray, y1: np.ndarray) -> tuple:

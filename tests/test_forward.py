@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import mmap
+import threading
 
 import numpy as np
 import pytest
@@ -50,6 +51,29 @@ def test_increment_moments():
     dt = grid.dt[0]
     assert abs(float(np.mean(b.dW[:, 0, 0]))) < 4.0 * math.sqrt(dt / b.n_paths)
     assert float(np.var(b.dW[:, 0, 0])) == pytest.approx(dt, rel=0.05)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 7])
+def test_two_thread_sampling_is_the_one_thread_per_step_draw(monkeypatch, m, N):
+    grid, _ = make_grid(N, 1.0)
+    P, seed = 300, 5
+    want = np.stack([forward._step_rng(seed, i, 0).standard_normal((P, m))
+                     * math.sqrt(dt) for i, dt in enumerate(grid.dt)], axis=1)
+    on_main, step_rng = {}, forward._step_rng
+
+    def recorded(seed, i, stream):
+        on_main[i] = threading.current_thread() is threading.main_thread()
+        return step_rng(seed, i, stream)
+
+    monkeypatch.setattr(forward, "_step_rng", recorded)
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
+    before = set(threading.enumerate())
+    got = sample_increments(grid, P, seed, m).dW
+    assert np.array(got).tobytes() == want.tobytes()
+    # the odd steps were drawn on the helper, the even ones here
+    assert on_main == {i: i % 2 == 0 for i in range(N)}
+    assert set(threading.enumerate()) == before
 
 
 def test_increments_deterministic():

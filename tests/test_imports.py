@@ -7,15 +7,15 @@ re-exporting ``__init__.py``, every name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere in that module; and across the
 package ``PchipInterpolator`` is constructed in exactly one function,
 ``fit_least_squares`` is called only by the step's projection and the
-diagnostics' tail-sum regression, ``localize_basis`` only by the backward
-loop and that regression, ``z_projection_step`` only by the
+diagnostics' tail-sum regression, ``localize_basis`` only by a backward
+step's state half and that regression, ``z_projection_step`` only by the
 one backward-step kernel, ``backward_steps`` only by the solve, the M_z
 pilot, the convergence cell, the stability legs (the base leg in each of
 the two kinds, the second leg in the one coupled-leg helper) and the
 diagnostics, ``solve_backward`` only by the CLI's one Monte Carlo solve, and
-``_deltas`` only by the one coupled stability leg, and ``_ahead``, the
-walk on a helper thread, only by the convergence cell.  The callers are read
-with ``_callers`` below.  A fresh
+``_deltas`` only by the one coupled stability leg, and ``_ahead``, the one
+helper-thread primitive, only by the increment sampling, the backward loop
+and the convergence cell.  The callers are read with ``_callers`` below.  A fresh
 interpreter that imports the package and runs a small convergence study never loads ``scipy.stats``,
 ``scipy.linalg`` (each least-squares fit makes one numpy ``eigh``), nor
 ``scipy.interpolate`` and the subpackages that it pulls in; it loads
@@ -92,7 +92,7 @@ HOMES = {
     "PchipInterpolator": ["oracle.SpaceGrid.interpolate"],
     "fit_least_squares": ["lab.run_diagnostics", "scheme.z_projection_step"],
     # one place localizes a basis for each of the two regressions above
-    "localize_basis": ["lab.run_diagnostics", "scheme.backward_steps"],
+    "localize_basis": ["lab.run_diagnostics", "scheme.step_state"],
     # the backward loop has one home: a second copy, such as a separate pilot
     # loop, would be a second caller
     "z_projection_step": ["scheme.backward_steps"],
@@ -106,9 +106,11 @@ HOMES = {
     # the only caller of the solve that records each step is the CLI's solve
     "solve_backward": ["lab._solve_mc"],
     "_deltas": ["lab._coupled_cell"],
-    # the walk on a helper thread was measured faster only in the
-    # convergence cell (slower in the drift-shift leg, no gain in the solve)
-    "_ahead": ["lab._convergence_cell"],
+    # the one helper thread: the odd steps' draws, the next step's state
+    # half, and the convergence cell's whole walk (inside it, the walk and
+    # its state halves stay on that one helper)
+    "_ahead": ["forward.sample_increments", "lab._convergence_cell",
+               "scheme.backward_steps"],
 }
 
 

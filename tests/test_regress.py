@@ -256,3 +256,16 @@ def test_fitted_values_are_column_major(ys_shape):
 def test_basis_spec_domain_must_be_a_finite_pair(domain):
     with pytest.raises(ValueError, match="domain"):
         BasisSpec(domain=domain)
+
+
+def test_localize_basis_in_scratch_is_bit_identical():
+    # the spread read off the sort's ends decides as np.ptp does, NaN and
+    # signed zeros included, and the sort in scratch gives the same domain
+    samples = list(_quantile_samples()) + [np.full(40, 1.0), np.array([-0.0, 0.0]),
+                                           np.array([1.0, np.nan, 1.0])]
+    for xs in samples:
+        for spec in (BasisSpec(degree=6), BasisSpec(degree=2, ridge=1e-6)):
+            scratch = np.empty_like(xs)
+            got = localize_basis(spec, xs, scratch=scratch)
+            assert repr(got) == repr(localize_basis(spec, xs))
+            assert (got.degree == 0) == (np.ptp(xs) == 0)

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
                             sample_increments)
 from qrbsde.model import (AffineInY, TruncationRadius, build_preset, clip_obstacle,
                           y_bound)
-from qrbsde import scheme
+from qrbsde import forward, scheme
 from qrbsde.regress import BasisSpec, DesignEvaluator, build_basis
 from qrbsde.scheme import (estimate_Mz_auto, implicit_y_step, reflect_step,
                            solve_backward, z_projection_step)
@@ -397,9 +399,9 @@ def test_one_design_and_one_fit_per_step(monkeypatch, m):
     design, fit = DesignEvaluator.__call__, scheme.fit_least_squares
     projection = scheme.z_projection_step
 
-    def counted_design(self, x):
+    def counted_design(self, x, out=None):
         calls["design"] += 1
-        return design(self, x)
+        return design(self, x, out)
 
     def counted_fit(*args, **kwargs):
         calls["fit"] += 1
@@ -531,3 +533,105 @@ def test_solve_builds_no_path_array():
     finally:
         tracemalloc.stop()
     assert peak < 2000 * 17 * 8
+
+
+# ---------------------------------------------------------------------------
+# the state half of the next step on a helper thread
+
+def _walk_inputs(m):
+    spec = build_preset("P1-pure-quadratic", {"m": m})
+    return _inputs(spec, N=9, P=2000, seed=31, reflection=("every", 3),
+                   basis=BasisSpec(degree=4))
+
+
+def _fields(step):
+    return [np.asarray(v).tobytes() for v in step]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_prefetched_walk_is_bit_identical_to_the_serial_walk(monkeypatch, m):
+    args = _walk_inputs(m)
+    serial = [_fields(s) for s in scheme.backward_steps(*args)]
+    on_main, state = [], scheme.step_state
+
+    def recorded(*a):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return state(*a)
+
+    monkeypatch.setattr(scheme, "step_state", recorded)
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
+    before = set(threading.enumerate())
+    assert [_fields(s) for s in scheme.backward_steps(*args)] == serial
+    assert on_main == [False] * 9    # every state half ran on the helper
+    assert set(threading.enumerate()) == before
+
+
+def test_concurrent_prefetched_walks_under_fast_switching(monkeypatch):
+    # three walks at once, each with its own helper, and the interpreter
+    # switching threads every 10 us: a design block read after the helper
+    # refilled it would change a step
+    args = _walk_inputs(2)
+    serial = [_fields(s) for s in scheme.backward_steps(*args)]
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
+    got = {}
+
+    def walk(k):
+        got[k] = [_fields(s) for s in scheme.backward_steps(*args)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=walk, args=(k,)) for k in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {k: serial for k in range(3)}
+
+
+@pytest.mark.parametrize("min_paths", [0, 10 ** 9])
+def test_state_half_failure_is_raised_after_the_same_steps(monkeypatch, min_paths):
+    state = scheme.step_state
+
+    def failing(basis, X, i, block):
+        if i == 5:
+            raise RuntimeError("state half failed at step 5")
+        return state(basis, X, i, block)
+
+    monkeypatch.setattr(scheme, "step_state", failing)
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", min_paths)
+    before, yielded = set(threading.enumerate()), []
+    with pytest.raises(RuntimeError, match="^state half failed at step 5$"):
+        for step in scheme.backward_steps(*_walk_inputs(1)):
+            yielded.append(step.i)
+    assert yielded == [8, 7, 6]
+    assert set(threading.enumerate()) == before
+
+
+def test_early_close_of_a_prefetched_walk_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
+    before = set(threading.enumerate())
+    walk = scheme.backward_steps(*_walk_inputs(2))
+    next(walk)
+    assert len(set(threading.enumerate()) - before) == 1
+    walk.close()
+    assert set(threading.enumerate()) == before
+
+
+def test_a_walk_on_a_helper_starts_no_second_helper(monkeypatch):
+    counts, state = [], scheme.step_state
+
+    def counted(*a):
+        counts.append(threading.active_count())
+        return state(*a)
+
+    monkeypatch.setattr(scheme, "step_state", counted)
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
+    before = threading.active_count()
+    steps = list(forward._ahead(scheme.backward_steps(*_walk_inputs(1))))
+    assert [s.i for s in steps] == list(range(8, -1, -1))
+    assert counts == [before + 1] * 9
+    assert threading.active_count() == before
