@@ -182,6 +182,9 @@ def parse_config(source, command: Optional[str] = None,
             "driver step is a contraction only for L*dt < 1")
 
     reflection = cfg["grid"]["reflection"]
+    if isinstance(reflection, list) and not _is(reflection, [(int, float)]):
+        raise ConfigError("/grid/reflection: a list form takes finite "
+                          f"numbers, got {_show(reflection)}")
     if isinstance(reflection, dict):
         if set(reflection) != {"every"} or not _is(reflection["every"], int):
             raise ConfigError('/grid/reflection: object form must be {"every": k}')

@@ -110,6 +110,8 @@ def make_grid(N: int, T: float,
         idx = np.unique(np.concatenate([np.arange(0, N + 1, k), [N]]))
     else:
         want = np.asarray(list(reflection), dtype=float)
+        if not np.all(np.isfinite(want)):
+            raise ValueError("reflection times must be finite")
         idx = []
         for w in want:
             j = int(round(w / T * N))

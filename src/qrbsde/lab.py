@@ -22,7 +22,7 @@ from .forward import (TimeGrid, _ahead, euler_simulate, exact_simulate,
                       make_grid, sample_increments)
 from .model import ProblemSpec, TruncationRadius, y_bound
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
-from .regress import BasisSpec, build_basis, fit_least_squares, localize_basis
+from .regress import BasisSpec, fit_least_squares
 from .scheme import (SKOROKHOD_CONDITIONS, backward_steps, estimate_Mz_auto,
                      skorokhod_check, solve_backward, y0_estimates)
 
@@ -237,6 +237,8 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
     Ns = [int(n) for n in Ns]
     if len(Ns) < 4:
         raise ValueError("convergence study needs at least 4 grid sizes")
+    if min(Ns) < 1:
+        raise ValueError(f"grid sizes must be >= 1, got N={min(Ns)}")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("grid sizes must be strictly increasing")
     if oracle not in ("auto", "exact-scheme", "snell"):
@@ -444,6 +446,8 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
         x_key, x_name = "eps", "eps"
     elif kind == "euler-vs-exact":
         Ns = [int(n) for n in levels]
+        if Ns != list(levels):
+            raise ValueError(f"N levels must be integers, got {levels}")
         if any(b <= a for a, b in zip(Ns, Ns[1:])):
             raise ValueError("N levels must be strictly increasing")
         for n in Ns:
@@ -508,6 +512,7 @@ def run_diagnostics(spec: ProblemSpec, N: int, mc: MCConfig,
     by cross-sectional regression and compare to the closed-form bound.
     The one solve, on ``setup`` (an ``_mc_setup``; by default one reflecting
     at every grid time), also gathers K_T and the Skorokhod conditions.
+    Each tail sum is fitted on its step's own basis and Gram factor.
 
     Memory: besides the paths it keeps two (P,) sums, the tail sum (its
     columns add as a reversed cumsum's do, bit for bit) and K_T, and
@@ -519,10 +524,8 @@ def run_diagnostics(spec: ProblemSpec, N: int, mc: MCConfig,
     S, K = np.zeros(bundle.n_paths), np.zeros(bundle.n_paths)
     skorokhod = dict.fromkeys(SKOROKHOD_CONDITIONS, True)
     for step in backward_steps(spec, grid, sched, bundle, mc.basis, radius):
-        xs = X[:, step.i]
         S += np.sum(step.z ** 2, axis=-1) * grid.dt[step.i]
-        phi = build_basis(localize_basis(mc.basis, xs), xs)
-        fitted = fit_least_squares(phi, xs, S).fitted
+        fitted = fit_least_squares(step.phi, X[:, step.i], S, factor=step.factor).fitted
         tail_max = max(tail_max, float(np.quantile(fitted, 0.99)))
         K += step.dk
         skorokhod_check(skorokhod, spec, X, sched, step)

@@ -172,7 +172,9 @@ def step_state(basis: BasisSpec, X: np.ndarray, i: int,
 
 class BackwardStep(NamedTuple):
     """Step i of the backward recursion: from y_next = Ybar_{i+1} to the
-    clipped Z_i, the reflected Ybar_i and the push-up dK_i."""
+    clipped Z_i, the reflected Ybar_i and the push-up dK_i, with the basis
+    and Gram factor of its state half for a caller's own fit on X_{t_i}; not
+    its design, whose block a later state half overwrites."""
     i: int
     y_next: np.ndarray   # (P,)
     z: np.ndarray        # (P, m), column-major
@@ -181,6 +183,8 @@ class BackwardStep(NamedTuple):
     picard: int
     cond: float          # cond of the step's design (Z and mean share it)
     rmse: float          # in-sample RMSE of the mean column
+    phi: DesignEvaluator  # the localized basis on X_{t_i}
+    factor: tuple        # factor_design(phi, phi(X_{t_i})), (lam, V)
 
 
 def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
@@ -221,12 +225,13 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
             z = np.clip(fit.fitted[:, :m], -z_hi, z_hi)
             e = np.clip(fit.fitted[:, m], -M, M)
             cond, rmse = fit.cond, fit.rmse[m]
-            del fit, state    # free the fitted values before the implicit step
+            del fit    # free the fitted values before the implicit step
 
             ytilde, picard = implicit_y_step(e, z, spec, ti, xs, dti, radius, M)
             g_vals = np.asarray(spec.obstacle(xs), dtype=float)
             y, dk = reflect_step(ytilde, g_vals, bool(schedule.mask[i]))
-            step = BackwardStep(i, y_next, z, y, dk, picard, cond, rmse)
+            step = BackwardStep(i, y_next, z, y, dk, picard, cond, rmse,
+                                state.phi, state.factor)
             # free the step's temporaries before the next step allocates its own
             del e, ytilde, g_vals
             yield step

@@ -99,6 +99,11 @@ def test_config_hash_stable_under_key_reordering():
      "^/problem/overrides/T: bad value <int too long to print>$"),
     ({"mc": {"basis": {"domain": [0, 10 ** 5000]}}},
      "^/mc/basis/domain: bad value <list too long to print>$"),
+    # reflection's list form's elements are finite numbers, not bools or lists
+    ({"grid": {"reflection": [1e400]}}, "/grid/reflection"),
+    ({"grid": {"reflection": [10 ** 400]}}, "/grid/reflection"),
+    ({"grid": {"reflection": [[0.5]]}}, "/grid/reflection"),
+    ({"grid": {"reflection": [True]}}, "/grid/reflection"),
 ])
 def test_ill_typed_or_foreign_values_fatal_with_pointer(config, pointer):
     with pytest.raises(ConfigError, match=pointer):
@@ -250,6 +255,23 @@ def test_degenerate_euler_vs_exact_exits_config_by_name(tmp_path, capsys):
     assert main(["stability", "--config", json.dumps(config),
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert "euler-vs-exact coupling is degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("Ns", [[0, 1, 2, 4], [-4, 1, 2, 4]])
+def test_grid_sizes_below_one_exit_config_by_name(tmp_path, capsys, Ns):
+    config = json.dumps({"experiment": {"Ns": Ns}})
+    assert main(["converge", "--config", config,
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "grid sizes must be >= 1" in capsys.readouterr().err
+
+
+def test_non_integer_euler_vs_exact_levels_exit_config_by_name(tmp_path, capsys):
+    config = {"problem": {"preset": "P2-mixed-quadratic"},
+              "experiment": {"perturbation": "euler-vs-exact",
+                             "levels": [4.9, 8, 16, 32]}}
+    assert main(["stability", "--config", json.dumps(config),
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "N levels must be integers" in capsys.readouterr().err
 
 
 def test_empty_reflection_sweep_kappas_exit_config_by_name(tmp_path, capsys):

@@ -42,6 +42,12 @@ def test_make_grid_explicit_times_must_lie_on_grid():
         make_grid(4, 1.0, ("every", 9))
 
 
+@pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+def test_make_grid_rejects_a_non_finite_reflection_time(t):
+    with pytest.raises(ValueError, match="reflection times must be finite"):
+        make_grid(4, 1.0, [0.5, t])
+
+
 # ---------------------------------------------------------------------------
 # increments
 

@@ -7,8 +7,9 @@ re-exporting ``__init__.py``, every name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere in that module; and across the
 package ``PchipInterpolator`` is constructed in exactly one function,
 ``fit_least_squares`` is called only by the step's projection and the
-diagnostics' tail-sum regression, ``localize_basis`` only by a backward
-step's state half and that regression, ``z_projection_step`` only by the
+diagnostics' tail-sum regression, ``localize_basis`` and ``build_basis``
+only by a backward step's state half, ``factor_design`` only by that state
+half and by a fit given no factor, ``z_projection_step`` only by the
 one backward-step kernel, ``backward_steps`` only by the solve, the M_z
 pilot, the convergence cell, the stability legs (the base leg in each of
 the two kinds, the second leg in the one coupled-leg helper) and the
@@ -91,8 +92,12 @@ def test_checker_finds_every_pchip_builder():
 HOMES = {
     "PchipInterpolator": ["oracle.SpaceGrid.interpolate"],
     "fit_least_squares": ["lab.run_diagnostics", "scheme.z_projection_step"],
-    # one place localizes a basis for each of the two regressions above
-    "localize_basis": ["lab.run_diagnostics", "scheme.step_state"],
+    # one place localizes, builds and factors the basis that both
+    # regressions above read: a backward step's state half; the fit factors
+    # a design only when it is given no factor
+    "localize_basis": ["scheme.step_state"],
+    "build_basis": ["scheme.step_state"],
+    "factor_design": ["regress.fit_least_squares", "scheme.step_state"],
     # the backward loop has one home: a second copy, such as a separate pilot
     # loop, would be a second caller
     "z_projection_step": ["scheme.backward_steps"],

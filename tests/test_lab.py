@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qrbsde import lab, oracle
+from qrbsde import forward, lab, oracle, regress, scheme
 from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
                             sample_increments)
 from qrbsde.model import build_preset
 from qrbsde.regress import BasisSpec
-from qrbsde.scheme import backward_steps, y0_estimates
+from qrbsde.scheme import (SKOROKHOD_CONDITIONS, backward_steps, skorokhod_check,
+                           y0_estimates)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:quadrature points left the space grid")
@@ -77,6 +78,17 @@ def test_convergence_validates_inputs():
     with pytest.raises(ValueError):
         lab.run_convergence(build_preset("P3-lipschitz"), [8, 16, 32, 64],
                             SMALL_MC, oracle="snell")
+
+
+@pytest.mark.parametrize("Ns", [[0, 1, 2, 4], [-4, 1, 2, 4]])
+def test_convergence_rejects_grid_sizes_below_one_before_any_solve(Ns, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the grid sizes")
+
+    monkeypatch.setattr(lab, "exact_scheme_solve", no_solve)
+    monkeypatch.setattr(lab, "snell_cole_hopf", no_solve)
+    with pytest.raises(ValueError, match=f"grid sizes must be >= 1, got N={Ns[0]}"):
+        lab.run_convergence(build_preset("P1-pure-quadratic"), Ns, SMALL_MC)
 
 
 def test_convergence_evaluates_each_oracle_step_once(monkeypatch):
@@ -530,6 +542,21 @@ def test_stability_rejects_empty_levels_before_any_solve(kind, monkeypatch):
         lab.run_stability(build_preset("P2-mixed-quadratic"), kind, [], SMALL_MC)
 
 
+def test_stability_rejects_non_integer_levels_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the levels")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lab, "_mc_paths", no_solve)
+        with pytest.raises(ValueError, match="N levels must be integers"):
+            lab.run_stability(build_preset("P2-mixed-quadratic"), "euler-vs-exact",
+                              [4.9, 8, 16, 32], SMALL_MC)
+    # integral floats name the same grid sizes
+    rep = lab.run_stability(build_preset("P2-mixed-quadratic"), "euler-vs-exact",
+                            [4.0, 8.0, 16.0], lab.MCConfig(n_paths=300, seed=0, M_z=2.0))
+    assert [c["N"] for c in rep.cells] == [4, 8, 16]
+
+
 def test_stability_euler_vs_exact_simulates_each_level_once(monkeypatch):
     # the coupling check reads the first level's bundle, simulating none
     simulated, euler = [], lab.euler_simulate
@@ -667,13 +694,81 @@ def test_tail_sums_match_the_reversed_cumsum_bit_for_bit(m, stacked, monkeypatch
     want = np.cumsum(step2[:, ::-1], axis=1)[:, ::-1]
     got, fit = [], lab.fit_least_squares
 
-    def recorded(phi, xs, ys):
+    def recorded(phi, xs, ys, **kwargs):
         got.append(ys.tobytes())
-        return fit(phi, xs, ys)
+        return fit(phi, xs, ys, **kwargs)
 
     monkeypatch.setattr(lab, "fit_least_squares", recorded)
     lab.run_diagnostics(spec, 8, mc, setup=setup)
     assert got == [want[:, i].tobytes() for i in range(grid.N - 1, -1, -1)]
+
+
+def _diagnostics_reference(spec, N, mc, setup):
+    """run_diagnostics with each tail sum regressed on a basis it localizes,
+    builds and factors itself, apart from the walk's own."""
+    grid, sched, bundle, radius = setup
+    X = bundle.X_euler
+    tail_max = 0.0
+    S, K = np.zeros(bundle.n_paths), np.zeros(bundle.n_paths)
+    flags = dict.fromkeys(SKOROKHOD_CONDITIONS, True)
+    for step in backward_steps(spec, grid, sched, bundle, mc.basis, radius):
+        xs = X[:, step.i]
+        S += np.sum(step.z ** 2, axis=-1) * grid.dt[step.i]
+        phi = regress.build_basis(regress.localize_basis(mc.basis, xs), xs)
+        fitted = regress.fit_least_squares(phi, xs, S).fitted
+        tail_max = max(tail_max, float(np.quantile(fitted, 0.99)))
+        K += step.dk
+        skorokhod_check(flags, spec, X, sched, step)
+    flags["all"] = all(flags.values())
+    moments = {"sumZ2": {p: float(np.mean(S ** p)) for p in (1, 2, 4)},
+               "K_T": {p: float(np.mean(K ** p)) for p in (1, 2, 4)}}
+    return lab.DiagnosticsReport(
+        tail_sum_max=tail_max, bound_value=lab.bmo_bound_value(spec),
+        moments=moments, skorokhod=flags, grid_N=grid.N,
+        n_paths=bundle.n_paths, seed=bundle.seed)
+
+
+_DIAGNOSE_CASES = {
+    "P1": ("P1-pure-quadratic", {}, "all", BasisSpec(degree=4)),
+    "P2-m2": ("P2-mixed-quadratic", {"m": 2}, "all", BasisSpec(degree=4)),
+    "P1-every-3": ("P1-pure-quadratic", {}, ("every", 3), BasisSpec(degree=4)),
+    "P1-piecewise": ("P1-pure-quadratic", {}, "all",
+                     BasisSpec(kind="piecewise-constant", cells=20)),
+}
+
+
+def _diagnose_setup(case):
+    name, overrides, reflection, basis = _DIAGNOSE_CASES[case]
+    spec = build_preset(name, overrides)
+    mc = lab.MCConfig(n_paths=2000, seed=11, basis=basis, M_z=2.0)
+    return spec, mc, lab._mc_setup(spec, 9, mc, reflection)
+
+
+@pytest.mark.parametrize("min_paths", [0, 10 ** 9], ids=["ahead", "serial"])
+@pytest.mark.parametrize("case", list(_DIAGNOSE_CASES))
+def test_diagnostics_fit_on_the_walks_basis_is_the_separate_fit(case, min_paths,
+                                                                 monkeypatch):
+    # the walk's localized basis and factor, read off each yielded step, give
+    # the report a basis localized, built and factored apart gives, bit for bit
+    spec, mc, setup = _diagnose_setup(case)
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", min_paths)
+    got = lab.run_diagnostics(spec, 9, mc, setup=setup).to_dict()
+    assert got == _diagnostics_reference(spec, 9, mc, setup).to_dict()
+
+
+def test_diagnostics_factor_each_step_once(monkeypatch):
+    # one Gram eigh per step, the walk's; the tail-sum fit reuses it
+    spec, mc, setup = _diagnose_setup("P2-m2")
+    calls, factor = [], regress.factor_design
+
+    def counted(*args):
+        calls.append(1)
+        return factor(*args)
+
+    monkeypatch.setattr(regress, "factor_design", counted)
+    monkeypatch.setattr(scheme, "factor_design", counted)
+    lab.run_diagnostics(spec, 9, mc, setup=setup)
+    assert len(calls) == 9
 
 
 def test_diagnostics_moments_seed_stable():

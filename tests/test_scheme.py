@@ -263,7 +263,7 @@ def test_skorokhod_flags_each_violation_matches_whole_array_reference(
     def steps_of(case):
         Y, Z, K = case["Ybar"], case["Zbar"], case["dK"]
         return lambda *a: (scheme.BackwardStep(i, Y[:, i + 1], Z[:, i, :], Y[:, i],
-                                               K[:, i], 1, 1.0, 0.0)
+                                               K[:, i], 1, 1.0, 0.0, None, None)
                            for i in range(grid.N - 1, -1, -1))
 
     cases = {
@@ -545,7 +545,11 @@ def _walk_inputs(m):
 
 
 def _fields(step):
-    return [np.asarray(v).tobytes() for v in step]
+    """A step's bytes: its arrays and scalars, phi's attributes (its basis
+    spec and frozen scaling) and the bytes of the factor's (lam, V)."""
+    *values, phi, factor = step
+    return ([np.asarray(v).tobytes() for v in values], vars(phi),
+            [f.tobytes() for f in factor])
 
 
 @pytest.mark.parametrize("m", [1, 2])
