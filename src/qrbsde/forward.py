@@ -109,7 +109,10 @@ def make_grid(N: int, T: float,
             raise ValueError(f"every-k stride {k} out of range 1..{N}")
         idx = np.unique(np.concatenate([np.arange(0, N + 1, k), [N]]))
     else:
-        want = np.asarray(list(reflection), dtype=float)
+        try:
+            want = np.asarray(list(reflection), dtype=float)
+        except OverflowError:   # an int beyond the float range
+            raise ValueError("reflection times must be finite") from None
         if not np.all(np.isfinite(want)):
             raise ValueError("reflection times must be finite")
         idx = []

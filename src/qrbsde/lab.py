@@ -40,6 +40,21 @@ class MCConfig:
             raise ValueError("need at least one path")
 
 
+def _integers(values, what: str) -> list:
+    """values as ints, or a ValueError naming the first that is not an
+    integer; an integral float such as 8.0 names the same int."""
+    ints = []
+    for v in values:
+        try:
+            n = int(v)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != v:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+        ints.append(n)
+    return ints
+
+
 def _mc_paths(spec, N, mc: MCConfig, reflection="all"):
     """Grid, schedule and Euler bundle of a path solve."""
     grid, sched = make_grid(N, spec.T, reflection)
@@ -234,7 +249,7 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
     The walk runs one step ahead on a helper thread (``_ahead``), so at most
     two yielded steps are alive at once; the results do not depend on it.
     """
-    Ns = [int(n) for n in Ns]
+    Ns = _integers(Ns, "grid sizes N")
     if len(Ns) < 4:
         raise ValueError("convergence study needs at least 4 grid sizes")
     if min(Ns) < 1:
@@ -292,7 +307,7 @@ def run_discrete_reflection_sweep(spec: ProblemSpec, N: int,
     the value in schedule refinement is exact, not statistical.  The gap is
     measured against the everywhere-reflected run on the same grid.
     """
-    kappas = [int(k) for k in kappas]
+    kappas = _integers(kappas, "kappas")
     if not kappas:
         raise ValueError("reflection-sweep kappas must not be empty")
     if engine == "auto":
@@ -354,13 +369,18 @@ class StabilityReport(_CellReport):
         return flags
 
 
-def _deltas(grid: TimeGrid, XA, XB, legA, legB):
+def _deltas(grid: TimeGrid, XA, XB, legA, legB, KA=None):
     """Path-wise coupled differences between two legs on one grid, folded
     over their backward steps in lockstep from i = N-1 down to 0, so the
-    sums of D_Z and of each leg's K_T add in descending i."""
-    N = grid.N
+    sums of D_Z and of each leg's K_T add in descending i.  Of leg A's steps
+    it reads i, y, z and, at i = N-1, y_next; their dk too unless ``KA``,
+    leg A's K_T added in that order already, is given, as it is for a stored
+    drift-shift base leg (``_stored_leg``)."""
+    N, P = grid.N, XA.shape[0]
     dx4 = np.square(np.square(XA[:, N] - XB[:, N]))
-    dZ, KA, KB = (np.zeros(XA.shape[0]) for _ in range(3))
+    fold_A = KA is None
+    dZ, KB = np.zeros(P), np.zeros(P)
+    KA = np.zeros(P) if fold_A else KA
     for a, b in zip(legA, legB):
         i = a.i
         if i == N - 1:
@@ -368,7 +388,8 @@ def _deltas(grid: TimeGrid, XA, XB, legA, legB):
         np.maximum(dx4, np.square(np.square(XA[:, i] - XB[:, i])), out=dx4)
         np.maximum(dY, np.square(a.y - b.y), out=dY)
         dZ += np.sum(np.square(a.z - b.z), axis=1) * grid.dt[i]
-        KA += a.dk
+        if fold_A:
+            KA += a.dk
         KB += b.dk
     return {
         "dx_proxy": float(np.mean(dx4)) ** 0.25,
@@ -378,14 +399,37 @@ def _deltas(grid: TimeGrid, XA, XB, legA, legB):
     }
 
 
-def _coupled_cell(spec: ProblemSpec, setup, base, X, basis: BasisSpec) -> dict:
+def _stored_leg(steps, n_paths: int):
+    """A leg's steps as ``_deltas`` reads them again for every cell, with
+    no dk, g, phi or factor, and its K_T = sum_i dK_i, added in descending
+    i as the steps pass."""
+    K, kept = np.zeros(n_paths), []
+    for step in steps:
+        K += step.dk
+        kept.append(step._replace(dk=None, g=None, phi=None, factor=None))
+    return kept, K
+
+
+def _coupled_cell(spec: ProblemSpec, setup, base, X, basis: BasisSpec,
+                  K_base=None) -> dict:
     """The coupled differences of a stability cell's second leg, with states
-    X, walked in lockstep with the base leg's steps ``base`` on its increments,
-    grid, schedule and radius (one radius: no difference crosses a truncation edge)."""
+    X, walked in lockstep with the base leg's steps ``base`` (of K_T
+    ``K_base``, if it is folded already) on its increments, grid, schedule
+    and radius (one radius: no difference crosses a truncation edge)."""
     grid, sched, bundle, radius = setup
     leg = dataclasses.replace(bundle, X_euler=X)
     steps = backward_steps(spec, grid, sched, leg, basis, radius)
-    return _deltas(grid, bundle.X_euler, X, base, steps)
+    return _deltas(grid, bundle.X_euler, X, base, steps, K_base)
+
+
+DW_HASH_BLOCK = 1024   # paths per block of increments fed to the checksum
+
+
+def _hash_increments(h, dW: np.ndarray) -> None:
+    """Feed ``h`` the bytes of ``dW.tobytes()``, a block of paths at a time,
+    so that no copy of the whole (column-major) array is made."""
+    for p in range(0, dW.shape[0], DW_HASH_BLOCK):
+        h.update(np.ascontiguousarray(dW[p:p + DW_HASH_BLOCK]))
 
 
 def _check_exact_coupling(bundle):
@@ -410,15 +454,18 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
     before any solve.  Both kinds solve their second leg in the one helper
     ``_coupled_cell``, which is where a further leg, such as a lattice one,
     goes.  ``dw_checksum`` is one sha256 of every level's increments in
-    level order; drift-shift has one bundle, so it hashes that one ``dW``.
+    level order, fed a block of paths at a time; drift-shift has one
+    bundle, so it hashes that one ``dW``.
 
     ``C_Y``, ``C_Z`` and ``C_K`` are each D over dx_proxy², the constant of
     the squared bound; ``ratio_Y`` = D_Y / dx_proxy keeps its meaning.
 
     Memory: an euler-vs-exact cell walks its two legs in lockstep and stores
-    neither.  A drift-shift run stores its base leg's steps once, as a list
-    (walked in lockstep, it would be solved again for every eps), and walks
-    each shifted leg against it.  A cell keeps only its coupled differences.
+    neither.  A drift-shift run solves its base leg once (walked in
+    lockstep, it would be solved again for every eps) and keeps of it only
+    what the cells read: each step's y and z and y_next = g(X_N), which is
+    (N+1+N*m)*P floats, and its K_T, folded once.  It walks each shifted leg
+    against that.  A cell keeps only its coupled differences.
     """
     if not levels:
         raise ValueError("stability levels must not be empty")
@@ -429,8 +476,9 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps levels must be strictly decreasing")
         grid, sched, bundle, radius = setup = _mc_setup(spec, N, mc)
-        base = list(backward_steps(spec, grid, sched, bundle, mc.basis, radius))
-        dw.update(bundle.dW.tobytes())
+        base, K_base = _stored_leg(
+            backward_steps(spec, grid, sched, bundle, mc.basis, radius), bundle.n_paths)
+        _hash_increments(dw, bundle.dW)
         b0 = spec.drift
         for e in eps:
             spec_e = dataclasses.replace(
@@ -440,14 +488,12 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
             # the same increments object, so the one dW hash covers both legs
             if leg.dW is not bundle.dW:
                 raise RuntimeError("drift-shift leg does not share the base leg's increments")
-            cells.append({**_coupled_cell(spec_e, setup, base, leg.X_euler, mc.basis),
-                          "eps": e})
+            cells.append({**_coupled_cell(spec_e, setup, base, leg.X_euler, mc.basis,
+                                          K_base), "eps": e})
             del leg   # released before the next leg is allocated
         x_key, x_name = "eps", "eps"
     elif kind == "euler-vs-exact":
-        Ns = [int(n) for n in levels]
-        if Ns != list(levels):
-            raise ValueError(f"N levels must be integers, got {levels}")
+        Ns = _integers(levels, "N levels")
         if any(b <= a for a, b in zip(Ns, Ns[1:])):
             raise ValueError("N levels must be strictly increasing")
         for n in Ns:
@@ -460,7 +506,7 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
             cells.append({**_coupled_cell(spec, (grid, sched, bundle, radius), base,
                                           bundle.X_exact, mc.basis),
                           "N": n, "mesh": grid.mesh})
-            dw.update(bundle.dW.tobytes())
+            _hash_increments(dw, bundle.dW)
             del bundle, base   # released before the next N is allocated
         x_key, x_name = "mesh", "mesh"
     else:
@@ -528,7 +574,7 @@ def run_diagnostics(spec: ProblemSpec, N: int, mc: MCConfig,
         fitted = fit_least_squares(step.phi, X[:, step.i], S, factor=step.factor).fitted
         tail_max = max(tail_max, float(np.quantile(fitted, 0.99)))
         K += step.dk
-        skorokhod_check(skorokhod, spec, X, sched, step)
+        skorokhod_check(skorokhod, sched, step)
     skorokhod["all"] = all(skorokhod.values())
 
     moments = {

@@ -172,14 +172,16 @@ def step_state(basis: BasisSpec, X: np.ndarray, i: int,
 
 class BackwardStep(NamedTuple):
     """Step i of the backward recursion: from y_next = Ybar_{i+1} to the
-    clipped Z_i, the reflected Ybar_i and the push-up dK_i, with the basis
-    and Gram factor of its state half for a caller's own fit on X_{t_i}; not
-    its design, whose block a later state half overwrites."""
+    clipped Z_i, the reflected Ybar_i and the push-up dK_i against the
+    obstacle values g(X_{t_i}), with the basis and Gram factor of its state
+    half for a caller's own fit on X_{t_i}; not its design, whose block a
+    later state half overwrites."""
     i: int
     y_next: np.ndarray   # (P,)
     z: np.ndarray        # (P, m), column-major
     y: np.ndarray        # (P,)
     dk: np.ndarray       # (P,)
+    g: np.ndarray        # (P,) g(X_{t_i}), evaluated once per step
     picard: int
     cond: float          # cond of the step's design (Z and mean share it)
     rmse: float          # in-sample RMSE of the mean column
@@ -228,12 +230,12 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
             del fit    # free the fitted values before the implicit step
 
             ytilde, picard = implicit_y_step(e, z, spec, ti, xs, dti, radius, M)
-            g_vals = np.asarray(spec.obstacle(xs), dtype=float)
-            y, dk = reflect_step(ytilde, g_vals, bool(schedule.mask[i]))
-            step = BackwardStep(i, y_next, z, y, dk, picard, cond, rmse,
+            g = np.asarray(spec.obstacle(xs), dtype=float)
+            y, dk = reflect_step(ytilde, g, bool(schedule.mask[i]))
+            step = BackwardStep(i, y_next, z, y, dk, g, picard, cond, rmse,
                                 state.phi, state.factor)
             # free the step's temporaries before the next step allocates its own
-            del e, ytilde, g_vals
+            del e, ytilde
             yield step
             y_next = y
     finally:
@@ -252,20 +254,20 @@ SKOROKHOD_CONDITIONS = ("dK_nonnegative", "dK_zero_off_schedule",
                         "Ybar_above_obstacle", "flat_off")
 
 
-def skorokhod_check(flags: dict, spec: ProblemSpec, X: np.ndarray,
-                    schedule: ReflectionSchedule, step: BackwardStep) -> None:
+def skorokhod_check(flags: dict, schedule: ReflectionSchedule,
+                    step: BackwardStep) -> None:
     """Fold the exact discrete Skorokhod conditions (zero tolerance) of the
-    step's time column into ``flags``; the i = N-1 step also checks column
-    N, where Ybar_N = g(X_N) and dK_N = 0."""
-    cols = [(step.i, step.y, step.dk)]
+    step's time column into ``flags``, against the obstacle values the step
+    was reflected on; the i = N-1 step also checks column N, where
+    Ybar_N = g(X_N) is its y_next and dK_N = 0."""
+    cols = [(step.i, step.y, step.dk, step.g)]
     if step.i == schedule.mask.size - 2:
-        cols.append((step.i + 1, step.y_next, np.zeros_like(step.y_next)))
-    for i, y, dk in cols:
+        cols.append((step.i + 1, step.y_next, np.zeros_like(step.y_next), step.y_next))
+    for i, y, dk, g in cols:
         flags["dK_nonnegative"] &= bool(np.all(dk >= 0.0))
         if not schedule.mask[i]:
             flags["dK_zero_off_schedule"] &= bool(np.all(dk == 0.0))
             continue
-        g = np.asarray(spec.obstacle(X[:, i]), dtype=float)
         flags["Ybar_above_obstacle"] &= bool(np.all(y >= g))
         flags["flat_off"] &= bool(np.all(dk * (y - g) == 0.0))
 
@@ -286,7 +288,7 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
         mean_dk[i] = np.mean(step.dk)
         frac[i] = np.count_nonzero(step.dk > 0) / bundle.n_paths
         K += step.dk
-        skorokhod_check(flags, spec, bundle.X_euler, schedule, step)
+        skorokhod_check(flags, schedule, step)
     flags["all"] = all(flags.values())
     y0_fit, y0_se = y0_estimates(step.y, step.y_next)   # the last step is i = 0
     return SchemeSolution(

@@ -42,8 +42,11 @@ def test_make_grid_explicit_times_must_lie_on_grid():
         make_grid(4, 1.0, ("every", 9))
 
 
-@pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan"),
+                               pytest.param(10 ** 400, id="10**400"),
+                               pytest.param(-10 ** 400, id="-10**400")])
 def test_make_grid_rejects_a_non_finite_reflection_time(t):
+    # an int beyond the float range is not finite as a float either
     with pytest.raises(ValueError, match="reflection times must be finite"):
         make_grid(4, 1.0, [0.5, t])
 

@@ -91,6 +91,16 @@ def test_convergence_rejects_grid_sizes_below_one_before_any_solve(Ns, monkeypat
         lab.run_convergence(build_preset("P1-pure-quadratic"), Ns, SMALL_MC)
 
 
+def test_convergence_rejects_non_integer_grid_sizes_by_name(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the grid sizes")
+
+    monkeypatch.setattr(lab, "exact_scheme_solve", no_solve)
+    monkeypatch.setattr(lab, "snell_cole_hopf", no_solve)
+    with pytest.raises(ValueError, match="grid sizes N must be integers, got 4.5"):
+        lab.run_convergence(build_preset("P1-pure-quadratic"), [4.5, 8, 16, 32], SMALL_MC)
+
+
 def test_convergence_evaluates_each_oracle_step_once(monkeypatch):
     # one PCHIP evaluation on the path cloud per step: Y and Z of the
     # reference and of the same-N oracle are columns of one interpolant
@@ -312,6 +322,20 @@ def test_reflection_sweep_rejects_empty_kappas():
         lab.run_discrete_reflection_sweep(build_preset("P1-pure-quadratic"), 8, [])
 
 
+def test_reflection_sweep_rejects_non_integer_kappas_by_name(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the kappas")
+
+    spec = build_preset("P1-pure-quadratic")
+    with monkeypatch.context() as patched:
+        patched.setattr(lab, "build_space_grid", no_solve)
+        with pytest.raises(ValueError, match="kappas must be integers, got 4.9"):
+            lab.run_discrete_reflection_sweep(spec, 16, [4.9, 8])
+    # integral floats name the same kappas
+    rep = lab.run_discrete_reflection_sweep(spec, 16, [4.0, 8.0])
+    assert [c["kappa"] for c in rep.cells] == [4, 8]
+
+
 def test_reflection_sweep_exact_scheme_engine():
     spec = build_preset("P3-lipschitz")
     rep = lab.run_discrete_reflection_sweep(spec, 32, [4, 8, 16])
@@ -512,6 +536,41 @@ def test_stability_holds_one_leg_at_a_time(kind, levels, live, monkeypatch):
     mc = lab.MCConfig(n_paths=300, seed=0, basis=BasisSpec(degree=2), M_z=2.0)
     lab.run_stability(build_preset("P2-mixed-quadratic"), kind, levels, mc, N=4)
     assert seen == live
+
+
+def test_drift_shift_keeps_no_base_leg_push_ups_or_obstacle_values(monkeypatch):
+    # the base leg's K_T is folded as it is walked: at each shifted leg's
+    # start none of its dk (or g) arrays is alive, while its y's are
+    base, seen = [], []
+    steps = lab.backward_steps
+
+    def tracked_steps(*args):
+        seen.append([sum(ref() is not None for ref in refs) for refs in zip(*base)]
+                    if base else None)
+
+        def walk():
+            for step in steps(*args):
+                if len(seen) == 1:   # the first walk is the base leg's
+                    base.append((weakref.ref(step.y), weakref.ref(step.dk),
+                                 weakref.ref(step.g)))
+                yield step
+        return walk()
+
+    monkeypatch.setattr(lab, "backward_steps", tracked_steps)
+    mc = lab.MCConfig(n_paths=300, seed=0, basis=BasisSpec(degree=2), M_z=2.0)
+    lab.run_stability(build_preset("P2-mixed-quadratic"), "drift-shift",
+                      [0.4, 0.2, 0.1], mc, N=4)
+    assert seen == [None] + [[4, 0, 0]] * 3
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_block_wise_increment_digest_is_the_whole_array_sha256(m):
+    P = 2 * lab.DW_HASH_BLOCK + 37    # the last block is a short one
+    grid, _ = make_grid(5, 1.0)
+    dW = sample_increments(grid, P, 11, m).dW
+    h = hashlib.sha256()
+    lab._hash_increments(h, dW)
+    assert h.hexdigest() == hashlib.sha256(dW.tobytes()).hexdigest()
 
 
 def test_stability_euler_vs_exact():
@@ -718,7 +777,7 @@ def _diagnostics_reference(spec, N, mc, setup):
         fitted = regress.fit_least_squares(phi, xs, S).fitted
         tail_max = max(tail_max, float(np.quantile(fitted, 0.99)))
         K += step.dk
-        skorokhod_check(flags, spec, X, sched, step)
+        skorokhod_check(flags, sched, step)
     flags["all"] = all(flags.values())
     moments = {"sumZ2": {p: float(np.mean(S ** p)) for p in (1, 2, 4)},
                "K_T": {p: float(np.mean(K ** p)) for p in (1, 2, 4)}}

@@ -263,7 +263,7 @@ def test_skorokhod_flags_each_violation_matches_whole_array_reference(
     def steps_of(case):
         Y, Z, K = case["Ybar"], case["Zbar"], case["dK"]
         return lambda *a: (scheme.BackwardStep(i, Y[:, i + 1], Z[:, i, :], Y[:, i],
-                                               K[:, i], 1, 1.0, 0.0, None, None)
+                                               K[:, i], g[:, i], 1, 1.0, 0.0, None, None)
                            for i in range(grid.N - 1, -1, -1))
 
     cases = {
@@ -281,6 +281,21 @@ def test_skorokhod_flags_each_violation_matches_whole_array_reference(
         assert flags["all"] == (broken is None)
         if broken is not None:
             assert not flags[broken]
+
+
+def test_a_solve_evaluates_the_obstacle_once_per_time_column():
+    # N columns in the walk and X_N before it; the Skorokhod check reads
+    # the values each step was reflected on
+    spec = _p1()
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return spec.obstacle(x)
+
+    args = _inputs(dataclasses.replace(spec, obstacle=counted), N=8, P=500, seed=5)
+    assert solve_backward(*args).skorokhod["all"]
+    assert calls == [(500,)] * 9
 
 
 def test_contraction_precondition_enforced():
