@@ -439,10 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
                        help="recorded in the manifest only; from 3*10^4 "
-                            "paths the sampling and the backward walk share "
-                            "their work with one helper thread, a convergence "
-                            "cell walks its paths on one, and results never "
-                            "depend on either")
+                            "paths the sampling, the M_z pilot and the "
+                            "backward walk share their work with one helper "
+                            "thread, a convergence cell walks its paths on "
+                            "one, and results never depend on either")
         p.add_argument("--dump-paths", action="store_true",
                        help="solve, diagnose: also write the paths as CSV")
     return parser

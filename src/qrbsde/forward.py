@@ -2,15 +2,19 @@
 
 Brownian increments come from counter-based Philox streams keyed on
 (seed, step), so any (path, step) draw is reproducible independently of the
-order in which steps are generated and of any thread count.  From
-AHEAD_MIN_PATHS paths on, the draws are shared with one helper thread (the
-odd steps there, the even ones on the caller), through ``_ahead``, the
-package's one helper primitive, which ``scheme.backward_steps`` and the
-convergence cell use too; helpers never nest, no helper outlives the call
-that started it, and no result depends on them.  Euler states
-follow the left-endpoint recursion; presets with affine, time-constant drift
-also admit exact transition sampling coupled to the same increments, which
-serves as the strong-error oracle.
+order in which steps are generated and of any thread count, and the first P
+paths of a bigger bundle draw the P-path bundle's increments.  ``_ahead``
+is the package's one helper primitive: it runs a generator one item ahead
+on one helper thread.  It serves four stages, each only where ``helper_pays``: the
+odd steps' draws here (the caller draws the even ones), the next backward
+step's state half in ``scheme.backward_steps``, the convergence cell's whole
+walk, and the M_z pilot in ``lab._mc_setup``.  A thread runs at most one
+helper at a time: helpers never nest, and a thread that holds an open
+``_ahead`` runs its other stages serially.  No helper outlives the call that
+started it, and no result depends on one.  Euler states follow the
+left-endpoint recursion; presets with affine, time-constant drift also admit
+exact transition sampling coupled to the same increments, which serves as
+the strong-error oracle.
 """
 
 from __future__ import annotations
@@ -86,6 +90,21 @@ class ReflectionSchedule:
         return mask
 
 
+def _integers(values, what: str) -> list:
+    """values as ints, or a ValueError naming the first that is not an
+    integer; an integral float such as 8.0 names the same int."""
+    ints = []
+    for v in values:
+        try:
+            n = int(v)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != v:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+        ints.append(n)
+    return ints
+
+
 def make_grid(N: int, T: float,
               reflection: Union[str, tuple, Sequence[float]] = "all"):
     """Uniform grid t_i = iT/N plus a reflection schedule.
@@ -104,7 +123,7 @@ def make_grid(N: int, T: float,
             raise ValueError(f"unknown reflection policy {reflection!r}")
         idx = np.arange(N + 1)
     elif isinstance(reflection, tuple) and len(reflection) == 2 and reflection[0] == "every":
-        k = int(reflection[1])
+        k, = _integers(reflection[1:], "every-k strides")
         if k < 1 or k > N:
             raise ValueError(f"every-k stride {k} out of range 1..{N}")
         idx = np.unique(np.concatenate([np.arange(0, N + 1, k), [N]]))
@@ -167,14 +186,18 @@ def _step_rng(seed: int, i: int, stream: int) -> np.random.Generator:
 
 
 _END = object()
-_helper = threading.local()    # .active is set on a helper thread
+# per thread: .active is set on a helper thread, and "open" counts the
+# _ahead walks that the thread holds open
+_helper = threading.local()
 
 
 def helper_pays(n_paths: int) -> bool:
     """Whether a stage over ``n_paths`` paths shares its work with a helper
-    thread: from AHEAD_MIN_PATHS paths on, and never on a helper thread
-    already, so helpers do not nest."""
-    return n_paths >= AHEAD_MIN_PATHS and not getattr(_helper, "active", False)
+    thread: from AHEAD_MIN_PATHS paths on, never on a helper thread, so
+    helpers do not nest, and never on a thread that holds an open ``_ahead``,
+    so a thread runs one helper at a time."""
+    return (n_paths >= AHEAD_MIN_PATHS and not getattr(_helper, "active", False)
+            and not getattr(_helper, "open", 0))
 
 
 def _ahead(items):
@@ -185,7 +208,8 @@ def _ahead(items):
     The helper runs in a copy of the caller's context, so ``np.errstate``
     holds there too.  An exception from ``items`` is raised in the caller as
     it was raised.  On any exit, early ones included, the helper is told to
-    stop, closes ``items`` and is joined, so no thread outlives the walk."""
+    stop, closes ``items`` and is joined, so no thread outlives the walk.
+    While the walk is open, ``helper_pays`` is False on the caller."""
     box = queue.Queue(maxsize=1)
     wanted = threading.Semaphore(0)
     stop = threading.Event()
@@ -209,6 +233,9 @@ def _ahead(items):
     worker = threading.Thread(target=contextvars.copy_context().run,
                               args=(walk,), daemon=True)
     worker.start()
+    # this thread's namespace, even where another thread closes the walk
+    holds = _helper.__dict__
+    holds["open"] = holds.get("open", 0) + 1
     try:
         wanted.release()
         while True:
@@ -223,6 +250,7 @@ def _ahead(items):
         stop.set()
         wanted.release()
         worker.join()
+        holds["open"] -= 1
 
 
 def sample_increments(grid: TimeGrid, P: int, seed: int, m: int = 1) -> PathBundle:
@@ -253,6 +281,21 @@ def sample_increments(grid: TimeGrid, P: int, seed: int, m: int = 1) -> PathBund
     return PathBundle(grid=grid, n_paths=P, seed=seed, m=m, dW=dW)
 
 
+def _noise(dW_i: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """sigma . dW_i per path, for a step's (P, m) increments.
+
+    At m = 1 a plain product, with np.inner's bits but for the sign of a
+    zero, which X_i + b dt absorbs unless it is -0.0 itself: np.inner of a
+    (P, 1) block leaves OpenBLAS's worker thread spinning for about 0.13 s,
+    on the core a helper needs, and dW_i @ sig takes several times longer.
+    From m = 2 on np.inner, which leaves no worker spinning; its value on
+    the last P mod 4 rows of a block can differ in the last bit from the
+    same rows inside a longer block."""
+    if dW_i.shape[1] == 1:
+        return dW_i[:, 0] * sig[0]
+    return np.inner(dW_i, sig)
+
+
 def euler_simulate(spec: ProblemSpec, bundle: PathBundle) -> PathBundle:
     """Left-endpoint Euler recursion for X^pi on the bundle's grid."""
     grid = bundle.grid
@@ -263,10 +306,8 @@ def euler_simulate(spec: ProblemSpec, bundle: PathBundle) -> PathBundle:
         ti = grid.times[i]
         dti = grid.dt[i]
         sig = np.asarray(spec.vol(ti), dtype=float)
-        # np.inner is bit-equal to dW_i @ sig for every m; that matmul of a
-        # (P, 1) block by a (1,) vector skips BLAS and runs several times slower
         X[:, i + 1] = X[:, i] + np.asarray(spec.drift(ti, X[:, i])) * dti \
-            + np.inner(bundle.dW[:, i, :], sig)
+            + _noise(bundle.dW[:, i, :], sig)
         if not np.all(np.isfinite(X[:, i + 1])):
             p = int(np.argmax(~np.isfinite(X[:, i + 1])))
             raise FloatingPointError(f"non-finite Euler state at path {p}, step {i + 1}")
@@ -311,7 +352,7 @@ def exact_simulate(spec: ProblemSpec, bundle: PathBundle) -> PathBundle:
     X[:, 0] = spec.x0
     for i in range(N):
         dti = grid.dt[i]
-        sdW = np.inner(bundle.dW[:, i, :], sig0)     # as in euler_simulate
+        sdW = _noise(bundle.dW[:, i, :], sig0)
         if abs(c1) < 1e-14:
             X[:, i + 1] = X[:, i] + c0 * dti + sdW
             continue

@@ -18,13 +18,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forward import (TimeGrid, _ahead, euler_simulate, exact_simulate,
-                      make_grid, sample_increments)
+from .forward import (TimeGrid, _ahead, _integers, euler_simulate, exact_simulate,
+                      helper_pays, make_grid, sample_increments)
 from .model import ProblemSpec, TruncationRadius, y_bound
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec, fit_least_squares
 from .scheme import (SKOROKHOD_CONDITIONS, backward_steps, estimate_Mz_auto,
-                     skorokhod_check, solve_backward, y0_estimates)
+                     mz_pilot_paths, pilot_radius, skorokhod_check,
+                     solve_backward, y0_estimates)
 
 
 @dataclass(frozen=True)
@@ -40,26 +41,15 @@ class MCConfig:
             raise ValueError("need at least one path")
 
 
-def _integers(values, what: str) -> list:
-    """values as ints, or a ValueError naming the first that is not an
-    integer; an integral float such as 8.0 names the same int."""
-    ints = []
-    for v in values:
-        try:
-            n = int(v)
-        except (TypeError, ValueError, OverflowError):
-            n = None
-        if n is None or n != v:
-            raise ValueError(f"{what} must be integers, got {v!r}")
-        ints.append(n)
-    return ints
+def _bundle(spec, grid, n_paths: int, seed: int):
+    """The Euler-simulated bundle of ``n_paths`` paths."""
+    return euler_simulate(spec, sample_increments(grid, n_paths, seed, spec.m))
 
 
 def _mc_paths(spec, N, mc: MCConfig, reflection="all"):
     """Grid, schedule and Euler bundle of a path solve."""
     grid, sched = make_grid(N, spec.T, reflection)
-    return grid, sched, euler_simulate(
-        spec, sample_increments(grid, mc.n_paths, mc.seed, spec.m))
+    return grid, sched, _bundle(spec, grid, mc.n_paths, mc.seed)
 
 
 def _mc_radius(spec, grid, sched, bundle, mc: MCConfig) -> TruncationRadius:
@@ -69,10 +59,38 @@ def _mc_radius(spec, grid, sched, bundle, mc: MCConfig) -> TruncationRadius:
     return estimate_Mz_auto(spec, grid, sched, bundle, mc.basis)
 
 
+def _pilot(spec, grid, sched, mc: MCConfig):
+    """The M_z pilot as ``_ahead`` runs it: None at once, so that the helper
+    starts on it while the caller works, then the radius of
+    ``pilot_radius`` on a bundle of its own ``mz_pilot_paths`` paths."""
+    yield None
+    pilot = _bundle(spec, grid, mz_pilot_paths(mc.n_paths, mc.basis), mc.seed)
+    yield pilot_radius(spec, grid, sched, pilot, mc.basis)
+
+
 def _mc_setup(spec, N, mc: MCConfig, reflection="all"):
-    """Grid, schedule, Euler bundle and truncation radius."""
-    grid, sched, bundle = _mc_paths(spec, N, mc, reflection)
-    return grid, sched, bundle, _mc_radius(spec, grid, sched, bundle, mc)
+    """Grid, schedule, Euler bundle and truncation radius.
+
+    Where an auto M_z is sized at m = 1 and ``helper_pays``, the pilot runs
+    on ``_ahead``'s helper, on a bundle of its own, while this thread draws
+    and simulates the whole bundle (serially: it holds the helper).  Draws
+    are order-independent and an m = 1 Euler step is a path-wise product,
+    so the pilot's paths are the whole bundle's first ones and the radius is
+    ``estimate_Mz_auto``'s on the whole bundle, bit for bit.  From m = 2 on
+    a prefix's Euler states can differ in their last bits from a bundle of
+    its own (``forward._noise``), so there, and wherever no helper pays,
+    the pilot runs after the bundle on its first paths."""
+    if mc.M_z is not None or spec.m != 1 or not helper_pays(mc.n_paths):
+        grid, sched, bundle = _mc_paths(spec, N, mc, reflection)
+        return grid, sched, bundle, _mc_radius(spec, grid, sched, bundle, mc)
+    grid, sched = make_grid(N, spec.T, reflection)
+    pilot = _ahead(_pilot(spec, grid, sched, mc))
+    try:
+        next(pilot)
+        bundle = _bundle(spec, grid, mc.n_paths, mc.seed)
+        return grid, sched, bundle, next(pilot)
+    finally:
+        pilot.close()
 
 
 def _solve_mc(spec, N, mc: MCConfig, reflection="all"):

@@ -207,12 +207,15 @@ def factor_design(phi: DesignEvaluator, A: np.ndarray) -> tuple:
 
 
 def fit_least_squares(phi: DesignEvaluator, xs, ys, A=None,
-                      factor=None) -> RegressionFit:
+                      factor=None, overwrite_ys: bool = False) -> RegressionFit:
     """Least squares of ys, (P,) or (P, k), on phi(xs), ridged by phi's basis.
     One eigh of the Gram, ``factor_design``'s (lam, V), serves the
     singularity guard, cond, the solve V diag(1/lam) V^T b and its one
     refinement step.  A caller that holds the design A = phi(xs) and its
-    factor passes them; otherwise both are made here."""
+    factor passes them; otherwise both are made here.  With
+    ``overwrite_ys`` the last residual is written into a column-major ys,
+    so no third (P, k) array is alive beside the targets and the fitted
+    values."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape[0] != ys.shape[0]:
@@ -231,6 +234,8 @@ def fit_least_squares(phi: DesignEvaluator, xs, ys, A=None,
     # one refinement step recovers the accuracy the normal equations lose
     coef += Vs @ (V.T @ (A.T @ res.T - ridge * coef))
     cond = float(np.sqrt(lam[-1] / lam[0]))
+    if overwrite_ys:
+        res = yt    # frees the first residual before the fitted values
     fitted = coef.T @ A.T
     np.subtract(yt, fitted, out=res)
     rmse = np.sqrt(np.einsum("...p,...p->...", res, res) / xs.shape[0])

@@ -11,13 +11,21 @@ of the current Euler state.
 A step has two halves.  Its state half reads only X_{t_i}: the localized
 basis, the design and its Gram's factor.  Its value half is the
 recursion: the projection onto that factor, the implicit step and the
-reflection against g(X_{t_i}).  For a walk of at least
-``forward.AHEAD_MIN_PATHS`` paths that is not on a helper thread already,
-``forward._ahead`` computes the state half of step i-1 on one helper
-thread while the caller runs step i's value half and its own work on the
-yielded step; the designs then alternate between two per-walk blocks.
-Every other walk is serial, with one block.  The halves run the same
-operations on either path, so no result depends on the helper.
+reflection against g(X_{t_i}).  Where ``forward.helper_pays`` holds (at
+least ``forward.AHEAD_MIN_PATHS`` paths, not on a helper thread, and not on
+a thread that holds a helper open already, as it does for the first of two
+legs walked in lockstep), ``forward._ahead`` computes the state half of
+step i-1 on one helper thread while the caller runs step i's value half
+and its own work on the yielded step; the designs then alternate between
+two per-walk blocks.  Every other walk is serial, with one block.  The
+halves run the same operations on either path, so no result depends on the
+helper.  At a reflection date dK is written into the buffer of the
+unreflected value, which no later use reads.
+
+The truncation radius M_z of an auto-sized solve comes from an untruncated
+pilot walk on the first ``mz_pilot_paths`` paths (``estimate_Mz_auto``);
+``lab._mc_setup`` runs that walk on a helper thread, on a bundle of those
+paths of its own, while it builds the whole bundle.
 """
 
 from __future__ import annotations
@@ -89,7 +97,7 @@ def z_projection_step(y_next, dW_i, dt_i, phi, xs, A=None, factor=None):
     np.multiply(y_next[:, None], dW_i, out=targets[:, :m])
     targets[:, :m] /= dt_i
     targets[:, m] = y_next
-    return fit_least_squares(phi, xs, targets, A, factor)
+    return fit_least_squares(phi, xs, targets, A, factor, overwrite_ys=True)
 
 
 def implicit_y_step(e, zbar, spec: ProblemSpec, t_i: float, x_i, dt: float,
@@ -142,13 +150,15 @@ def implicit_y_step(e, zbar, spec: ProblemSpec, t_i: float, x_i, dt: float,
     return np.clip(y, -M, M), k
 
 
-def reflect_step(ytilde, g_vals, is_reflection_time: bool):
-    """Ybar = max(ytilde, g) at reflection times; dK is the applied push-up."""
+def reflect_step(ytilde, g_vals, is_reflection_time: bool, out=None):
+    """Ybar = max(ytilde, g) at reflection times; dK is the applied push-up,
+    written into ``out`` where it is given (it may be ytilde itself).  Off
+    the schedule Ybar is ytilde and dK a new zero array."""
     ytilde = np.asarray(ytilde, dtype=float)
     if not is_reflection_time:
         return ytilde, np.zeros_like(ytilde)
     ybar = np.maximum(ytilde, np.asarray(g_vals, dtype=float))
-    return ybar, ybar - ytilde
+    return ybar, np.subtract(ybar, ytilde, out=out)
 
 
 class StepState(NamedTuple):
@@ -231,7 +241,8 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
 
             ytilde, picard = implicit_y_step(e, z, spec, ti, xs, dti, radius, M)
             g = np.asarray(spec.obstacle(xs), dtype=float)
-            y, dk = reflect_step(ytilde, g, bool(schedule.mask[i]))
+            # at a reflection date dK takes ytilde's buffer, which Ybar leaves
+            y, dk = reflect_step(ytilde, g, bool(schedule.mask[i]), out=ytilde)
             step = BackwardStep(i, y_next, z, y, dk, g, picard, cond, rmse,
                                 state.phi, state.factor)
             # free the step's temporaries before the next step allocates its own
@@ -298,24 +309,38 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
         K_T={"mean": float(np.mean(K)), "std": float(np.std(K)), "max": float(np.max(K))})
 
 
+def mz_pilot_paths(n_paths: int, basis: BasisSpec) -> int:
+    """The M_z pilot's path count for a bundle of ``n_paths``: a share
+    MZ_PILOT_FRACTION of them, at least 10 per basis function, at most all."""
+    return min(max(int(n_paths * MZ_PILOT_FRACTION), 10 * basis.dimension), n_paths)
+
+
+def pilot_radius(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
+                 pilot: PathBundle, basis: BasisSpec) -> TruncationRadius:
+    """The untruncated pilot solve's radius on the bundle ``pilot``:
+    M_z = max(floor, 2 * max over steps of the 99.9th percentile of |Zbar|).
+    It walks ``backward_steps`` and keeps only each step's quantile, so it
+    builds no path array of its own."""
+    steps = backward_steps(spec, grid, schedule, pilot, basis, None)
+    per_step = [np.quantile(np.linalg.norm(step.z, axis=1), 0.999) for step in steps]
+    return TruncationRadius(max(MZ_AUTO_FLOOR, 2.0 * float(np.max(per_step))),
+                            "auto-estimated")
+
+
 def estimate_Mz_auto(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
                      bundle: PathBundle, basis: BasisSpec) -> TruncationRadius:
     """Untruncated pilot run; size M_z off the bulk of |Z|.
 
-    M_z = max(floor, 2 * max over steps of the 99.9th percentile of |Zbar|),
-    computed on a pilot subsample of the paths.  The pilot walks
-    ``backward_steps`` and keeps only each step's quantile, so it builds no
-    path array of its own.
+    ``pilot_radius`` on the bundle's first ``mz_pilot_paths`` paths.  Draws
+    are order-independent, so for m = 1 those are the paths of a bundle of
+    that many paths of its own, on which ``lab._mc_setup`` runs the same
+    pilot on a helper thread while it builds the whole bundle.
     """
-    P_pilot = max(int(bundle.n_paths * MZ_PILOT_FRACTION), 10 * basis.dimension)
-    P_pilot = min(P_pilot, bundle.n_paths)
+    P_pilot = mz_pilot_paths(bundle.n_paths, basis)
     pilot = PathBundle(
         grid=bundle.grid, n_paths=P_pilot, seed=bundle.seed, m=bundle.m,
         dW=bundle.dW[:P_pilot],
         X_euler=None if bundle.X_euler is None else bundle.X_euler[:P_pilot],
         X_exact=None if bundle.X_exact is None else bundle.X_exact[:P_pilot],
     )
-    steps = backward_steps(spec, grid, schedule, pilot, basis, None)
-    per_step = [np.quantile(np.linalg.norm(step.z, axis=1), 0.999) for step in steps]
-    return TruncationRadius(max(MZ_AUTO_FLOOR, 2.0 * float(np.max(per_step))),
-                            "auto-estimated")
+    return pilot_radius(spec, grid, schedule, pilot, basis)

@@ -51,6 +51,17 @@ def test_make_grid_rejects_a_non_finite_reflection_time(t):
         make_grid(4, 1.0, [0.5, t])
 
 
+@pytest.mark.parametrize("k", [2.5, float("inf"), float("nan")])
+def test_make_grid_rejects_a_non_integer_stride_by_name(k):
+    # 2.5 used to be truncated to 2, and inf raised OverflowError
+    with pytest.raises(ValueError, match=f"every-k strides must be integers, got {k!r}"):
+        make_grid(8, 1.0, ("every", k))
+
+
+def test_make_grid_takes_an_integral_float_stride():
+    assert make_grid(8, 1.0, ("every", 2.0))[1].indices.tolist() == [0, 2, 4, 6, 8]
+
+
 # ---------------------------------------------------------------------------
 # increments
 
@@ -85,6 +96,47 @@ def test_two_thread_sampling_is_the_one_thread_per_step_draw(monkeypatch, m, N):
     assert set(threading.enumerate()) == before
 
 
+def test_no_helper_pays_on_a_thread_that_holds_an_open_ahead(monkeypatch):
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
+    seen = []
+
+    def items():
+        for k in range(3):
+            seen.append(forward.helper_pays(1))   # on the helper
+            yield k
+
+    assert forward.helper_pays(1)
+    walk = forward._ahead(items())
+    assert next(walk) == 0 and not forward.helper_pays(1)
+    assert list(walk) == [1, 2] and forward.helper_pays(1)
+    assert seen == [False] * 3
+    walk = forward._ahead(items())
+    next(walk)
+    walk.close()   # an early close gives the thread its helper back too
+    assert forward.helper_pays(1)
+
+
+def test_a_draw_inside_an_open_ahead_is_serial_and_bit_equal(monkeypatch):
+    # one helper at a time: the caller of an open _ahead draws every step
+    grid, _ = make_grid(5, 1.0)
+    want = sample_increments(grid, 300, 5, 2).dW.tobytes()
+    on_main, step_rng = [], forward._step_rng
+
+    def recorded(seed, i, stream):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return step_rng(seed, i, stream)
+
+    monkeypatch.setattr(forward, "_step_rng", recorded)
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
+    walk = forward._ahead(k for k in range(2))
+    next(walk)
+    try:
+        assert sample_increments(grid, 300, 5, 2).dW.tobytes() == want
+    finally:
+        walk.close()
+    assert on_main == [True] * 5
+
+
 def test_increments_deterministic():
     grid, _ = make_grid(8, 1.0)
     a = sample_increments(grid, 500, seed=3)
@@ -111,6 +163,23 @@ def test_increments_step_draws_are_order_independent():
     small = sample_increments(grid, 100, seed=11)
     big = sample_increments(grid, 1000, seed=11)
     np.testing.assert_array_equal(big.dW[:100], small.dW)
+    for m in (2, 3):
+        big = sample_increments(grid, 1000, seed=11, m=m).dW
+        for P in (1, 7, 999):
+            assert sample_increments(grid, P, 11, m).dW.tobytes() \
+                == np.ascontiguousarray(big[:P]).tobytes()
+    # at m = 1 each Euler and exact step is a path-wise product, so the
+    # states of a prefix are the smaller bundle's too, whatever its size
+    # (from m = 2 on np.inner's value on a block's last P mod 4 rows can
+    # differ in the last bit from a longer block's, so there they need not)
+    spec = build_preset("P2-mixed-quadratic")
+    grid, _ = make_grid(6, spec.T)
+    big = exact_simulate(spec, euler_simulate(spec, sample_increments(grid, 5003, 11)))
+    for P in (1, 7, 999, 4999):
+        small = exact_simulate(spec, euler_simulate(spec, sample_increments(grid, P, 11)))
+        for X, Y in ((big.X_euler, small.X_euler), (big.X_exact, small.X_exact)):
+            assert np.ascontiguousarray(X[:P]).tobytes() \
+                == np.ascontiguousarray(Y).tobytes()
 
 
 def test_multidim_components_uncorrelated():

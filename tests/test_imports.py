@@ -11,12 +11,14 @@ diagnostics' tail-sum regression, ``localize_basis`` and ``build_basis``
 only by a backward step's state half, ``factor_design`` only by that state
 half and by a fit given no factor, ``z_projection_step`` only by the
 one backward-step kernel, ``backward_steps`` only by the solve, the M_z
-pilot, the convergence cell, the stability legs (the base leg in each of
-the two kinds, the second leg in the one coupled-leg helper) and the
-diagnostics, ``solve_backward`` only by the CLI's one Monte Carlo solve, and
-``_deltas`` only by the one coupled stability leg, and ``_ahead``, the one
-helper-thread primitive, only by the increment sampling, the backward loop
-and the convergence cell.  The callers are read with ``_callers`` below.  A fresh
+pilot's one walk, the convergence cell, the stability legs (the base leg in
+each of the two kinds, the second leg in the one coupled-leg helper) and the
+diagnostics, the pilot's path count and its walk only by the pilot on a
+bundle's first paths and the pilot on a helper thread, ``solve_backward``
+only by the CLI's one Monte Carlo solve, and ``_deltas`` only by the one
+coupled stability leg, and ``_ahead``, the one helper-thread primitive, only
+by the increment sampling, the set-up's pilot, the backward loop and the
+convergence cell.  The callers are read with ``_callers`` below.  A fresh
 interpreter that imports the package and runs a small convergence study never loads ``scipy.stats``,
 ``scipy.linalg`` (each least-squares fit makes one numpy ``eigh``), nor
 ``scipy.interpolate`` and the subpackages that it pulls in; it loads
@@ -103,19 +105,24 @@ HOMES = {
     "z_projection_step": ["scheme.backward_steps"],
     # every consumer reads the one backward loop as its steps are yielded:
     # the convergence cell, the second stability leg, each stability kind's
-    # base leg, the diagnostics, the solve and the M_z pilot
+    # base leg, the diagnostics, the solve and the M_z pilot's one walk
     "backward_steps": ["lab._convergence_cell", "lab._coupled_cell",
                        "lab.run_stability", "lab.run_stability",
                        "lab.run_diagnostics", "scheme.solve_backward",
-                       "scheme.estimate_Mz_auto"],
+                       "scheme.pilot_radius"],
+    # the pilot's path count and its walk serve the pilot on a bundle's
+    # first paths and the pilot that the set-up runs on a helper thread
+    "mz_pilot_paths": ["lab._pilot", "scheme.estimate_Mz_auto"],
+    "pilot_radius": ["lab._pilot", "scheme.estimate_Mz_auto"],
     # the only caller of the solve that records each step is the CLI's solve
     "solve_backward": ["lab._solve_mc"],
     "_deltas": ["lab._coupled_cell"],
-    # the one helper thread: the odd steps' draws, the next step's state
-    # half, and the convergence cell's whole walk (inside it, the walk and
-    # its state halves stay on that one helper)
-    "_ahead": ["forward.sample_increments", "lab._convergence_cell",
-               "scheme.backward_steps"],
+    # the one helper thread: the odd steps' draws, the M_z pilot beside the
+    # set-up's bundle, the next step's state half, and the convergence
+    # cell's whole walk (inside it, the walk and its state halves stay on
+    # that one helper)
+    "_ahead": ["forward.sample_increments", "lab._mc_setup",
+               "lab._convergence_cell", "scheme.backward_steps"],
 }
 
 

@@ -550,6 +550,29 @@ def test_solve_builds_no_path_array():
     assert peak < 2000 * 17 * 8
 
 
+def test_a_walk_holds_at_most_d_plus_10_path_arrays():
+    # at a reflection date dK takes ytilde's buffer, and the step's fit
+    # writes its last residual into its targets: beside the d columns of its
+    # design block and the 5 (P,) arrays of the step before, a serial walk
+    # holds at most 5 more (z, e and the implicit step's three), where each
+    # of the two took one more
+    P, basis = 2000, BasisSpec(degree=6)
+    args = _inputs(_p1(), N=16, P=P, seed=27, basis=basis)
+
+    def walk():
+        for _ in scheme.backward_steps(*args):
+            pass
+
+    walk()     # warm-up
+    tracemalloc.start()
+    try:
+        walk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (basis.dimension + 11) * P * 8
+
+
 # ---------------------------------------------------------------------------
 # the state half of the next step on a helper thread
 
