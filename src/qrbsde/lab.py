@@ -110,17 +110,64 @@ class SlopeFit:
     n_points: int
 
 
+# t_0.975(nu) for nu = 1..30 degrees of freedom, the doubles that
+# scipy.special.stdtrit(nu, 0.975) returns (up to 19 ulp from the correctly
+# rounded quantile, so no formula reproduces them), and the nu -> inf limit
+_T975 = (12.706204736174694, 4.302652729749462, 3.1824463052837078,
+         2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+         2.364624251592784, 2.306004135204166, 2.262157162798205,
+         2.228138851986274, 2.200985160091639, 2.1788128296672284,
+         2.1603686564627913, 2.144786687917804, 2.131449545559776,
+         2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+         2.0930240544083087, 2.085963447265864, 2.0796138447276795,
+         2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+         2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
+         2.0484071417952454, 2.045229642132703, 2.0422724563012378)
+_Z975 = 1.959963984540054
+
+
+def _t_within(t: float, nu: int) -> float:
+    """P(|T| <= t) for Student's t with an integer nu >= 2 degrees of
+    freedom, in closed form (Abramowitz-Stegun 26.7.3-4)."""
+    theta = math.atan(t / math.sqrt(nu))
+    odd = nu % 2
+    k = np.arange(1, nu // 2)
+    ratios = (nu / (nu + t * t)) * (2 * k - 1 + odd) / (2 * k + odd)
+    series = float(np.sum(np.cumprod(
+        np.concatenate(([math.cos(theta) if odd else 1.0], ratios)))))
+    if odd:
+        return 2.0 / math.pi * (theta + math.sin(theta) * series)
+    return math.sin(theta) * series
+
+
+def _t975(nu: int) -> float:
+    """The Student-t quantile t_0.975(nu), nu >= 1: tabled up to nu = 30,
+    above that the least double in (t_0.975(inf), t_0.975(30)] whose
+    ``_t_within`` reaches 0.95, found by bisection."""
+    if nu <= len(_T975):
+        return _T975[nu - 1]
+    lo, hi = _Z975, _T975[-1]
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _t_within(mid, nu) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def slope_fit(points: Sequence[tuple]) -> SlopeFit:
-    """OLS fit of log(err) on log(h) for (h, err) pairs; all values positive.
+    """OLS fit of log(err) on log(h) for (h, err) pairs; all values finite
+    and positive, else ValueError naming the first pair that is not.
 
-    The band's Student-t quantile is ``scipy.special.stdtrit``, imported here
-    on the first call, so that ``import qrbsde`` and a solve load no scipy.
+    The band's Student-t quantile is ``_t975``; to n = 32 points it is
+    scipy's ``stdtrit`` bit for bit.
     """
-    from scipy.special import stdtrit
-
     pts = [(float(h), float(e)) for h, e in points]
     if len(pts) < 3:
         raise ValueError("slope fit needs at least 3 points")
+    bad = next((p for p in pts if not all(map(math.isfinite, p))), None)
+    if bad is not None:
+        raise ValueError(f"slope fit requires finite (h, err) values; got {bad}")
     h = np.array([p[0] for p in pts])
     e = np.array([p[1] for p in pts])
     if np.any(h <= 0) or np.any(e <= 0):
@@ -134,13 +181,13 @@ def slope_fit(points: Sequence[tuple]) -> SlopeFit:
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)
     s2 = float(np.sum(resid ** 2) / (n - 2))
-    band = float(stdtrit(n - 2, 0.975) * math.sqrt(s2 / sxx))
+    band = float(_t975(n - 2) * math.sqrt(s2 / sxx))
     return SlopeFit(slope=slope, intercept=intercept, band95=band, n_points=n)
 
 
 def _slopes(cells, x_key: str, keys: Sequence[str]) -> dict:
     """slope_fit of each key against x_key over the cells where it is positive;
-    None for a key with too few such cells to fit."""
+    None for a key with too few such cells to fit, or with an infinite one."""
     slopes = {}
     for key in keys:
         try:

@@ -274,8 +274,38 @@ _CLOUD_Y = 2.0
 _CLOUD_Z = 3.0
 _FD_STEP = 1e-5
 
+# Joe-Kuo direction numbers (new-joe-kuo-6.21201) of Sobol dimensions 2..7:
+# each primitive polynomial's degree s, its inner coefficients a as bits, and
+# its initial m_1..m_s; dimension 1 has every m_k = 1
+_SOBOL_POLYS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)),
+                (3, 2, (1, 1, 1)), (4, 1, (1, 1, 3, 3)), (4, 4, (1, 3, 5, 13)))
+_SOBOL_BITS = 30
+
 _PASS_TOL = 1.0 + 1e-6
 _TINY = 1e-300
+
+
+def _sobol(n: int, d: int) -> np.ndarray:
+    """The first n points of the unscrambled Sobol sequence in d <= 7
+    dimensions, Gray-code ordered on 30 bits: scipy's
+    ``qmc.Sobol(d, scramble=False).random(n)`` bit for bit."""
+    bits = max(n - 1, 1).bit_length()
+    v = np.ones((bits, d), dtype=np.int64)      # m_k, k = 1..bits
+    for j, (s, a, m) in enumerate(_SOBOL_POLYS[:d - 1], start=1):
+        col = list(m)
+        for k in range(s, bits):
+            new = col[k - s] ^ (col[k - s] << s)
+            for r in range(1, s):
+                if a >> (s - 1 - r) & 1:
+                    new ^= col[k - r] << r
+            col.append(new)
+        v[:, j] = col[:bits]
+    v <<= (_SOBOL_BITS - 1 - np.arange(bits))[:, None]
+    gray = np.arange(n) ^ (np.arange(n) >> 1)
+    q = np.zeros((n, d), dtype=np.int64)
+    for b in range(bits):
+        q ^= (gray >> b & 1)[:, None] * v[b]
+    return q * 2.0 ** -_SOBOL_BITS
 
 
 def _worst(name, ratios, witnesses):
@@ -297,12 +327,8 @@ def validate_assumptions(spec: ProblemSpec) -> AssumptionReport:
     check passes iff the worst ratio over the cloud is <= 1 + 1e-6.  Failures
     are report content, never exceptions.
     """
-    # imported at its one use, so that `import qrbsde` never loads scipy.stats
-    from scipy.stats import qmc
-
     n = _CLOUD_POINTS
-    sob = qmc.Sobol(d=7, scramble=False, seed=0)
-    u = sob.random(n)
+    u = _sobol(n, 7)
     # skip the all-zeros first Sobol point to avoid degenerate pairs
     u = np.clip(u, 1e-9, 1.0 - 1e-9)
 

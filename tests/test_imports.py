@@ -18,13 +18,17 @@ bundle's first paths and the pilot on a helper thread, ``solve_backward``
 only by the CLI's one Monte Carlo solve, and ``_deltas`` only by the one
 coupled stability leg, and ``_ahead``, the one helper-thread primitive, only
 by the increment sampling, the set-up's pilot, the backward loop and the
-convergence cell.  The callers are read with ``_callers`` below.  A fresh
-interpreter that imports the package and runs a small convergence study never loads ``scipy.stats``,
-``scipy.linalg`` (each least-squares fit makes one numpy ``eigh``), nor
-``scipy.interpolate`` and the subpackages that it pulls in; it loads
-``scipy.special`` only at its first ``slope_fit``.  One that imports the
-package and the CLI, builds every preset and runs a small ``solve`` loads
-no scipy module at all.
+convergence cell.  The callers are read with ``_callers`` below.
+
+The package runs on numpy alone: no module imports scipy, at module level
+or inside a function.  A fresh interpreter that imports the package and runs
+a small convergence study never loads ``scipy.stats``, ``scipy.linalg``
+(each least-squares fit makes one numpy ``eigh``), nor ``scipy.interpolate``
+and the subpackages that it pulls in.  One that imports the package and the
+CLI, builds every preset and runs a small ``solve`` loads no scipy module at
+all, and neither does one that runs small ``converge``, ``stability``
+(drift-shift), ``reflect-sweep``, ``diagnose``, ``oracle`` and ``validate``
+jobs through the CLI.
 """
 
 import ast
@@ -62,6 +66,35 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _scipy_imports(source: str) -> list:
+    """Line and module of every import of scipy, at any level."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names
+                  if n.split(".")[0] == "scipy"]
+    return found
+
+
+def test_checker_flags_a_scipy_import_at_any_level():
+    source = ("import os, scipy.stats as st\n"
+              "def f():\n    from scipy.special import stdtrit\n"
+              "    from . import scipyish\n"
+              "class A:\n    def g(self):\n        import scipy\n")
+    assert _scipy_imports(source) == ["line 1: scipy.stats",
+                                      "line 3: scipy.special", "line 7: scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    assert _scipy_imports(path.read_text()) == []
 
 
 def _callers(source: str, name: str, prefix: str = "") -> list:
@@ -193,5 +226,32 @@ print([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
 
 
 def test_import_and_solve_load_no_scipy():
-    # slope_fit imports scipy.special on its first call; no solve reaches it
     assert ast.literal_eval(_run_fresh(_COLD_SOLVE)[-1]) == [0, []]
+
+
+_COLD_JOBS = """
+import json, sys, tempfile
+import qrbsde.cli
+small = {"mc": {"paths": 2000, "basis": {"degree": 3}}}
+jobs = [("converge", {"experiment": {"Ns": [4, 8, 16, 32]}}),
+        ("stability", {"problem": {"preset": "P2-mixed-quadratic"},
+                       "grid": {"N": 8},
+                       "experiment": {"perturbation": "drift-shift"}}),
+        ("reflect-sweep", {"experiment": {"N": 16, "kappas": [2, 4, 8]}}),
+        ("diagnose", {"grid": {"N": 8}}),
+        ("oracle", {"grid": {"N": 8}}),
+        ("validate", {"problem": {"preset": "P2-mixed-quadratic",
+                                  "overrides": {"m": 2}}})]
+codes = []
+with tempfile.TemporaryDirectory() as out:
+    for kind, config in jobs:
+        codes.append(qrbsde.cli.main([kind, "--config", json.dumps(dict(small, **config)),
+                                      "--out", f"{out}/{kind}"]))
+print([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+"""
+
+
+def test_every_cli_kind_loads_no_scipy():
+    codes, scipy = ast.literal_eval(_run_fresh(_COLD_JOBS)[-1])
+    assert codes == [0] * len(codes)
+    assert scipy == []

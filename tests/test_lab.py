@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import math
+import re
 import threading
 import time
 import weakref
@@ -7,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import stdtrit
 
 from qrbsde import forward, lab, oracle, regress, scheme
 from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
@@ -54,6 +57,41 @@ def test_slope_fit_band_uses_the_student_t_quantile_bit_for_bit():
         s2 = float(np.sum(resid ** 2) / (n - 2))
         want = float(stats.t.ppf(0.975, n - 2) * np.sqrt(s2 / sxx))
         assert lab.slope_fit(list(zip(hs, errs))).band95 == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1])
+def test_slope_fit_rejects_non_finite_points_by_name(bad, where):
+    points = [(0.1, 1.0), (0.2, 2.0), (0.4, 3.0), (0.8, 4.0)]
+    pair = [0.4, 3.0]
+    pair[where] = bad
+    points[2] = tuple(pair)
+    points[3] = (math.nan, math.nan)     # only the first bad pair is named
+    with pytest.raises(ValueError, match=re.escape(repr(tuple(pair)))):
+        lab.slope_fit(points)
+
+
+def test_slopes_reports_none_for_a_key_with_an_infinite_cell():
+    cells = [{"h": 0.4, "a": 4.0, "b": 0.4}, {"h": 0.2, "a": 2.0, "b": math.inf},
+             {"h": 0.1, "a": 1.0, "b": 0.1}, {"h": 0.05, "a": 0.5, "b": 0.05}]
+    slopes = lab._slopes(cells, "h", ("a", "b"))
+    assert slopes["a"].slope == pytest.approx(1.0, abs=1e-12)
+    assert slopes["b"] is None
+
+
+def test_tabled_student_t_quantiles_are_stdtrit_bit_for_bit():
+    assert len(lab._T975) == 30
+    for nu in range(1, 31):
+        assert lab._t975(nu) == float(stdtrit(nu, 0.975)), nu
+
+
+def test_computed_student_t_quantiles_match_stdtrit():
+    nus = np.arange(31, 1001)
+    got = np.array([lab._t975(int(nu)) for nu in nus])
+    np.testing.assert_allclose(got, stdtrit(nus, 0.975), rtol=1e-13, atol=0)
+    for nu in (2000, 5000, 10_000):
+        assert lab._t975(nu) == pytest.approx(float(stdtrit(nu, 0.975)),
+                                              rel=1e-12, abs=0), nu
 
 
 def test_slope_fit_band_covers_noisy_truth():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from qrbsde.forward import euler_simulate, make_grid, sample_increments
-from qrbsde.model import (AffineInY, build_preset, clip_obstacle,
+from qrbsde.model import (AffineInY, _sobol, build_preset, clip_obstacle,
                           smooth_truncation, soft_clip_obstacle,
                           validate_assumptions, y_bound)
 from qrbsde.regress import BasisSpec
@@ -157,6 +158,19 @@ def test_presets_declare_their_y_coefficient(name, a):
 
 # ---------------------------------------------------------------------------
 # assumption validation
+
+def test_cloud_is_scipys_unscrambled_sobol_bit_for_bit():
+    want = qmc.Sobol(d=7, scramble=False, seed=0).random(2048)
+    np.testing.assert_array_equal(_sobol(2048, 7), want)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties")
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 4097])
+def test_sobol_prefixes_are_scipys_in_every_dimension(n, d):
+    want = qmc.Sobol(d=d, scramble=False, seed=0).random(n)
+    np.testing.assert_array_equal(_sobol(n, d), want)
+
 
 def test_presets_pass_core_assumptions():
     for name in PRESETS:
