@@ -21,7 +21,7 @@ print(f"preset: x0={spec.x0}, T={spec.T}, alpha={spec.alpha}, "
 grid, sched = make_grid(64, spec.T, "all")
 bundle = euler_simulate(spec, sample_increments(grid, 20_000, seed=42, m=spec.m))
 
-# size the Z truncation off a pilot run, then solve
+# the declared Z truncation radius, max|sigma| L e^{2LT}, then solve
 basis = BasisSpec(degree=6)
 radius = estimate_Mz_auto(spec, grid, sched, bundle, basis)
 print(f"auto truncation radius M_z = {radius.M_z:.3f} ({radius.provenance})")

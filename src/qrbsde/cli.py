@@ -115,7 +115,7 @@ class RunConfig:
     spec: ProblemSpec
     N: int
     reflection: object
-    mc: lab.MCConfig              # M_z None means auto-estimate
+    mc: lab.MCConfig              # M_z None means the declared auto rule
     experiment: dict              # kind + per-experiment parameters
     out_dir: Optional[str]
     formats: tuple
@@ -239,7 +239,8 @@ def _run_solve(cfg: RunConfig):
     summary = sol.summary()
     columns = {"picard_iters": sol.picard_counts, "fit_cond": sol.fit_conds,
                "fit_rmse": sol.fit_rmses, "max_abs_z": sol.max_abs_z,
-               "mean_dK": sol.mean_dK, "reflected_frac": sol.reflected_frac}
+               "mean_dK": sol.mean_dK, "reflected_frac": sol.reflected_frac,
+               "trunc_active_frac": sol.trunc_active_frac}
     steps = [{"i": i, "t": float(grid.times[i]),
               **{k: v[i].item() for k, v in columns.items()}} for i in range(grid.N)]
     return summary, {"steps": steps}, {"skorokhod": sol.skorokhod["all"]}, bundle
@@ -439,10 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
                        help="recorded in the manifest only; from 3*10^4 "
-                            "paths the sampling, the M_z pilot and the "
-                            "backward walk share their work with one helper "
-                            "thread, a convergence cell walks its paths on "
-                            "one, and results never depend on either")
+                            "paths the sampling and the backward walk share "
+                            "their work with one helper thread, a "
+                            "convergence cell walks its paths on one, and "
+                            "results never depend on either")
         p.add_argument("--dump-paths", action="store_true",
                        help="solve, diagnose: also write the paths as CSV")
     return parser

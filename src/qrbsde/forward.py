@@ -5,10 +5,10 @@ Brownian increments come from counter-based Philox streams keyed on
 order in which steps are generated and of any thread count, and the first P
 paths of a bigger bundle draw the P-path bundle's increments.  ``_ahead``
 is the package's one helper primitive: it runs a generator one item ahead
-on one helper thread.  It serves four stages, each only where ``helper_pays``: the
-odd steps' draws here (the caller draws the even ones), the next backward
-step's state half in ``scheme.backward_steps``, the convergence cell's whole
-walk, and the M_z pilot in ``lab._mc_setup``.  A thread runs at most one
+on one helper thread.  It serves three stages, each only where ``helper_pays``:
+the odd steps' draws here (the caller draws the even ones), the next
+backward step's state half in ``scheme.backward_steps``, and the
+convergence cell's whole walk.  A thread runs at most one
 helper at a time: helpers never nest, and a thread that holds an open
 ``_ahead`` runs its other stages serially.  No helper outlives the call that
 started it, and no result depends on one.  Euler states follow the

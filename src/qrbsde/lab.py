@@ -19,13 +19,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .forward import (TimeGrid, _ahead, _integers, euler_simulate, exact_simulate,
-                      helper_pays, make_grid, sample_increments)
+                      make_grid, sample_increments)
 from .model import ProblemSpec, TruncationRadius, y_bound
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec, fit_least_squares
 from .scheme import (SKOROKHOD_CONDITIONS, backward_steps, estimate_Mz_auto,
-                     mz_pilot_paths, pilot_radius, skorokhod_check,
-                     solve_backward, y0_estimates)
+                     skorokhod_check, solve_backward, y0_estimates)
 
 
 @dataclass(frozen=True)
@@ -34,63 +33,33 @@ class MCConfig:
     n_paths: int = 50_000
     seed: int = 42
     basis: BasisSpec = field(default_factory=BasisSpec)
-    M_z: Optional[float] = None   # None -> pilot auto-estimate per solve
+    M_z: Optional[float] = None   # None -> scheme.estimate_Mz_auto's rule
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("need at least one path")
-
-
-def _bundle(spec, grid, n_paths: int, seed: int):
-    """The Euler-simulated bundle of ``n_paths`` paths."""
-    return euler_simulate(spec, sample_increments(grid, n_paths, seed, spec.m))
+        if self.M_z is not None:
+            TruncationRadius(self.M_z)   # rejects a non-finite or nonpositive M_z
 
 
 def _mc_paths(spec, N, mc: MCConfig, reflection="all"):
     """Grid, schedule and Euler bundle of a path solve."""
     grid, sched = make_grid(N, spec.T, reflection)
-    return grid, sched, _bundle(spec, grid, mc.n_paths, mc.seed)
+    return grid, sched, euler_simulate(
+        spec, sample_increments(grid, mc.n_paths, mc.seed, spec.m))
 
 
 def _mc_radius(spec, grid, sched, bundle, mc: MCConfig) -> TruncationRadius:
-    """The truncation radius: the user's M_z, else the pilot's."""
+    """The truncation radius: the user's M_z, else the declared rule's."""
     if mc.M_z is not None:
         return TruncationRadius(float(mc.M_z), "user-supplied")
     return estimate_Mz_auto(spec, grid, sched, bundle, mc.basis)
 
 
-def _pilot(spec, grid, sched, mc: MCConfig):
-    """The M_z pilot as ``_ahead`` runs it: None at once, so that the helper
-    starts on it while the caller works, then the radius of
-    ``pilot_radius`` on a bundle of its own ``mz_pilot_paths`` paths."""
-    yield None
-    pilot = _bundle(spec, grid, mz_pilot_paths(mc.n_paths, mc.basis), mc.seed)
-    yield pilot_radius(spec, grid, sched, pilot, mc.basis)
-
-
 def _mc_setup(spec, N, mc: MCConfig, reflection="all"):
-    """Grid, schedule, Euler bundle and truncation radius.
-
-    Where an auto M_z is sized at m = 1 and ``helper_pays``, the pilot runs
-    on ``_ahead``'s helper, on a bundle of its own, while this thread draws
-    and simulates the whole bundle (serially: it holds the helper).  Draws
-    are order-independent and an m = 1 Euler step is a path-wise product,
-    so the pilot's paths are the whole bundle's first ones and the radius is
-    ``estimate_Mz_auto``'s on the whole bundle, bit for bit.  From m = 2 on
-    a prefix's Euler states can differ in their last bits from a bundle of
-    its own (``forward._noise``), so there, and wherever no helper pays,
-    the pilot runs after the bundle on its first paths."""
-    if mc.M_z is not None or spec.m != 1 or not helper_pays(mc.n_paths):
-        grid, sched, bundle = _mc_paths(spec, N, mc, reflection)
-        return grid, sched, bundle, _mc_radius(spec, grid, sched, bundle, mc)
-    grid, sched = make_grid(N, spec.T, reflection)
-    pilot = _ahead(_pilot(spec, grid, sched, mc))
-    try:
-        next(pilot)
-        bundle = _bundle(spec, grid, mc.n_paths, mc.seed)
-        return grid, sched, bundle, next(pilot)
-    finally:
-        pilot.close()
+    """Grid, schedule, Euler bundle and truncation radius."""
+    grid, sched, bundle = _mc_paths(spec, N, mc, reflection)
+    return grid, sched, bundle, _mc_radius(spec, grid, sched, bundle, mc)
 
 
 def _solve_mc(spec, N, mc: MCConfig, reflection="all"):
@@ -186,12 +155,13 @@ def slope_fit(points: Sequence[tuple]) -> SlopeFit:
 
 
 def _slopes(cells, x_key: str, keys: Sequence[str]) -> dict:
-    """slope_fit of each key against x_key over the cells where it is positive;
-    None for a key with too few such cells to fit, or with an infinite one."""
+    """slope_fit of each key against x_key over the cells where it is not
+    exactly 0 (a noise floor); None for a key with too few such cells to
+    fit, or with a negative or non-finite one."""
     slopes = {}
     for key in keys:
         try:
-            slopes[key] = slope_fit([(c[x_key], c[key]) for c in cells if c[key] > 0])
+            slopes[key] = slope_fit([(c[x_key], c[key]) for c in cells if c[key] != 0])
         except ValueError:
             slopes[key] = None
     return slopes
@@ -565,7 +535,7 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
             grid, sched, bundle = _mc_paths(spec, n, mc)
             bundle = exact_simulate(spec, bundle)
             if n == Ns[0]:
-                _check_exact_coupling(bundle)   # before the pilot and any solve
+                _check_exact_coupling(bundle)   # before any solve
             radius = _mc_radius(spec, grid, sched, bundle, mc)
             base = backward_steps(spec, grid, sched, bundle, mc.basis, radius)
             cells.append({**_coupled_cell(spec, (grid, sched, bundle, radius), base,

@@ -83,11 +83,13 @@ class AffineInY:
 @dataclass(frozen=True)
 class TruncationRadius:
     M_z: float
-    provenance: str = "user-supplied"  # or "auto-estimated"
+    # "user-supplied", or the auto rule that scheme.estimate_Mz_auto names
+    provenance: str = "user-supplied"
 
     def __post_init__(self):
-        if self.M_z <= 0:
-            raise ValueError("M_z must be positive")
+        if not (_finite_real(self.M_z) and self.M_z > 0):
+            raise ValueError(
+                f"M_z must be a finite positive number, got {_show(self.M_z)}")
 
 
 @dataclass(frozen=True)
@@ -239,6 +241,18 @@ def y_bound(spec: ProblemSpec) -> float:
     return math.exp(spec.M_f * spec.T) * (spec.M_g + spec.M_f * spec.T)
 
 
+# r can round a few ulps above |z|; within them h_n(z) - z = O((r - n)^2)
+# rounds to zero, so h_n is the identity exactly up to n (1 + 4 eps)
+_H_IDENTITY = 1.0 + 4.0 * sys.float_info.epsilon
+
+
+def truncation_active(z, n: float) -> np.ndarray:
+    """Where h_n is not the identity: the rows of z, components on its last
+    axis, of norm above n, as ``smooth_truncation`` tells them."""
+    z = np.asarray(z, dtype=float)
+    return np.sqrt(np.sum(z * z, axis=-1)) > n * _H_IDENTITY
+
+
 def smooth_truncation(z, n: float):
     """Radial truncation h_n: identity on |z| <= n, norm capped below n+1.
 
@@ -251,9 +265,7 @@ def smooth_truncation(z, n: float):
     scalar = z.ndim == 0
     zv = np.atleast_1d(z)
     r = np.sqrt(np.sum(zv * zv, axis=-1, keepdims=True))
-    # r can round a few ulps above |z|; within them h_n(z) - z = O((r - n)^2)
-    # rounds to zero, so the identity holds exactly up to n (1 + 4 eps)
-    outside = r > n * (1.0 + 4.0 * np.finfo(float).eps)
+    outside = r > n * _H_IDENTITY
     if not outside.any():
         out = zv.copy(order="K")
     else:

@@ -21,11 +21,6 @@ two per-walk blocks.  Every other walk is serial, with one block.  The
 halves run the same operations on either path, so no result depends on the
 helper.  At a reflection date dK is written into the buffer of the
 unreflected value, which no later use reads.
-
-The truncation radius M_z of an auto-sized solve comes from an untruncated
-pilot walk on the first ``mz_pilot_paths`` paths (``estimate_Mz_auto``);
-``lab._mc_setup`` runs that walk on a helper thread, on a bundle of those
-paths of its own, while it builds the whole bundle.
 """
 
 from __future__ import annotations
@@ -39,14 +34,12 @@ import numpy as np
 from .forward import (PathBundle, ReflectionSchedule, TimeGrid, _ahead,
                       helper_pays, path_array)
 from .model import (AffineInY, ProblemSpec, TruncationRadius, smooth_truncation,
-                    y_bound)
+                    truncation_active, y_bound)
 from .regress import (BasisSpec, DesignEvaluator, build_basis, factor_design,
                       fit_least_squares, localize_basis)
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
-MZ_AUTO_FLOOR = 0.1
-MZ_PILOT_FRACTION = 0.1   # share of the paths the M_z pilot solves on
 
 
 @dataclass(frozen=True)
@@ -64,6 +57,7 @@ class SchemeSolution:
     max_abs_z: np.ndarray      # (N,) max over paths and components of |Z_i|
     mean_dK: np.ndarray        # (N,)
     reflected_frac: np.ndarray  # (N,) share of paths with dK_i > 0
+    trunc_active_frac: np.ndarray  # (N,) share of paths where h_{M_z} moves Z_i
     K_T: dict                  # mean, std and max over paths of K_T = sum_i dK_i
     skorokhod: dict            # the exact discrete Skorokhod conditions, and "all"
 
@@ -79,6 +73,7 @@ class SchemeSolution:
             "picard_iteration_histogram": hist,
             "truncation_radius": self.radius.M_z,
             "truncation_provenance": self.radius.provenance,
+            "truncation_active": bool(np.any(self.trunc_active_frac > 0)),
             "max_fit_condition_number": float(np.max(self.fit_conds)),
             "skorokhod": self.skorokhod,
         }
@@ -289,7 +284,7 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
     """Run the full truncated backward recursion on a simulated bundle, with
     each step's values recorded as it is yielded and one running sum of dK."""
     picard = np.zeros(grid.N, dtype=int)
-    conds, rmses, max_z, mean_dk, frac = (np.zeros(grid.N) for _ in range(5))
+    conds, rmses, max_z, mean_dk, frac, active = (np.zeros(grid.N) for _ in range(6))
     K = np.zeros(bundle.n_paths)
     flags = dict.fromkeys(SKOROKHOD_CONDITIONS, True)
     for step in backward_steps(spec, grid, schedule, bundle, basis, radius):
@@ -298,6 +293,7 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
         max_z[i] = np.max(np.abs(step.z))
         mean_dk[i] = np.mean(step.dk)
         frac[i] = np.count_nonzero(step.dk > 0) / bundle.n_paths
+        active[i] = np.count_nonzero(truncation_active(step.z, radius.M_z)) / bundle.n_paths
         K += step.dk
         skorokhod_check(flags, schedule, step)
     flags["all"] = all(flags.values())
@@ -305,42 +301,43 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
     return SchemeSolution(
         grid=grid, schedule=schedule, radius=radius, y0_fit=y0_fit, y0_se=y0_se,
         picard_counts=picard, fit_conds=conds, fit_rmses=rmses,
-        max_abs_z=max_z, mean_dK=mean_dk, reflected_frac=frac, skorokhod=flags,
+        max_abs_z=max_z, mean_dK=mean_dk, reflected_frac=frac,
+        trunc_active_frac=active, skorokhod=flags,
         K_T={"mean": float(np.mean(K)), "std": float(np.std(K)), "max": float(np.max(K))})
-
-
-def mz_pilot_paths(n_paths: int, basis: BasisSpec) -> int:
-    """The M_z pilot's path count for a bundle of ``n_paths``: a share
-    MZ_PILOT_FRACTION of them, at least 10 per basis function, at most all."""
-    return min(max(int(n_paths * MZ_PILOT_FRACTION), 10 * basis.dimension), n_paths)
-
-
-def pilot_radius(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
-                 pilot: PathBundle, basis: BasisSpec) -> TruncationRadius:
-    """The untruncated pilot solve's radius on the bundle ``pilot``:
-    M_z = max(floor, 2 * max over steps of the 99.9th percentile of |Zbar|).
-    It walks ``backward_steps`` and keeps only each step's quantile, so it
-    builds no path array of its own."""
-    steps = backward_steps(spec, grid, schedule, pilot, basis, None)
-    per_step = [np.quantile(np.linalg.norm(step.z, axis=1), 0.999) for step in steps]
-    return TruncationRadius(max(MZ_AUTO_FLOOR, 2.0 * float(np.max(per_step))),
-                            "auto-estimated")
 
 
 def estimate_Mz_auto(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
                      bundle: PathBundle, basis: BasisSpec) -> TruncationRadius:
-    """Untruncated pilot run; size M_z off the bulk of |Z|.
+    """The declared truncation radius of an auto-sized solve, from the
+    spec's constants and the grid's times alone:
 
-    ``pilot_radius`` on the bundle's first ``mz_pilot_paths`` paths.  Draws
-    are order-independent, so for m = 1 those are the paths of a bundle of
-    that many paths of its own, on which ``lab._mc_setup`` runs the same
-    pilot on a helper thread while it builds the whole bundle.
+        M_z = max_i |sigma(t_i)| * L * exp(2 L T).
+
+    It reads no path: ``schedule``, ``bundle`` and ``basis`` keep the
+    signature of the solve's other inputs.
+
+    Why it bounds Z (Richou 2011; Imkeller and dos Reis 2010): Z_t =
+    sigma(t) d_x u(t, X_t), with u the value function, so |Z| <= max|sigma|
+    * sup |d_x u|.  Start X at x and x' at time t.  The noise is additive,
+    so X - X' solves an ODE path by path, and Gronwall with b L-Lipschitz
+    in x gives |X_s - X'_s| <= e^{L(s-t)} |x - x'| on every path.  For a
+    stopping time tau on the reflection dates, the two values of the BSDE
+    with terminal value g(X_tau) differ by E^Q[e^{int_t^tau a ds}
+    (g(X_tau) - g(X'_tau))] when f does not depend on x: |a| <= L, since f
+    is L-Lipschitz in y, and Q is the Girsanov measure of f's difference
+    quotient in z, a BMO drift under quadratic growth.  With g L-Lipschitz
+    the difference is at most e^{LT} * L e^{LT} |x - x'| under any Q, and
+    the reflected value, a supremum over tau, keeps that constant:
+    sup |d_x u| <= L e^{2LT}.  P1 and P3 have an f free of x; P2's
+    0.2 sin(x) z adds an x-term that this argument does not bound, and
+    there the rule (0.3 e^2 = 2.22 on the presets) is checked against the
+    lattice's max |Z| instead, at most 0.3001 on P1-P3 for N = 8 ... 256.
     """
-    P_pilot = mz_pilot_paths(bundle.n_paths, basis)
-    pilot = PathBundle(
-        grid=bundle.grid, n_paths=P_pilot, seed=bundle.seed, m=bundle.m,
-        dW=bundle.dW[:P_pilot],
-        X_euler=None if bundle.X_euler is None else bundle.X_euler[:P_pilot],
-        X_exact=None if bundle.X_exact is None else bundle.X_exact[:P_pilot],
-    )
-    return pilot_radius(spec, grid, schedule, pilot, basis)
+    sigma = max(spec.sigma_norm(t) for t in grid.times)
+    try:
+        growth = math.exp(2.0 * spec.L * spec.T)
+    except OverflowError:
+        raise ValueError(f"auto M_z overflows: exp(2 L T) at L*T = "
+                         f"{spec.L * spec.T:.3g}; supply a numeric M_z") from None
+    return TruncationRadius(sigma * spec.L * growth,
+                            "auto: max|sigma| * L * exp(2 L T)")

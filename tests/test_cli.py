@@ -299,6 +299,20 @@ def test_steps_csv_reflected_frac(tmp_path):
     assert frac[4] > 0.0
 
 
+def test_steps_csv_trunc_active_frac_and_its_summary_flag(tmp_path):
+    # the auto radius sits above every |Z| of a small solve; a tiny one binds
+    for M_z, active in (("auto", False), (0.05, True)):
+        cfg = dict(SMALL_SOLVE, truncation={"M_z": M_z})
+        code, out = _run(tmp_path / str(M_z), "solve", cfg)
+        assert code == EXIT_OK
+        with open(out / "steps.csv") as fh:
+            frac = [float(r["trunc_active_frac"]) for r in csv.DictReader(fh)]
+        results = json.loads((out / "summary.json").read_text())["results"]
+        assert results["truncation_active"] is active
+        assert any(f > 0.0 for f in frac) is active
+        assert all(0.0 <= f <= 1.0 for f in frac)
+
+
 def test_seed_flag_overrides(tmp_path):
     _, out1 = _run(tmp_path / "a", "solve", SMALL_SOLVE, ("--seed", "1"))
     _, out2 = _run(tmp_path / "b", "solve", SMALL_SOLVE, ("--seed", "2"))

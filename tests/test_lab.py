@@ -14,7 +14,7 @@ from scipy.special import stdtrit
 from qrbsde import forward, lab, oracle, regress, scheme
 from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
                             sample_increments)
-from qrbsde.model import AffineInY, build_preset
+from qrbsde.model import build_preset
 from qrbsde.regress import BasisSpec
 from qrbsde.scheme import (SKOROKHOD_CONDITIONS, backward_steps, skorokhod_check,
                            y0_estimates)
@@ -77,6 +77,21 @@ def test_slopes_reports_none_for_a_key_with_an_infinite_cell():
     slopes = lab._slopes(cells, "h", ("a", "b"))
     assert slopes["a"].slope == pytest.approx(1.0, abs=1e-12)
     assert slopes["b"] is None
+
+
+def test_slopes_reports_none_for_a_key_with_a_nan_cell_and_skips_zeros():
+    cells = [{"h": 0.4, "a": 4.0, "b": 0.4}, {"h": 0.2, "a": math.nan, "b": 0.0},
+             {"h": 0.1, "a": 1.0, "b": 0.1}, {"h": 0.05, "a": 0.5, "b": 0.05}]
+    slopes = lab._slopes(cells, "h", ("a", "b"))
+    assert slopes["a"] is None
+    assert slopes["b"].n_points == 3     # an exact 0 is a noise floor, skipped
+    assert slopes["b"].slope == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mc_config_rejects_a_non_finite_radius_by_name():
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="M_z must be a finite positive"):
+            lab.MCConfig(M_z=bad)
 
 
 def test_tabled_student_t_quantiles_are_stdtrit_bit_for_bit():
@@ -298,49 +313,6 @@ def test_ahead_runs_one_item_ahead_and_closes_the_walk_on_early_exit():
             break
     walk.close()
     assert closed == [True] and len(made) == 5
-    assert threading.active_count() == before
-
-
-# ---------------------------------------------------------------------------
-# the M_z pilot beside the set-up's bundle
-
-_PILOT_PATHS = 4010    # a 401-path pilot: not a multiple of 4
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_set_up_radius_is_the_pilot_on_its_bundle_bit_for_bit(m, monkeypatch):
-    # at m = 1 the pilot runs on the helper, on a bundle of its own; from
-    # m = 2 on it runs here, after the bundle, on its first paths
-    spec = build_preset("P2-mixed-quadratic", {"m": m})
-    mc = lab.MCConfig(n_paths=_PILOT_PATHS, seed=3, basis=BasisSpec(degree=3))
-    on_main, radius = [], scheme.pilot_radius
-
-    def recorded(*args):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        return radius(*args)
-
-    monkeypatch.setattr(lab, "pilot_radius", recorded)
-    monkeypatch.setattr(scheme, "pilot_radius", recorded)
-    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", _PILOT_PATHS)
-    before = threading.active_count()
-    grid, sched, bundle, got = lab._mc_setup(spec, 8, mc)
-    assert threading.active_count() == before
-    assert on_main == [m != 1]
-    want = scheme.estimate_Mz_auto(spec, grid, sched, bundle, mc.basis)
-    assert got == want and got.provenance == "auto-estimated"
-    serial = lab._mc_paths(spec, 8, mc)[2]
-    assert bundle.X_euler.tobytes() == serial.X_euler.tobytes()
-
-
-def test_a_failing_pilot_on_the_helper_raises_here(monkeypatch):
-    spec = build_preset("P1-pure-quadratic")
-    spec = dataclasses.replace(spec, generator=AffineInY(
-        0.0, lambda t, x, z: np.full(np.shape(x), np.nan)))
-    mc = lab.MCConfig(n_paths=_PILOT_PATHS, seed=3, basis=BasisSpec(degree=3))
-    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", _PILOT_PATHS)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="non-finite driver value"):
-        lab._mc_setup(spec, 8, mc)
     assert threading.active_count() == before
 
 

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from qrbsde.forward import euler_simulate, make_grid, sample_increments
-from qrbsde.model import (AffineInY, _sobol, build_preset, clip_obstacle,
-                          smooth_truncation, soft_clip_obstacle,
-                          validate_assumptions, y_bound)
+from qrbsde.model import (AffineInY, TruncationRadius, _sobol, build_preset,
+                          clip_obstacle, smooth_truncation, soft_clip_obstacle,
+                          truncation_active, validate_assumptions, y_bound)
 from qrbsde.regress import BasisSpec
-from qrbsde.scheme import estimate_Mz_auto
+from qrbsde.scheme import solve_backward
 
 PRESETS = ("P1-pure-quadratic", "P2-mixed-quadratic", "P3-lipschitz")
 
@@ -78,21 +78,28 @@ def test_truncation_pointwise_values():
 
 
 def test_truncation_at_zero_with_huge_radius_does_not_overflow():
-    # the pilot's radius is 1e9: rows with |z| = 0 must not warn of overflow
+    # rows with |z| = 0 under a radius of 1e9 must not warn of overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         np.testing.assert_array_equal(smooth_truncation(np.zeros((4, 2)), 1e9), 0.0)
         spec = build_preset("P2-mixed-quadratic")
         grid, sched = make_grid(16, spec.T)
         bundle = euler_simulate(spec, sample_increments(grid, 3000, 7, spec.m))
-        radius = estimate_Mz_auto(spec, grid, sched, bundle,
-                                  BasisSpec(kind="piecewise-constant", cells=20))
-    assert radius.M_z > 0
+        sol = solve_backward(spec, grid, sched, bundle,
+                             BasisSpec(kind="piecewise-constant", cells=20),
+                             TruncationRadius(1e9))
+    assert np.isfinite(sol.y0_fit)
 
 
 def test_truncation_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         smooth_truncation(1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, True])
+def test_truncation_radius_rejects_a_non_finite_or_nonpositive_m_z(bad):
+    with pytest.raises(ValueError, match=f"M_z must be a finite positive number, got {bad!r}"):
+        TruncationRadius(bad)
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.1, 10))
@@ -114,6 +121,16 @@ def test_truncation_is_identity_where_the_norm_rounds_up_to_the_radius():
     z = np.array([1e-9, 0.1])
     assert float(np.linalg.norm(z)) <= 0.1
     np.testing.assert_array_equal(smooth_truncation(z, 0.1), z)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_truncation_active_is_where_h_moves_z(m):
+    rng = np.random.default_rng(2)
+    z = np.vstack([rng.uniform(-1.5, 1.5, size=(500, m)), [[1e-9, 0.1][-m:]]])
+    for n in (0.1, 1.0):
+        moved = np.any(smooth_truncation(z, n) != z, axis=1)
+        np.testing.assert_array_equal(truncation_active(z, n), moved)
+        assert 0 < np.count_nonzero(moved) < z.shape[0]
 
 
 @pytest.mark.parametrize("shape", [(500, 1), (500, 2)])

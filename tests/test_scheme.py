@@ -16,6 +16,7 @@ from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
 from qrbsde.model import (AffineInY, TruncationRadius, build_preset, clip_obstacle,
                           y_bound)
 from qrbsde import forward, scheme
+from qrbsde.oracle import build_space_grid, exact_scheme_solve
 from qrbsde.regress import BasisSpec, DesignEvaluator, build_basis
 from qrbsde.scheme import (estimate_Mz_auto, implicit_y_step, reflect_step,
                            solve_backward, z_projection_step)
@@ -338,68 +339,65 @@ def test_y_clamped_by_bound(stacked):
     assert float(np.max(np.abs(Ybar))) <= 0.5 + 1e-12   # M = M_g for P1
 
 
-def test_mz_auto_floor_and_passthrough():
-    spec = _zero_driver(_p1())
-    const = dataclasses.replace(spec, obstacle=lambda x: np.full(np.shape(x), 0.2))
-    grid, sched = make_grid(4, spec.T)
-    # constant basis + a large pilot keep the pilot Z estimate (pure noise
-    # here) well under the floor
-    bundle = euler_simulate(const, sample_increments(grid, 20000, 10, 1))
-    radius = estimate_Mz_auto(const, grid, sched, bundle, BasisSpec(degree=0))
-    assert radius.M_z == pytest.approx(0.1)       # floor: Z vanishes
-    assert radius.provenance == "auto-estimated"
+# the declared auto radius, max|sigma| L e^{2LT}: 0.3 e^2 on the presets
+_RULE = 0.3 * math.exp(2.0)
 
 
-def test_mz_auto_stable_across_seeds():
-    # the radius is a 2x-safety-factored tail quantile of the pilot fit, so
-    # the contract is order-of-magnitude stability, not tight agreement
+@pytest.mark.parametrize("name", ["P1-pure-quadratic", "P2-mixed-quadratic",
+                                  "P3-lipschitz"])
+def test_mz_auto_rule_bounds_the_lattice_z(name):
+    # noise-free: the rule sits above the exact scheme's max |Z| on the
+    # space grid at every step, from a coarse grid to a fine one
+    spec = build_preset(name)
+    space = build_space_grid(spec)
+    for N in (8, 32, 128, 256):
+        grid, sched = make_grid(N, spec.T)
+        radius = estimate_Mz_auto(spec, grid, sched, None, None)
+        assert radius.M_z == pytest.approx(_RULE, rel=1e-15)
+        z = exact_scheme_solve(spec, grid, sched, space).z
+        assert max(float(np.max(np.linalg.norm(zi, axis=-1))) for zi in z) < radius.M_z
+
+
+def test_mz_auto_reads_no_path_and_names_its_rule():
     spec = _p1()
     grid, sched = make_grid(16, spec.T)
-    vals = []
-    for seed in (0, 1):
-        bundle = euler_simulate(spec, sample_increments(grid, 20000, seed, 1))
-        vals.append(estimate_Mz_auto(spec, grid, sched, bundle, BasisSpec(degree=6)).M_z)
-    assert max(vals) <= 2.0 * min(vals)
+    bundle = euler_simulate(spec, sample_increments(grid, 500, 3, 1))
+    radius = estimate_Mz_auto(spec, grid, sched, bundle, BasisSpec(degree=3))
+    assert radius == estimate_Mz_auto(spec, grid, sched, None, None)
+    assert radius.provenance == "auto: max|sigma| * L * exp(2 L T)"
+    big = dataclasses.replace(spec, L=400.0)
+    with pytest.raises(ValueError, match="auto M_z overflows"):
+        estimate_Mz_auto(big, grid, sched, None, None)
 
 
 @pytest.mark.parametrize("name, m", [("P1-pure-quadratic", 1),
                                      ("P2-mixed-quadratic", 2)])
-def test_mz_auto_is_the_pilot_solve_quantile_rule_bit_for_bit(name, m, monkeypatch,
-                                                              stacked):
+def test_auto_radius_solve_is_the_untruncated_solve_bit_for_bit(name, m, stacked):
+    # where every |Z| stays below the rule, h_{M_z} is the identity and the
+    # clip at M_z + 1 takes nothing: the truncated solve is the untruncated one
     spec = build_preset(name, {"m": m})
     grid, sched = make_grid(16, spec.T)
-    bundle = euler_simulate(spec, sample_increments(grid, 20000, 24, m))
+    bundle = euler_simulate(spec, sample_increments(grid, 3000, 24, m))
     basis = BasisSpec(degree=4)
-    P_pilot = int(bundle.n_paths * scheme.MZ_PILOT_FRACTION)
-    pilot = dataclasses.replace(bundle, n_paths=P_pilot, dW=bundle.dW[:P_pilot],
-                                X_euler=bundle.X_euler[:P_pilot])
-    Zbar = stacked(spec, grid, sched, pilot, basis, TruncationRadius(1e9))[1]
-    per_step = np.quantile(np.linalg.norm(Zbar, axis=2), 0.999, axis=0)
-    want = max(scheme.MZ_AUTO_FLOOR, 2.0 * float(np.max(per_step)))
-
-    def no_solve(*args):
-        raise AssertionError("the pilot stored a full solution")
-
-    monkeypatch.setattr(scheme, "solve_backward", no_solve)
     radius = estimate_Mz_auto(spec, grid, sched, bundle, basis)
-    assert radius.M_z == want and radius.provenance == "auto-estimated"
+    auto = stacked(spec, grid, sched, bundle, basis, radius)
+    free = stacked(spec, grid, sched, bundle, basis, None)
+    assert float(np.max(np.linalg.norm(free[1], axis=2))) < radius.M_z
+    for got, want in zip(auto, free):
+        assert got.tobytes() == want.tobytes()
+    sol = solve_backward(spec, grid, sched, bundle, basis, radius)
+    assert sol.summary()["truncation_active"] is False
+    np.testing.assert_array_equal(sol.trunc_active_frac, 0.0)
 
 
-def test_mz_pilot_builds_no_path_array():
-    # the pilot keeps one quantile per step, so its traced peak stays below
-    # one (P_pilot, N) float64 array
-    spec = _p1()
-    grid, sched = make_grid(64, spec.T)
-    bundle = euler_simulate(spec, sample_increments(grid, 20000, 25, 1))
-    basis = BasisSpec(degree=6)
-    estimate_Mz_auto(spec, grid, sched, bundle, basis)     # warm-up
-    tracemalloc.start()
-    try:
-        estimate_Mz_auto(spec, grid, sched, bundle, basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < int(bundle.n_paths * scheme.MZ_PILOT_FRACTION) * grid.N * 8
+def test_trunc_active_frac_counts_the_paths_that_h_moves(stacked):
+    args = _inputs(_p1(), N=8, P=2000, seed=5, radius=TruncationRadius(0.05))
+    sol = solve_backward(*args)
+    Zbar = stacked(*args)[1]
+    want = np.mean(np.linalg.norm(Zbar, axis=2) > 0.05, axis=0)
+    np.testing.assert_array_equal(sol.trunc_active_frac, want)
+    assert np.any((want > 0.0) & (want < 1.0))
+    assert sol.summary()["truncation_active"] is True
 
 
 def test_picard_counts_small_for_smooth_drivers():
