@@ -3,11 +3,16 @@
 Brownian increments come from counter-based Philox streams keyed on
 (seed, step), so any (path, step) draw is reproducible independently of the
 order in which steps are generated and of any thread count, and the first P
-paths of a bigger bundle draw the P-path bundle's increments.  ``_ahead``
-is the package's one helper primitive: it runs a generator one item ahead
-on one helper thread.  It serves three stages, each only where ``helper_pays``:
-the odd steps' draws here (the caller draws the even ones), the next
-backward step's state half in ``scheme.backward_steps``, and the
+paths of a bigger bundle draw the P-path bundle's increments.  One
+draw-and-step pass, ``_forward_pass``, builds every bundle: a solve's
+increments and Euler states together (``sample_and_simulate``), the
+increments alone (``sample_increments``), or the Euler states on given
+increments (``euler_simulate``), all from one draw schedule and one Euler
+step, so each way gives the same bits.  ``_ahead`` is the package's one
+helper primitive: it runs a generator one item ahead on one helper thread.
+It serves three stages, each only where ``helper_pays``: two of every
+three steps' draws here (the caller draws the third and steps Euler), the
+next backward step's state half in ``scheme.backward_steps``, and the
 convergence cell's whole walk.  A thread runs at most one
 helper at a time: helpers never nest, and a thread that holds an open
 ``_ahead`` runs its other stages serially.  No helper outlives the call that
@@ -35,8 +40,11 @@ from .model import ProblemSpec
 _STREAM_EULER = 0
 _STREAM_EXACT_RESIDUAL = 1
 SEED_BOUND = 2 ** 64    # a seed has 64 key bits; a larger one aliases a tag
-# a stage shares its work with a helper thread only from this many paths
-# (measured break-even about 2 * 10^4 on a 2-core host)
+# a stage shares its work with a helper thread only from this many paths:
+# each hand-off costs about 0.7 ms (queue.Queue and the interpreter lock), so
+# the break-even of the backward walk's state halves is about 2 * 10^4 paths
+# on a 2-core host; the forward pass hands over one pair of draws per three
+# steps, and the convergence cell its whole walk, on the same threshold
 AHEAD_MIN_PATHS = 30_000
 
 
@@ -254,31 +262,92 @@ def _ahead(items):
 
 
 def sample_increments(grid: TimeGrid, P: int, seed: int, m: int = 1) -> PathBundle:
-    """Draw Brownian increments dW[p, i, :] ~ N(0, dt_i I_m), reproducibly.
+    """Draw Brownian increments dW[p, i, :] ~ N(0, dt_i I_m), reproducibly,
+    on ``_forward_pass``'s draw schedule; each step has its own stream, so
+    the bundle is bit for bit the one-thread draw."""
+    return _forward_pass(grid, P, seed, m)
 
-    Where ``helper_pays(P)``, a helper thread draws the odd steps while the
-    caller draws the even ones; each step has its own stream, so the bundle
-    is bit for bit the one-thread draw."""
-    if P < 1:
-        raise ValueError("need at least one path")
-    if not 0 <= seed < SEED_BOUND:
-        raise ValueError("seed must be in 0..2**64 - 1")
-    N, dt = grid.N, grid.dt
-    dW = path_array(P, N, m, mapped=True)
 
-    def draw(i):
-        rng = _step_rng(seed, i, _STREAM_EULER)
-        np.multiply(rng.standard_normal((P, m)), math.sqrt(dt[i]), out=dW[:, i, :])
+def euler_simulate(spec: ProblemSpec, bundle: PathBundle) -> PathBundle:
+    """Left-endpoint Euler recursion for X^pi on the bundle's grid and
+    increments, by ``_forward_pass``'s Euler step."""
+    X = _forward_pass(bundle.grid, bundle.n_paths, bundle.seed, bundle.m, spec,
+                      bundle.dW).X_euler
+    return replace(bundle, X_euler=X)
 
-    odd = (draw(i) for i in range(1, N, 2))
-    odd = _ahead(odd) if N > 1 and helper_pays(P) else odd
+
+def sample_and_simulate(spec: ProblemSpec, grid: TimeGrid, P: int,
+                        seed: int) -> PathBundle:
+    """A solve's bundle in one pass: its increments and their Euler states,
+    bit for bit ``euler_simulate(spec, sample_increments(grid, P, seed,
+    spec.m))``."""
+    return _forward_pass(grid, P, seed, spec.m, spec)
+
+
+def _forward_pass(grid: TimeGrid, P: int, seed: int, m: int,
+                  spec: Optional[ProblemSpec] = None,
+                  dW: Optional[np.ndarray] = None) -> PathBundle:
+    """The one draw-and-step pass: draw the increments unless ``dW`` holds
+    them, and where ``spec`` is given advance its Euler states in step
+    order, each new column written in place.
+
+    The caller draws every third step, i = 0, 3, 6, ...; the two steps
+    after each of those are drawn together, as one item of a generator that
+    ``_ahead``'s helper runs one item ahead where ``helper_pays(P)``, while
+    the caller steps Euler through the steps drawn already.  Each step has
+    its own stream, so no draw depends on the thread that made it."""
+    N, times, dt = grid.N, grid.times, grid.dt
+    draw = pairs = None
+    if dW is None:
+        if P < 1:
+            raise ValueError("need at least one path")
+        if not 0 <= seed < SEED_BOUND:
+            raise ValueError("seed must be in 0..2**64 - 1")
+        dW = path_array(P, N, m, mapped=True)
+
+        def draw(*steps):
+            for i in steps:
+                rng = _step_rng(seed, i, _STREAM_EULER)
+                np.multiply(rng.standard_normal((P, m)), math.sqrt(dt[i]),
+                            out=dW[:, i, :])
+
+        pairs = (draw(*range(i, min(i + 2, N))) for i in range(1, N, 3))
+        pairs = _ahead(pairs) if N > 1 and helper_pays(P) else pairs
+    X = None
+    if spec is not None:
+        X = path_array(P, N + 1, mapped=True)
+        X[:, 0] = spec.x0
     try:
-        for i in range(0, N, 2):
-            draw(i)
-            next(odd, None)
+        for i in range(N):
+            if draw is not None:
+                if i % 3 == 0:
+                    draw(i)
+                elif i % 3 == 1:
+                    next(pairs)     # steps i and i + 1
+            if X is not None:
+                _euler_step(spec, times[i], dt[i], X, dW[:, i, :], i)
     finally:
-        odd.close()
-    return PathBundle(grid=grid, n_paths=P, seed=seed, m=m, dW=dW)
+        if pairs is not None:
+            pairs.close()   # joins the helper on an early exit
+    return PathBundle(grid=grid, n_paths=P, seed=seed, m=m, dW=dW, X_euler=X)
+
+
+def _euler_step(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
+                dW_i: np.ndarray, i: int) -> None:
+    """X_{i+1} = X_i + b(t_i, X_i) dt_i + sigma(t_i) . dW_i, written into
+    X[:, i + 1] with the drift's array and the noise as its temporaries.
+    A non-finite sum of the new column sends it to a full ``isfinite``
+    scan, which raises FloatingPointError naming its first non-finite path
+    (a finite column whose sum overflows raises nothing)."""
+    x, out = X[:, i], X[:, i + 1]
+    np.multiply(np.asarray(spec.drift(t, x)), dt, out=out)
+    out += x       # X_i + b dt: a sum is the same whichever operand is first
+    out += _noise(dW_i, np.asarray(spec.vol(t), dtype=float))
+    if not math.isfinite(np.sum(out)):
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise FloatingPointError(f"non-finite Euler state at path "
+                                     f"{int(np.argmax(bad))}, step {i + 1}")
 
 
 def _noise(dW_i: np.ndarray, sig: np.ndarray) -> np.ndarray:
@@ -294,24 +363,6 @@ def _noise(dW_i: np.ndarray, sig: np.ndarray) -> np.ndarray:
     if dW_i.shape[1] == 1:
         return dW_i[:, 0] * sig[0]
     return np.inner(dW_i, sig)
-
-
-def euler_simulate(spec: ProblemSpec, bundle: PathBundle) -> PathBundle:
-    """Left-endpoint Euler recursion for X^pi on the bundle's grid."""
-    grid = bundle.grid
-    P, N = bundle.n_paths, grid.N
-    X = path_array(P, N + 1, mapped=True)
-    X[:, 0] = spec.x0
-    for i in range(N):
-        ti = grid.times[i]
-        dti = grid.dt[i]
-        sig = np.asarray(spec.vol(ti), dtype=float)
-        X[:, i + 1] = X[:, i] + np.asarray(spec.drift(ti, X[:, i])) * dti \
-            + _noise(bundle.dW[:, i, :], sig)
-        if not np.all(np.isfinite(X[:, i + 1])):
-            p = int(np.argmax(~np.isfinite(X[:, i + 1])))
-            raise FloatingPointError(f"non-finite Euler state at path {p}, step {i + 1}")
-    return replace(bundle, X_euler=X)
 
 
 def _affine_drift_params(spec: ProblemSpec, grid: TimeGrid):

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .forward import (TimeGrid, _ahead, _integers, euler_simulate, exact_simulate,
-                      make_grid, sample_increments)
+                      make_grid, sample_and_simulate)
 from .model import ProblemSpec, TruncationRadius, y_bound
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec, fit_least_squares
@@ -45,8 +45,7 @@ class MCConfig:
 def _mc_paths(spec, N, mc: MCConfig, reflection="all"):
     """Grid, schedule and Euler bundle of a path solve."""
     grid, sched = make_grid(N, spec.T, reflection)
-    return grid, sched, euler_simulate(
-        spec, sample_increments(grid, mc.n_paths, mc.seed, spec.m))
+    return grid, sched, sample_and_simulate(spec, grid, mc.n_paths, mc.seed)
 
 
 def _mc_radius(spec, grid, sched, bundle, mc: MCConfig) -> TruncationRadius:
@@ -228,8 +227,10 @@ def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
     sup_y = 0.0           # quadrature-at-N vs fine reference
     mc_sup_y = 0.0        # path solver vs quadrature-at-N
     z_terms, mc_z_terms = np.zeros(mc.n_paths), np.zeros(mc.n_paths)
+    truncated = 0
     for step in _ahead(backward_steps(spec, grid, sched, bundle, mc.basis, radius)):
         i = step.i
+        truncated += step.truncated
         v = space.interpolate(np.column_stack(
             [ref.y[stride * i], orc.y[i], ref.z[stride * i], orc.z[i]]), X[:, i])
         y_ref_i, y_orc_i = v[:, 0], v[:, 1]
@@ -251,6 +252,7 @@ def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
         "mc_y_sup_err": mc_sup_y,
         "mc_z_gap": float(np.mean(mc_z_terms)),
         "M_z": radius.M_z,
+        "trunc_active_frac": truncated / (N * mc.n_paths),
     }
     return cell, orc.off_grid
 
@@ -391,6 +393,8 @@ class StabilityReport(_CellReport):
     x_name: str          # "eps" | "mesh"
     cells: tuple
     slopes: dict
+    M_z: float               # the solves' truncation radius (the largest level's)
+    truncation_active: bool  # h_{M_z} moved Z on some path-step of some leg
     dx_proxy_name: str = "(E sup_i |dX_i|^4)^(1/4)"
     dw_checksum: str = ""   # sha256 of every level's increments, in level order
 
@@ -407,15 +411,17 @@ class StabilityReport(_CellReport):
 def _deltas(grid: TimeGrid, XA, XB, legA, legB, KA=None):
     """Path-wise coupled differences between two legs on one grid, folded
     over their backward steps in lockstep from i = N-1 down to 0, so the
-    sums of D_Z and of each leg's K_T add in descending i.  Of leg A's steps
-    it reads i, y, z and, at i = N-1, y_next; their dk too unless ``KA``,
-    leg A's K_T added in that order already, is given, as it is for a stored
-    drift-shift base leg (``_stored_leg``)."""
+    sums of D_Z and of each leg's K_T add in descending i, and the count of
+    path-steps whose Z the truncation moved in the legs it walks.  Of leg
+    A's steps it reads i, y, z and, at i = N-1, y_next; their dk and count
+    too unless ``KA``, leg A's K_T added in that order already, is given, as
+    it is for a stored drift-shift base leg (``_stored_leg``)."""
     N, P = grid.N, XA.shape[0]
     dx4 = np.square(np.square(XA[:, N] - XB[:, N]))
     fold_A = KA is None
     dZ, KB = np.zeros(P), np.zeros(P)
     KA = np.zeros(P) if fold_A else KA
+    truncated = 0
     for a, b in zip(legA, legB):
         i = a.i
         if i == N - 1:
@@ -425,24 +431,28 @@ def _deltas(grid: TimeGrid, XA, XB, legA, legB, KA=None):
         dZ += np.sum(np.square(a.z - b.z), axis=1) * grid.dt[i]
         if fold_A:
             KA += a.dk
+            truncated += a.truncated
         KB += b.dk
+        truncated += b.truncated
     return {
         "dx_proxy": float(np.mean(dx4)) ** 0.25,
         "D_Y": float(np.mean(dY)),
         "D_Z": float(np.mean(dZ)),
         "D_K": float(np.mean(np.square(KA - KB))),
-    }
+    }, truncated
 
 
 def _stored_leg(steps, n_paths: int):
     """A leg's steps as ``_deltas`` reads them again for every cell, with
-    no dk, g, phi or factor, and its K_T = sum_i dK_i, added in descending
-    i as the steps pass."""
-    K, kept = np.zeros(n_paths), []
+    no dk, g, A, phi or factor; its K_T = sum_i dK_i, added in descending
+    i as the steps pass; and its count of path-steps whose Z the truncation
+    moved."""
+    K, kept, truncated = np.zeros(n_paths), [], 0
     for step in steps:
         K += step.dk
-        kept.append(step._replace(dk=None, g=None, phi=None, factor=None))
-    return kept, K
+        truncated += step.truncated
+        kept.append(step._replace(dk=None, g=None, A=None, phi=None, factor=None))
+    return kept, K, truncated
 
 
 def _coupled_cell(spec: ProblemSpec, setup, base, X, basis: BasisSpec,
@@ -450,7 +460,8 @@ def _coupled_cell(spec: ProblemSpec, setup, base, X, basis: BasisSpec,
     """The coupled differences of a stability cell's second leg, with states
     X, walked in lockstep with the base leg's steps ``base`` (of K_T
     ``K_base``, if it is folded already) on its increments, grid, schedule
-    and radius (one radius: no difference crosses a truncation edge)."""
+    and radius (one radius: no difference crosses a truncation edge), and
+    ``_deltas``'s count of truncated path-steps."""
     grid, sched, bundle, radius = setup
     leg = dataclasses.replace(bundle, X_euler=X)
     steps = backward_steps(spec, grid, sched, leg, basis, radius)
@@ -504,14 +515,15 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
     """
     if not levels:
         raise ValueError("stability levels must not be empty")
-    cells = []
+    cells, radii, truncated = [], [], 0
     dw = hashlib.sha256()
     if kind == "drift-shift":
         eps = [float(e) for e in levels]
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps levels must be strictly decreasing")
         grid, sched, bundle, radius = setup = _mc_setup(spec, N, mc)
-        base, K_base = _stored_leg(
+        radii.append(radius.M_z)
+        base, K_base, truncated = _stored_leg(
             backward_steps(spec, grid, sched, bundle, mc.basis, radius), bundle.n_paths)
         _hash_increments(dw, bundle.dW)
         b0 = spec.drift
@@ -523,8 +535,10 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
             # the same increments object, so the one dW hash covers both legs
             if leg.dW is not bundle.dW:
                 raise RuntimeError("drift-shift leg does not share the base leg's increments")
-            cells.append({**_coupled_cell(spec_e, setup, base, leg.X_euler, mc.basis,
-                                          K_base), "eps": e})
+            deltas, moved = _coupled_cell(spec_e, setup, base, leg.X_euler,
+                                          mc.basis, K_base)
+            cells.append({**deltas, "eps": e})
+            truncated += moved
             del leg   # released before the next leg is allocated
         x_key, x_name = "eps", "eps"
     elif kind == "euler-vs-exact":
@@ -537,10 +551,12 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
             if n == Ns[0]:
                 _check_exact_coupling(bundle)   # before any solve
             radius = _mc_radius(spec, grid, sched, bundle, mc)
+            radii.append(radius.M_z)
             base = backward_steps(spec, grid, sched, bundle, mc.basis, radius)
-            cells.append({**_coupled_cell(spec, (grid, sched, bundle, radius), base,
-                                          bundle.X_exact, mc.basis),
-                          "N": n, "mesh": grid.mesh})
+            deltas, moved = _coupled_cell(spec, (grid, sched, bundle, radius), base,
+                                          bundle.X_exact, mc.basis)
+            cells.append({**deltas, "N": n, "mesh": grid.mesh})
+            truncated += moved
             _hash_increments(dw, bundle.dW)
             del bundle, base   # released before the next N is allocated
         x_key, x_name = "mesh", "mesh"
@@ -553,7 +569,9 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
         d.update({f"C_{k}": d[f"D_{k}"] / dx ** 2 if dx > 0 else 0.0 for k in "YZK"})
     slopes = _slopes(cells, x_key, ("dx_proxy", "D_Y", "D_Z", "D_K"))
     return StabilityReport(kind=kind, x_name=x_name, cells=tuple(cells),
-                           slopes=slopes, dw_checksum=dw.hexdigest())
+                           slopes=slopes, M_z=max(radii),
+                           truncation_active=truncated > 0,
+                           dw_checksum=dw.hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +586,8 @@ class DiagnosticsReport(_Report):
     grid_N: int
     n_paths: int
     seed: int
+    M_z: float                 # the solve's truncation radius
+    truncation_active: bool    # h_{M_z} moved Z on some path-step
 
     @property
     def flags(self) -> dict:
@@ -593,7 +613,9 @@ def run_diagnostics(spec: ProblemSpec, N: int, mc: MCConfig,
     by cross-sectional regression and compare to the closed-form bound.
     The one solve, on ``setup`` (an ``_mc_setup``; by default one reflecting
     at every grid time), also gathers K_T and the Skorokhod conditions.
-    Each tail sum is fitted on its step's own basis and Gram factor.
+    Each tail sum is fitted on its step's own design, basis and Gram
+    factor, read before the next step is requested, so each step evaluates
+    one design.
 
     Memory: besides the paths it keeps two (P,) sums, the tail sum (its
     columns add as a reversed cumsum's do, bit for bit) and K_T, and
@@ -604,11 +626,14 @@ def run_diagnostics(spec: ProblemSpec, N: int, mc: MCConfig,
     tail_max = 0.0
     S, K = np.zeros(bundle.n_paths), np.zeros(bundle.n_paths)
     skorokhod = dict.fromkeys(SKOROKHOD_CONDITIONS, True)
+    truncated = 0
     for step in backward_steps(spec, grid, sched, bundle, mc.basis, radius):
         S += np.sum(step.z ** 2, axis=-1) * grid.dt[step.i]
-        fitted = fit_least_squares(step.phi, X[:, step.i], S, factor=step.factor).fitted
+        fitted = fit_least_squares(step.phi, X[:, step.i], S, A=step.A,
+                                   factor=step.factor).fitted
         tail_max = max(tail_max, float(np.quantile(fitted, 0.99)))
         K += step.dk
+        truncated += step.truncated
         skorokhod_check(skorokhod, sched, step)
     skorokhod["all"] = all(skorokhod.values())
 
@@ -618,4 +643,5 @@ def run_diagnostics(spec: ProblemSpec, N: int, mc: MCConfig,
     }
     return DiagnosticsReport(
         tail_sum_max=tail_max, bound_value=bmo_bound_value(spec), moments=moments,
-        skorokhod=skorokhod, grid_N=grid.N, n_paths=bundle.n_paths, seed=bundle.seed)
+        skorokhod=skorokhod, grid_N=grid.N, n_paths=bundle.n_paths, seed=bundle.seed,
+        M_z=radius.M_z, truncation_active=truncated > 0)

@@ -246,33 +246,51 @@ def y_bound(spec: ProblemSpec) -> float:
 _H_IDENTITY = 1.0 + 4.0 * sys.float_info.epsilon
 
 
+def truncate_rows(z, n: float) -> tuple:
+    """The h_n rule, on the rows of z (components on its last axis), each
+    row's squared norm summed once: (h_n(z), moved), moved the bool array,
+    of z's shape without its last axis, of the rows that h_n moves.  Where
+    it moves none, h_n(z) is z itself, not a copy; that is read off the
+    largest squared norm, since sqrt is monotone, before any root is taken.
+    A level n that is not a finite positive number is rejected by name."""
+    if not (_finite_real(n) and n > 0):
+        raise ValueError(
+            f"truncation level n must be a finite positive number, got {_show(n)}")
+    z = np.asarray(z, dtype=float)
+    r = z * z
+    if z.shape[-1] > 1:
+        r = np.sum(r, axis=-1, keepdims=True)
+    edge = n * _H_IDENTITY
+    if r.size == 0 or math.sqrt(np.max(r)) <= edge:   # NaN takes the long way
+        return z, np.zeros(z.shape[:-1], dtype=bool)
+    r = np.sqrt(r, out=r)
+    outside = r > edge
+    moved = outside[..., 0]
+    if not moved.any():
+        return z, moved
+    rho = n + 1.0 - np.exp(np.minimum(n - r, 0.0))  # only used outside
+    return z * np.divide(rho, r, out=np.ones_like(r), where=outside), moved
+
+
 def truncation_active(z, n: float) -> np.ndarray:
     """Where h_n is not the identity: the rows of z, components on its last
-    axis, of norm above n, as ``smooth_truncation`` tells them."""
-    z = np.asarray(z, dtype=float)
-    return np.sqrt(np.sum(z * z, axis=-1)) > n * _H_IDENTITY
+    axis, that ``truncate_rows`` moves."""
+    return truncate_rows(z, n)[1]
 
 
 def smooth_truncation(z, n: float):
-    """Radial truncation h_n: identity on |z| <= n, norm capped below n+1.
+    """Radial truncation h_n: identity on |z| <= n, norm capped below n+1,
+    as a new array (a float for a scalar z).
 
     Outside the ball the norm is remapped by rho(r) = n + 1 - exp(-(r - n)),
     which keeps h_n C^1, 1-Lipschitz, and |h_n(z)| <= n + 1.
     """
-    if n <= 0:
-        raise ValueError("truncation level n must be positive")
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
     zv = np.atleast_1d(z)
-    r = np.sqrt(np.sum(zv * zv, axis=-1, keepdims=True))
-    outside = r > n * _H_IDENTITY
-    if not outside.any():
+    out, _ = truncate_rows(zv, n)
+    if out is zv:
         out = zv.copy(order="K")
-    else:
-        rho = n + 1.0 - np.exp(np.minimum(n - r, 0.0))  # only used outside
-        scale = np.divide(rho, r, out=np.ones_like(r), where=outside)
-        out = zv * scale
-    return float(out[0]) if scalar else out.reshape(z.shape)
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -156,39 +156,55 @@ def localize_basis(spec: BasisSpec, xs, scratch=None) -> BasisSpec:
     oscillation of a global polynomial out of the reflection step.  A sample
     without spread (the deterministic X_0) gets the constant basis, so its
     fit is the cross-path mean.  Other bases are returned unchanged.  The
-    spread and both quantiles come from one sort, sorted in ``scratch``, a
-    contiguous float array of xs's shape, when it is given; the quantiles
-    match np.quantile bit for bit.
+    spread and both quantiles come from ``_localizing_quantiles``, which
+    selects in ``scratch``, a contiguous float array of xs's shape, when it
+    is given.
     """
     if spec.kind != "polynomial" or spec.domain is not None:
-        s, spread = None, np.ptp(xs)
+        spread, domain = np.ptp(xs), None
     else:
         if scratch is None:
-            s = np.sort(xs)
+            s = np.array(xs, dtype=float)
         else:
             s = scratch
             s[...] = xs
-            s.sort()
-        spread = s[-1] - s[0]     # np.ptp's max - min; NaN sorts last
+        spread, domain = _localizing_quantiles(s)
     if spread == 0:
         return BasisSpec(kind="polynomial", degree=0, ridge=spec.ridge)
-    if s is None:
+    if domain is None:
         return spec
-    return dataclasses.replace(spec, domain=(_sorted_quantile(s, 0.005),
-                                             _sorted_quantile(s, 0.995)))
+    return dataclasses.replace(spec, domain=domain)
 
 
-def _sorted_quantile(s: np.ndarray, q: float) -> float:
-    """np.quantile(s, q) of a sorted sample, by numpy's default "linear" rule:
-    interpolate at the virtual index (n - 1) q as numpy's _lerp does, from the
-    upper neighbour when the weight t is at least 1/2."""
-    if np.isnan(s[-1]):     # NaN sorts last and makes every quantile NaN
-        return float("nan")
-    v = (s.size - 1) * q
-    j = math.floor(v)
-    t = v - j
-    a, b = float(s[j]), float(s[min(j + 1, s.size - 1)])
-    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+def _localizing_quantiles(s: np.ndarray) -> tuple:
+    """(max - min, (q_0.005, q_0.995)) of the sample s, which is reordered
+    in place, without a sort: two single-index np.partition selections, at
+    each quantile's lower neighbour j, and min/max reductions over the
+    slices they bound, the least value above j being its upper neighbour.
+    The spread is zero where np.ptp's is, and the quantiles are
+    np.quantile's bit for bit, by numpy's default "linear" rule: each
+    interpolates at the virtual index (n - 1) q as numpy's _lerp does, from
+    the upper neighbour when the weight t is at least 1/2.  NaN selects as
+    the largest value, so a sample with a NaN has a NaN maximum, and NaN
+    spread and quantiles, as np.quantile gives."""
+    n = s.size
+    v_lo, v_hi = (n - 1) * 0.005, (n - 1) * 0.995
+    j_lo, j_hi = math.floor(v_lo), math.floor(v_hi)
+    s.partition(j_lo)
+    if j_hi > j_lo:
+        s[j_lo + 1:].partition(j_hi - j_lo - 1)
+    # s[j_lo] and s[j_hi] are in place, and no value between them is outside
+    lo, hi = np.min(s[:j_lo + 1]), np.max(s[j_hi:])
+    if np.isnan(hi):
+        return float("nan"), (float("nan"), float("nan"))
+    q = []
+    mid = s[j_lo + 1:j_hi + 1] if j_hi > j_lo else s[j_lo + 1:]
+    for v, j, above in ((v_lo, j_lo, mid), (v_hi, j_hi, s[j_hi + 1:])):
+        t = v - j
+        a = float(s[j])
+        b = float(np.min(above)) if above.size else a
+        q.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return hi - lo, tuple(q)
 
 
 def factor_design(phi: DesignEvaluator, A: np.ndarray) -> tuple:

@@ -9,17 +9,22 @@ Conditional expectations are least-squares regressions on a spatial basis
 of the current Euler state.
 
 A step has two halves.  Its state half reads only X_{t_i}: the localized
-basis, the design and its Gram's factor.  Its value half is the
-recursion: the projection onto that factor, the implicit step and the
-reflection against g(X_{t_i}).  Where ``forward.helper_pays`` holds (at
-least ``forward.AHEAD_MIN_PATHS`` paths, not on a helper thread, and not on
-a thread that holds a helper open already, as it does for the first of two
-legs walked in lockstep), ``forward._ahead`` computes the state half of
-step i-1 on one helper thread while the caller runs step i's value half
-and its own work on the yielded step; the designs then alternate between
-two per-walk blocks.  Every other walk is serial, with one block.  The
-halves run the same operations on either path, so no result depends on the
-helper.  At a reflection date dK is written into the buffer of the
+basis (its quantiles selected, not sorted), the design and its Gram's
+factor.  Its value half is the recursion: the projection onto that factor,
+one norm per row of Z, which gives both h_{M_z}(Z) (Z itself where no row
+moves) and the step's count of truncated paths, the implicit step on
+h_{M_z}(Z), and the reflection against g(X_{t_i}).  Where
+``forward.helper_pays`` holds (at least ``forward.AHEAD_MIN_PATHS`` paths,
+not on a helper thread, and not on a thread that holds a helper open
+already, as it does for the first of two legs walked in lockstep),
+``forward._ahead`` computes the state half of step i-1 on one helper
+thread while the caller runs step i's value half and its own work on the
+yielded step; the designs then alternate between two per-walk blocks.
+Every other walk is serial, with one block.  On either walk a block is
+refilled only after the consumer asks for the step after the one whose
+design it holds, so a yielded step's design is valid until then.  The
+halves run the same operations on either path, so no result depends on
+the helper.  At a reflection date dK is written into the buffer of the
 unreflected value, which no later use reads.
 """
 
@@ -34,7 +39,7 @@ import numpy as np
 from .forward import (PathBundle, ReflectionSchedule, TimeGrid, _ahead,
                       helper_pays, path_array)
 from .model import (AffineInY, ProblemSpec, TruncationRadius, smooth_truncation,
-                    truncation_active, y_bound)
+                    truncate_rows, y_bound)
 from .regress import (BasisSpec, DesignEvaluator, build_basis, factor_design,
                       fit_least_squares, localize_basis)
 
@@ -88,7 +93,9 @@ def z_projection_step(y_next, dW_i, dt_i, phi, xs, A=None, factor=None):
         raise ValueError("dt must be positive")
     y_next = np.asarray(y_next, dtype=float)
     m = dW_i.shape[1]
-    targets = path_array(y_next.shape[0], m + 1)
+    # column-major (P, m+1) like a path_array, left unfilled: each column is
+    # written below
+    targets = np.empty((m + 1, y_next.shape[0])).T
     np.multiply(y_next[:, None], dW_i, out=targets[:, :m])
     targets[:, :m] /= dt_i
     targets[:, m] = y_next
@@ -178,9 +185,11 @@ def step_state(basis: BasisSpec, X: np.ndarray, i: int,
 class BackwardStep(NamedTuple):
     """Step i of the backward recursion: from y_next = Ybar_{i+1} to the
     clipped Z_i, the reflected Ybar_i and the push-up dK_i against the
-    obstacle values g(X_{t_i}), with the basis and Gram factor of its state
-    half for a caller's own fit on X_{t_i}; not its design, whose block a
-    later state half overwrites."""
+    obstacle values g(X_{t_i}), with the count of paths whose Z_i the
+    truncation h_{M_z} moved, and the design, basis and Gram factor of its
+    state half for a caller's own fit on X_{t_i}.  The design A is valid
+    only until the next step is requested: a later state half overwrites
+    its block."""
     i: int
     y_next: np.ndarray   # (P,)
     z: np.ndarray        # (P, m), column-major
@@ -190,6 +199,8 @@ class BackwardStep(NamedTuple):
     picard: int
     cond: float          # cond of the step's design (Z and mean share it)
     rmse: float          # in-sample RMSE of the mean column
+    truncated: int       # paths whose Z_i h_{M_z} moves; 0 without a radius
+    A: np.ndarray        # phi(X_{t_i}), (P, d), in one of the walk's blocks
     phi: DesignEvaluator  # the localized basis on X_{t_i}
     factor: tuple        # factor_design(phi, phi(X_{t_i})), (lam, V)
 
@@ -213,6 +224,7 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
     X = bundle.X_euler
     m = bundle.m
     M = y_bound(spec)
+    mask = schedule.mask
     z_hi = np.inf if radius is None else radius.M_z + 1.0
     ahead = helper_pays(bundle.n_paths)
     # step i's design lives in block i % 2 while the helper fills the other
@@ -234,12 +246,20 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
             cond, rmse = fit.cond, fit.rmse[m]
             del fit    # free the fitted values before the implicit step
 
-            ytilde, picard = implicit_y_step(e, z, spec, ti, xs, dti, radius, M)
+            # one norm per row gives h_{M_z}(Z), Z itself where no row moves,
+            # and the count of the rows it moves
+            hz, truncated = z, 0
+            if radius is not None:
+                hz, moved = truncate_rows(z, radius.M_z)
+                truncated = int(np.count_nonzero(moved))
+                del moved
+            ytilde, picard = implicit_y_step(e, hz, spec, ti, xs, dti, None, M)
+            del hz
             g = np.asarray(spec.obstacle(xs), dtype=float)
             # at a reflection date dK takes ytilde's buffer, which Ybar leaves
-            y, dk = reflect_step(ytilde, g, bool(schedule.mask[i]), out=ytilde)
+            y, dk = reflect_step(ytilde, g, bool(mask[i]), out=ytilde)
             step = BackwardStep(i, y_next, z, y, dk, g, picard, cond, rmse,
-                                state.phi, state.factor)
+                                truncated, state.A, state.phi, state.factor)
             # free the step's temporaries before the next step allocates its own
             del e, ytilde
             yield step
@@ -266,16 +286,18 @@ def skorokhod_check(flags: dict, schedule: ReflectionSchedule,
     step's time column into ``flags``, against the obstacle values the step
     was reflected on; the i = N-1 step also checks column N, where
     Ybar_N = g(X_N) is its y_next and dK_N = 0."""
+    mask = schedule.mask
     cols = [(step.i, step.y, step.dk, step.g)]
-    if step.i == schedule.mask.size - 2:
+    if step.i == mask.size - 2:
         cols.append((step.i + 1, step.y_next, np.zeros_like(step.y_next), step.y_next))
     for i, y, dk, g in cols:
         flags["dK_nonnegative"] &= bool(np.all(dk >= 0.0))
-        if not schedule.mask[i]:
+        if not mask[i]:
             flags["dK_zero_off_schedule"] &= bool(np.all(dk == 0.0))
             continue
         flags["Ybar_above_obstacle"] &= bool(np.all(y >= g))
-        flags["flat_off"] &= bool(np.all(dk * (y - g) == 0.0))
+        gap = np.subtract(y, g)     # dK (Ybar - g), formed in one temporary
+        flags["flat_off"] &= bool(np.all(np.multiply(dk, gap, out=gap) == 0.0))
 
 
 def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
@@ -293,7 +315,7 @@ def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
         max_z[i] = np.max(np.abs(step.z))
         mean_dk[i] = np.mean(step.dk)
         frac[i] = np.count_nonzero(step.dk > 0) / bundle.n_paths
-        active[i] = np.count_nonzero(truncation_active(step.z, radius.M_z)) / bundle.n_paths
+        active[i] = step.truncated / bundle.n_paths
         K += step.dk
         skorokhod_check(flags, schedule, step)
     flags["all"] = all(flags.values())

@@ -383,7 +383,7 @@ def test_a_false_report_flag_exits_4(tmp_path, monkeypatch):
                    "D_K": 1.0 / n, "ratio_Y": d}
                   for n, (e, d) in enumerate([(0.2, 0.1), (0.1, 0.15)], 1))
     rep = lab.StabilityReport(kind="drift-shift", x_name="eps", cells=cells,
-                              slopes={})
+                              slopes={}, M_z=1.0, truncation_active=False)
     monkeypatch.setattr(lab, "run_stability", lambda *a, **k: rep)
     code, out = _run(tmp_path, "stability", {})
     assert code == 4 == EXIT_FLAGS

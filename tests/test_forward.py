@@ -91,8 +91,26 @@ def test_two_thread_sampling_is_the_one_thread_per_step_draw(monkeypatch, m, N):
     before = set(threading.enumerate())
     got = sample_increments(grid, P, seed, m).dW
     assert np.array(got).tobytes() == want.tobytes()
-    # the odd steps were drawn on the helper, the even ones here
-    assert on_main == {i: i % 2 == 0 for i in range(N)}
+    # every third step was drawn here, the two after each on the helper
+    assert on_main == {i: i % 3 == 0 for i in range(N)}
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("min_paths", [0, 10 ** 9], ids=["helper", "serial"])
+@pytest.mark.parametrize("N", [1, 2, 3, 64])
+@pytest.mark.parametrize("m", [1, 2])
+def test_draw_and_step_pass_is_the_split_simulation_bit_for_bit(monkeypatch, m, N,
+                                                                 min_paths):
+    spec = build_preset("P2-mixed-quadratic", {"m": m})
+    grid, _ = make_grid(N, spec.T)
+    want = euler_simulate(spec, sample_increments(grid, 500, 9, m))
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", min_paths)
+    before = set(threading.enumerate())
+    got = forward.sample_and_simulate(spec, grid, 500, 9)
+    assert got.dW.tobytes() == want.dW.tobytes()
+    assert got.X_euler.tobytes() == want.X_euler.tobytes()
+    split = euler_simulate(spec, sample_increments(grid, 500, 9, m))
+    assert split.X_euler.tobytes() == want.X_euler.tobytes()
     assert set(threading.enumerate()) == before
 
 
@@ -211,6 +229,37 @@ def test_euler_constant_drift_no_noise():
     b = euler_simulate(det, sample_increments(grid, 3, seed=0))
     want = np.broadcast_to(spec.x0 + mu * grid.times, b.X_euler.shape)
     np.testing.assert_allclose(b.X_euler, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("fused", [True, False], ids=["one-pass", "split"])
+def test_a_blown_up_drift_raises_at_its_first_bad_path_and_step(fused, value):
+    # the drift blows up at t_4 on paths 17 and 30 only, so X_5 is the first
+    # non-finite column and path 17 its first non-finite entry
+    spec = build_preset("P1-pure-quadratic")
+    grid, _ = make_grid(8, spec.T)
+    X = euler_simulate(spec, sample_increments(grid, 50, 3)).X_euler
+    bad_x = X[[17, 30], 4]
+
+    def drift(t, x):
+        return np.where((t == grid.times[4]) & np.isin(x, bad_x), value, 0.0)
+
+    bad = dataclasses.replace(spec, drift=drift)
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite Euler state at path 17, step 5$"):
+        if fused:
+            forward.sample_and_simulate(bad, grid, 50, 3)
+        else:
+            euler_simulate(bad, sample_increments(grid, 50, 3))
+
+
+def test_a_finite_column_whose_sum_overflows_does_not_raise():
+    # the sum only sends a column to the isfinite scan
+    spec = dataclasses.replace(build_preset("P1-pure-quadratic"), x0=1e308)
+    grid, _ = make_grid(2, spec.T)
+    with np.errstate(over="ignore"):
+        X = forward.sample_and_simulate(spec, grid, 4, 0).X_euler
+        assert np.all(np.isfinite(X)) and not np.isfinite(np.sum(X[:, 1]))
 
 
 def test_euler_aborts_on_blowup():

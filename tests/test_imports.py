@@ -15,9 +15,11 @@ convergence cell, the stability legs (the base leg in each of the two
 kinds, the second leg in the one coupled-leg helper) and the diagnostics,
 ``estimate_Mz_auto``, the one auto radius rule, only by the set-up's radius,
 ``solve_backward`` only by the CLI's one Monte Carlo solve, and ``_deltas``
-only by the one coupled stability leg, and ``_ahead``, the one
-helper-thread primitive, only by the increment sampling, the backward loop
-and the convergence cell.  The callers are read with ``_callers`` below.
+only by the one coupled stability leg, ``_ahead``, the one helper-thread
+primitive, only by the draw-and-step pass, the backward loop and the
+convergence cell, the Euler step only by the draw-and-step pass, and the
+h_n rule, ``truncate_rows``, only by the two public truncation functions
+and the backward loop.  The callers are read with ``_callers`` below.
 
 The package runs on numpy alone: no module imports scipy, at module level
 or inside a function.  A fresh interpreter that imports the package and runs
@@ -147,11 +149,18 @@ HOMES = {
     # the only caller of the solve that records each step is the CLI's solve
     "solve_backward": ["lab._solve_mc"],
     "_deltas": ["lab._coupled_cell"],
-    # the one helper thread: the odd steps' draws, the next step's state
-    # half, and the convergence cell's whole walk (inside it, the walk and
-    # its state halves stay on that one helper)
-    "_ahead": ["forward.sample_increments", "lab._convergence_cell",
+    # the one helper thread: two of every three steps' draws, the next
+    # step's state half, and the convergence cell's whole walk (inside it,
+    # the walk and its state halves stay on that one helper)
+    "_ahead": ["forward._forward_pass", "lab._convergence_cell",
                "scheme.backward_steps"],
+    # one Euler step, in the one draw-and-step pass that serves
+    # sample_and_simulate, sample_increments and euler_simulate alike
+    "_euler_step": ["forward._forward_pass"],
+    # h_n and its 1 + 4 eps edge have one home, read by the two public
+    # truncation functions and by the backward step's one-norm truncation
+    "truncate_rows": ["model.truncation_active", "model.smooth_truncation",
+                      "scheme.backward_steps"],
 }
 
 

@@ -14,7 +14,7 @@ from scipy.special import stdtrit
 from qrbsde import forward, lab, oracle, regress, scheme
 from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
                             sample_increments)
-from qrbsde.model import build_preset
+from qrbsde.model import build_preset, truncation_active
 from qrbsde.regress import BasisSpec
 from qrbsde.scheme import (SKOROKHOD_CONDITIONS, backward_steps, skorokhod_check,
                            y0_estimates)
@@ -208,10 +208,12 @@ def _whole_array_cell(stacked, spec, N, mc, space, ref, stride, y0_ref):
         "y_sup_err": sup_y, "z_err": float(np.mean(z_terms)),
         "mc_y0_gap": abs(y0_fit - orc.y0), "mc_y_sup_err": mc_sup_y,
         "mc_z_gap": float(np.mean(mc_z_terms)), "M_z": radius.M_z,
+        "trunc_active_frac":
+            np.count_nonzero(truncation_active(Zbar, radius.M_z)) / (N * mc.n_paths),
     }
 
 
-@pytest.mark.parametrize("M_z", [None, 2.0])
+@pytest.mark.parametrize("M_z", [None, 2.0, 0.05])
 def test_streamed_convergence_cell_matches_the_stored_solve(M_z, stacked):
     # the cell reads each backward step as it is yielded, so its z sums add
     # in descending time order: only those two may move, in the last bits
@@ -505,9 +507,12 @@ def test_deltas_match_the_whole_array_formulas_bit_for_bit(m, stacked):
     legs = [(spec, grid, sched, dataclasses.replace(bundle, X_euler=X), mc.basis, radius)
             for X in (bundle.X_euler, bundle.X_exact)]
     XA, XB = bundle.X_euler, bundle.X_exact
-    got = lab._deltas(grid, XA, XB, *(backward_steps(*leg) for leg in legs))
+    got, truncated = lab._deltas(grid, XA, XB, *(backward_steps(*leg) for leg in legs))
     arrays = [stacked(*leg) for leg in legs]
     assert got == _descending_deltas(grid, XA, XB, *arrays)
+    # the count of path-steps that h_{M_z} moved, over both walked legs
+    assert truncated == sum(np.count_nonzero(truncation_active(Zbar, radius.M_z))
+                            for _, Zbar, _ in arrays)
     want = _whole_array_deltas(grid, XA, XB, *arrays)
     for key in ("dx_proxy", "D_Y"):
         assert got.pop(key) == want.pop(key)
@@ -564,16 +569,20 @@ def test_stability_holds_one_leg_at_a_time(kind, levels, live, monkeypatch):
     # at each leg's start, the earlier legs' yielded steps and the Euler
     # states still alive: only the drift-shift base leg's 4 stored steps may
     # be, besides the states the legs are about to read
+    # the Euler states come from the set-up's one draw-and-step pass and,
+    # for each shifted drift-shift leg, from euler_simulate
     kept, states, seen = [], [], []
-    steps, euler = lab.backward_steps, lab.euler_simulate
+    steps = lab.backward_steps
 
     def alive(refs):
         return sum(ref() is not None for ref in refs)
 
-    def tracked_euler(*args):
-        out = euler(*args)
-        states.append(weakref.ref(out.X_euler))
-        return out
+    def tracked(simulate):
+        def tracked_euler(*args):
+            out = simulate(*args)
+            states.append(weakref.ref(out.X_euler))
+            return out
+        return tracked_euler
 
     def tracked_steps(*args):
         seen.append((alive(kept), alive(states)))
@@ -584,7 +593,8 @@ def test_stability_holds_one_leg_at_a_time(kind, levels, live, monkeypatch):
                 yield step
         return walk()
 
-    monkeypatch.setattr(lab, "euler_simulate", tracked_euler)
+    for name in ("euler_simulate", "sample_and_simulate"):
+        monkeypatch.setattr(lab, name, tracked(getattr(lab, name)))
     monkeypatch.setattr(lab, "backward_steps", tracked_steps)
     mc = lab.MCConfig(n_paths=300, seed=0, basis=BasisSpec(degree=2), M_z=2.0)
     lab.run_stability(build_preset("P2-mixed-quadratic"), kind, levels, mc, N=4)
@@ -670,14 +680,15 @@ def test_stability_rejects_non_integer_levels_before_any_solve(monkeypatch):
 
 
 def test_stability_euler_vs_exact_simulates_each_level_once(monkeypatch):
-    # the coupling check reads the first level's bundle, simulating none
-    simulated, euler = [], lab.euler_simulate
+    # the coupling check reads the first level's bundle, simulating none;
+    # each level's bundle comes from one draw-and-step pass
+    simulated, simulate = [], lab.sample_and_simulate
 
-    def recorded(spec, bundle):
-        simulated.append(bundle.grid.N)
-        return euler(spec, bundle)
+    def recorded(spec, grid, P, seed):
+        simulated.append(grid.N)
+        return simulate(spec, grid, P, seed)
 
-    monkeypatch.setattr(lab, "euler_simulate", recorded)
+    monkeypatch.setattr(lab, "sample_and_simulate", recorded)
     lab.run_stability(build_preset("P2-mixed-quadratic"), "euler-vs-exact",
                       [4, 8, 16], lab.MCConfig(n_paths=300, seed=0, M_z=2.0))
     assert simulated == [4, 8, 16]
@@ -706,7 +717,7 @@ def _stability_report(**columns):
             "ratio_Y": (1.0, 2.0), **columns}
     cells = tuple({k: v[j] for k, v in cols.items()} for j in range(2))
     return lab.StabilityReport(kind="drift-shift", x_name="eps", cells=cells,
-                               slopes={})
+                               slopes={}, M_z=1.0, truncation_active=False)
 
 
 @pytest.mark.parametrize("column, values, flag", [
@@ -753,7 +764,7 @@ def test_reflection_sweep_flags_read_the_reference(monotone):
 def test_diagnostics_flags(passed):
     rep = lab.DiagnosticsReport(tail_sum_max=1.0 if passed else 2.0, bound_value=1.5,
                                 moments={}, skorokhod={"all": True}, grid_N=4,
-                                n_paths=10, seed=0)
+                                n_paths=10, seed=0, M_z=1.0, truncation_active=False)
     assert rep.flags == {"within_bound": passed, "skorokhod": True}
     assert "flags" not in rep.to_dict()
 
@@ -823,8 +834,10 @@ def _diagnostics_reference(spec, N, mc, setup):
     tail_max = 0.0
     S, K = np.zeros(bundle.n_paths), np.zeros(bundle.n_paths)
     flags = dict.fromkeys(SKOROKHOD_CONDITIONS, True)
+    active = False
     for step in backward_steps(spec, grid, sched, bundle, mc.basis, radius):
         xs = X[:, step.i]
+        active |= bool(np.any(truncation_active(step.z, radius.M_z)))
         S += np.sum(step.z ** 2, axis=-1) * grid.dt[step.i]
         phi = regress.build_basis(regress.localize_basis(mc.basis, xs), xs)
         fitted = regress.fit_least_squares(phi, xs, S).fitted
@@ -837,7 +850,8 @@ def _diagnostics_reference(spec, N, mc, setup):
     return lab.DiagnosticsReport(
         tail_sum_max=tail_max, bound_value=lab.bmo_bound_value(spec),
         moments=moments, skorokhod=flags, grid_N=grid.N,
-        n_paths=bundle.n_paths, seed=bundle.seed)
+        n_paths=bundle.n_paths, seed=bundle.seed, M_z=radius.M_z,
+        truncation_active=active)
 
 
 _DIAGNOSE_CASES = {
@@ -866,6 +880,46 @@ def test_diagnostics_fit_on_the_walks_basis_is_the_separate_fit(case, min_paths,
     monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", min_paths)
     got = lab.run_diagnostics(spec, 9, mc, setup=setup).to_dict()
     assert got == _diagnostics_reference(spec, 9, mc, setup).to_dict()
+
+
+@pytest.mark.parametrize("min_paths", [0, 10 ** 9], ids=["ahead", "serial"])
+def test_diagnostics_evaluate_one_design_per_step(min_paths, monkeypatch):
+    # the tail-sum fit reads the step's design before the next step is
+    # requested, so its block still holds it, on either walk
+    spec, mc, setup = _diagnose_setup("P2-m2")
+    want = _diagnostics_reference(spec, 9, mc, setup).to_dict()
+    calls, design = [], regress.DesignEvaluator.__call__
+
+    def counted(self, x, out=None):
+        calls.append(1)
+        return design(self, x, out)
+
+    monkeypatch.setattr(regress.DesignEvaluator, "__call__", counted)
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", min_paths)
+    got = lab.run_diagnostics(spec, 9, mc, setup=setup).to_dict()
+    assert len(calls) == 9
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("M_z, active", [(None, False), (0.05, True)])
+def test_every_report_carries_the_truncation_signal(M_z, active):
+    # off at the auto radius, on at M_z = 0.05, read off each step's count
+    mc = lab.MCConfig(n_paths=1000, seed=2, basis=BasisSpec(degree=3), M_z=M_z)
+    p1, p2 = build_preset("P1-pure-quadratic"), build_preset("P2-mixed-quadratic")
+    reports = {
+        p1: [lab.run_diagnostics(p1, 4, mc)],
+        p2: [lab.run_stability(p2, "drift-shift", [0.2, 0.1], mc, N=4),
+             lab.run_stability(p2, "euler-vs-exact", [2, 4], mc)],
+    }
+    for spec, reps in reports.items():
+        grid, sched = make_grid(4, spec.T)
+        radius = M_z or scheme.estimate_Mz_auto(spec, grid, sched, None, None).M_z
+        for rep in reps:
+            assert (rep.M_z, rep.truncation_active) == (radius, active)
+            assert {"M_z", "truncation_active"} <= rep.to_dict().keys()
+    cells = lab.run_convergence(p1, [2, 4, 8, 16], mc).cells
+    fracs = [c["trunc_active_frac"] for c in cells]
+    assert all(0.0 < f < 1.0 for f in fracs) if active else fracs == [0.0] * 4
 
 
 def test_diagnostics_factor_each_step_once(monkeypatch):

@@ -96,6 +96,15 @@ def test_truncation_rejects_nonpositive_radius():
         smooth_truncation(1.0, 0.0)
 
 
+@pytest.mark.parametrize("function", [smooth_truncation, truncation_active])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_truncation_rejects_a_non_finite_or_nonpositive_level(function, bad):
+    # a NaN level would compare False everywhere and leave z unmoved
+    with pytest.raises(ValueError, match=f"truncation level n must be a finite "
+                                         f"positive number, got {bad!r}"):
+        function(np.array([[5.0]]), bad)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, True])
 def test_truncation_radius_rejects_a_non_finite_or_nonpositive_m_z(bad):
     with pytest.raises(ValueError, match=f"M_z must be a finite positive number, got {bad!r}"):

@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qrbsde import regress
 from qrbsde.regress import (BasisSpec, build_basis, evaluate_fit,
                             fit_least_squares, localize_basis)
 
@@ -217,6 +220,52 @@ def test_localize_basis_nan_sample_gives_nan_domain():
     domain = localize_basis(BasisSpec(degree=6), xs)
     assert np.all(np.isnan(domain.domain))
     assert np.all(np.isnan(np.quantile(xs, [0.005, 0.995])))
+
+
+@st.composite
+def _localizing_samples(draw):
+    """1 to 300 values (the quantiles' lower neighbours are j = 0 up to 200
+    values), or 5 * 10^4: normal draws, ties from a pool of at most four
+    values (signed zeros among them), one value repeated, or normal draws
+    with NaNs among them."""
+    n = draw(st.one_of(st.integers(1, 300), st.just(50_000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["normal", "ties", "constant", "nan"]))
+    if kind == "ties":
+        pool = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+        return rng.choice(np.array(pool), size=n)
+    if kind == "constant":
+        return np.full(n, draw(st.floats(-1e3, 1e3)))
+    xs = rng.normal(loc=draw(st.floats(-10, 10)), size=n)
+    if kind == "nan":
+        xs[rng.integers(0, n, size=draw(st.integers(1, 3)))] = np.nan
+    return xs
+
+
+def _same_quantile(got: float, want: float) -> bool:
+    """Bit for bit, but for NaN's payload and the sign of a zero: where
+    zeros of both signs tie, the selection may hand either one over."""
+    if np.isnan(want):
+        return bool(np.isnan(got))
+    return np.float64(got).tobytes() == np.float64(want).tobytes() or got == want == 0.0
+
+
+@given(_localizing_samples())
+@settings(max_examples=300, deadline=None)
+def test_partition_quantiles_are_np_quantile_bit_for_bit(xs):
+    s = xs.copy()
+    spread, (lo, hi) = regress._localizing_quantiles(s)
+    want = np.quantile(xs, [0.005, 0.995])
+    assert _same_quantile(lo, want[0]) and _same_quantile(hi, want[1])
+    ptp = np.ptp(xs)
+    assert (spread == 0) == (ptp == 0) and np.isnan(spread) == np.isnan(ptp)
+    # the selections only reorder the sample
+    assert np.array_equal(np.sort(s), np.sort(xs), equal_nan=True)
+    spec = localize_basis(BasisSpec(degree=6), xs)
+    if np.isnan(ptp):
+        assert np.all(np.isnan(spec.domain))
+    elif ptp == 0:
+        assert spec == BasisSpec(degree=0)
 
 
 @pytest.mark.parametrize("degree", range(13))

@@ -14,7 +14,7 @@ from scipy.linalg import cho_factor, cho_solve
 from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
                             sample_increments)
 from qrbsde.model import (AffineInY, TruncationRadius, build_preset, clip_obstacle,
-                          y_bound)
+                          truncation_active, y_bound)
 from qrbsde import forward, scheme
 from qrbsde.oracle import build_space_grid, exact_scheme_solve
 from qrbsde.regress import BasisSpec, DesignEvaluator, build_basis
@@ -264,7 +264,8 @@ def test_skorokhod_flags_each_violation_matches_whole_array_reference(
     def steps_of(case):
         Y, Z, K = case["Ybar"], case["Zbar"], case["dK"]
         return lambda *a: (scheme.BackwardStep(i, Y[:, i + 1], Z[:, i, :], Y[:, i],
-                                               K[:, i], g[:, i], 1, 1.0, 0.0, None, None)
+                                               K[:, i], g[:, i], 1, 1.0, 0.0, 0, None, None,
+                                               None)
                            for i in range(grid.N - 1, -1, -1))
 
     cases = {
@@ -398,6 +399,22 @@ def test_trunc_active_frac_counts_the_paths_that_h_moves(stacked):
     np.testing.assert_array_equal(sol.trunc_active_frac, want)
     assert np.any((want > 0.0) & (want < 1.0))
     assert sol.summary()["truncation_active"] is True
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("M_z", [None, 5.0, 0.05])
+def test_each_step_counts_the_paths_that_h_moves_and_carries_its_design(M_z, m):
+    radius = None if M_z is None else TruncationRadius(M_z)
+    args = _inputs(build_preset("P1-pure-quadratic", {"m": m}), N=8, P=2000,
+                   seed=5)[:-1] + (radius,)
+    X, counts = args[3].X_euler, []
+    for step in scheme.backward_steps(*args):
+        want = 0 if M_z is None else np.count_nonzero(truncation_active(step.z, M_z))
+        assert step.truncated == want
+        counts.append(step.truncated)
+        # until the next step is requested, A is the state half's design
+        assert step.A.tobytes() == step.phi(X[:, step.i]).tobytes()
+    assert any(counts) == (M_z == 0.05)
 
 
 def test_picard_counts_small_for_smooth_drivers():
@@ -569,6 +586,30 @@ def test_a_walk_holds_at_most_d_plus_10_path_arrays():
     finally:
         tracemalloc.stop()
     assert peak < (basis.dimension + 11) * P * 8
+
+
+def test_a_prefetched_walk_holds_at_most_2d_plus_13_path_arrays(monkeypatch):
+    # the serial walk's d + 11 and a second design block, which the helper
+    # fills with the next step's state half while this thread runs the value
+    # half, plus two (P,) arrays for the two halves overlapping: the state
+    # half's scaling holds one temporary (np.std), and in some interleavings
+    # the value half's peak meets it; 60 walks held 25.0 to 26.2 arrays
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
+    P, basis = 2000, BasisSpec(degree=6)
+    args = _inputs(_p1(), N=16, P=P, seed=27, basis=basis)
+
+    def walk():
+        for _ in scheme.backward_steps(*args):
+            pass
+
+    walk()     # warm-up
+    tracemalloc.start()
+    try:
+        walk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * basis.dimension + 13) * P * 8
 
 
 # ---------------------------------------------------------------------------
