@@ -291,13 +291,16 @@ def skorokhod_check(flags: dict, schedule: ReflectionSchedule,
     if step.i == mask.size - 2:
         cols.append((step.i + 1, step.y_next, np.zeros_like(step.y_next), step.y_next))
     for i, y, dk, g in cols:
-        flags["dK_nonnegative"] &= bool(np.all(dk >= 0.0))
+        # one reduction per flag, with NaN failing each as it fails a
+        # comparison: min(dk) >= 0 is all(dk >= 0), and x has a nonzero
+        # (NaN included) exactly where all(x == 0) fails
+        flags["dK_nonnegative"] &= bool(np.min(dk) >= 0.0)
         if not mask[i]:
-            flags["dK_zero_off_schedule"] &= bool(np.all(dk == 0.0))
+            flags["dK_zero_off_schedule"] &= not np.any(dk)
             continue
         flags["Ybar_above_obstacle"] &= bool(np.all(y >= g))
         gap = np.subtract(y, g)     # dK (Ybar - g), formed in one temporary
-        flags["flat_off"] &= bool(np.all(np.multiply(dk, gap, out=gap) == 0.0))
+        flags["flat_off"] &= not np.any(np.multiply(dk, gap, out=gap))
 
 
 def solve_backward(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,

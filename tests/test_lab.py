@@ -568,9 +568,9 @@ def test_stability_constants_are_d_over_dx_proxy_squared():
 def test_stability_holds_one_leg_at_a_time(kind, levels, live, monkeypatch):
     # at each leg's start, the earlier legs' yielded steps and the Euler
     # states still alive: only the drift-shift base leg's 4 stored steps may
-    # be, besides the states the legs are about to read
-    # the Euler states come from the set-up's one draw-and-step pass and,
-    # for each shifted drift-shift leg, from euler_simulate
+    # be, besides the states the legs are about to read; the states come
+    # from the set-up's one draw-and-step pass and, for each shifted
+    # drift-shift leg, from euler_simulate
     kept, states, seen = [], [], []
     steps = lab.backward_steps
 
