@@ -27,6 +27,7 @@ from .model import (OVERRIDES, ProblemSpec, _show, build_preset,
                     validate_assumptions)
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec
+from .scheme import solve_backward
 
 SCHEMA_VERSION = 1
 ARTIFACT_VERSION = "1"
@@ -234,8 +235,9 @@ def parse_config(source, command: Optional[str] = None,
 # experiment dispatch: each runner returns (summary, tables, flags, bundle)
 
 def _run_solve(cfg: RunConfig):
-    grid, sched, bundle, sol = lab._solve_mc(cfg.spec, cfg.N, cfg.mc,
-                                             cfg.reflection)
+    grid, sched, bundle, radius = lab._mc_setup(cfg.spec, cfg.N, cfg.mc,
+                                                cfg.reflection)
+    sol = solve_backward(cfg.spec, grid, sched, bundle, cfg.mc.basis, radius)
     summary = sol.summary()
     columns = {"picard_iters": sol.picard_counts, "fit_cond": sol.fit_conds,
                "fit_rmse": sol.fit_rmses, "max_abs_z": sol.max_abs_z,
@@ -353,10 +355,10 @@ def run(cfg: RunConfig, out_dir: str, dump_paths: bool = False,
     Returns the manifest.  ``threads`` is recorded for bookkeeping only.
     Whatever it says, a bundle of at least 3 * 10^4 paths
     (``forward.AHEAD_MIN_PATHS``) draws its increments and walks its
-    backward recursion with one helper thread beside the caller, and each
-    convergence cell walks its whole path recursion on one helper beside
-    the lattice lookups.  Helpers never nest, so a walk already on a helper
-    stays on it alone, and results never depend on any of them.
+    backward recursion with one helper thread beside the caller, and a
+    convergence cell of that size walks its whole path recursion on one
+    helper beside the lattice lookups.  Helpers never nest, so a walk on a
+    helper stays on it alone, and results never depend on any of them.
     """
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
@@ -442,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recorded in the manifest only; from 3*10^4 "
                             "paths the sampling and the backward walk share "
                             "their work with one helper thread, a "
-                            "convergence cell walks its paths on one, and "
-                            "results never depend on either")
+                            "convergence cell of that size walks its paths "
+                            "on one, and results never depend on either")
         p.add_argument("--dump-paths", action="store_true",
                        help="solve, diagnose: also write the paths as CSV")
     return parser

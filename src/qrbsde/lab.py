@@ -19,12 +19,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .forward import (TimeGrid, _ahead, _integers, euler_simulate, exact_simulate,
-                      make_grid, sample_and_simulate)
+                      helper_pays, make_grid, sample_and_simulate)
 from .model import ProblemSpec, TruncationRadius, y_bound
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec, fit_least_squares
 from .scheme import (SKOROKHOD_CONDITIONS, backward_steps, estimate_Mz_auto,
-                     skorokhod_check, solve_backward, y0_estimates)
+                     skorokhod_check, y0_estimates)
 
 
 @dataclass(frozen=True)
@@ -42,29 +42,14 @@ class MCConfig:
             TruncationRadius(self.M_z)   # rejects a non-finite or nonpositive M_z
 
 
-def _mc_paths(spec, N, mc: MCConfig, reflection="all"):
-    """Grid, schedule and Euler bundle of a path solve."""
-    grid, sched = make_grid(N, spec.T, reflection)
-    return grid, sched, sample_and_simulate(spec, grid, mc.n_paths, mc.seed)
-
-
-def _mc_radius(spec, grid, sched, bundle, mc: MCConfig) -> TruncationRadius:
-    """The truncation radius: the user's M_z, else the declared rule's."""
-    if mc.M_z is not None:
-        return TruncationRadius(float(mc.M_z), "user-supplied")
-    return estimate_Mz_auto(spec, grid, sched, bundle, mc.basis)
-
-
 def _mc_setup(spec, N, mc: MCConfig, reflection="all"):
-    """Grid, schedule, Euler bundle and truncation radius."""
-    grid, sched, bundle = _mc_paths(spec, N, mc, reflection)
-    return grid, sched, bundle, _mc_radius(spec, grid, sched, bundle, mc)
-
-
-def _solve_mc(spec, N, mc: MCConfig, reflection="all"):
-    """The CLI's path solve: its set-up and the solve's per-step record."""
-    grid, sched, bundle, radius = _mc_setup(spec, N, mc, reflection)
-    return grid, sched, bundle, solve_backward(spec, grid, sched, bundle, mc.basis, radius)
+    """Grid, schedule, Euler bundle and truncation radius of a path solve:
+    the user's M_z, else the declared rule's (``estimate_Mz_auto``)."""
+    grid, sched = make_grid(N, spec.T, reflection)
+    bundle = sample_and_simulate(spec, grid, mc.n_paths, mc.seed)
+    if mc.M_z is not None:
+        return grid, sched, bundle, TruncationRadius(float(mc.M_z), "user-supplied")
+    return grid, sched, bundle, estimate_Mz_auto(spec, grid, sched, bundle, mc.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +197,12 @@ def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
     at N, compared with each other and with the reference on the path cloud.
     Returns the cell and the lattice solve's off-grid count.
 
-    The path recursion walks on ``_ahead``'s helper thread, which starts no
-    helper of its own: while it computes step i-1, this thread interpolates
-    the lattice columns at step i and adds its sums, still in descending i,
-    so the cell is bit for bit the serial one.  The lattice solve runs
-    before the walk starts, and during it this thread calls only
+    Where ``helper_pays``, the path recursion walks on ``_ahead``'s helper
+    thread, which starts no helper of its own: while it computes step i-1,
+    this thread interpolates the lattice columns at step i and adds its
+    sums, still in descending i, so the cell is bit for bit the serial one
+    that it runs below ``forward.AHEAD_MIN_PATHS`` paths.  The lattice
+    solve runs before the walk starts, and during it this thread calls only
     ``SpaceGrid.interpolate`` and numpy: the benchmark's tracer keeps one
     span stack per process."""
     grid, sched, bundle, radius = _mc_setup(spec, N, mc)
@@ -228,7 +214,8 @@ def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
     mc_sup_y = 0.0        # path solver vs quadrature-at-N
     z_terms, mc_z_terms = np.zeros(mc.n_paths), np.zeros(mc.n_paths)
     truncated = 0
-    for step in _ahead(backward_steps(spec, grid, sched, bundle, mc.basis, radius)):
+    steps = backward_steps(spec, grid, sched, bundle, mc.basis, radius)
+    for step in _ahead(steps) if helper_pays(mc.n_paths) else steps:
         i = step.i
         truncated += step.truncated
         v = space.interpolate(np.column_stack(
@@ -283,8 +270,8 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
 
     Memory: a cell keeps its increments, Euler states, lattice solve and a
     few (P,) sums; it reads the path scheme one step at a time, storing none.
-    The walk runs one step ahead on a helper thread (``_ahead``), so at most
-    two yielded steps are alive at once; the results do not depend on it.
+    A large walk runs one step ahead on a helper thread (``_ahead``), so at
+    most two yielded steps are alive at once; results do not depend on it.
     """
     Ns = _integers(Ns, "grid sizes N")
     if len(Ns) < 4:
@@ -546,11 +533,10 @@ def run_stability(spec: ProblemSpec, kind: str, levels: Sequence[float],
         if any(b <= a for a, b in zip(Ns, Ns[1:])):
             raise ValueError("N levels must be strictly increasing")
         for n in Ns:
-            grid, sched, bundle = _mc_paths(spec, n, mc)
+            grid, sched, bundle, radius = _mc_setup(spec, n, mc)
             bundle = exact_simulate(spec, bundle)
             if n == Ns[0]:
                 _check_exact_coupling(bundle)   # before any solve
-            radius = _mc_radius(spec, grid, sched, bundle, mc)
             radii.append(radius.M_z)
             base = backward_steps(spec, grid, sched, bundle, mc.basis, radius)
             deltas, moved = _coupled_cell(spec, (grid, sched, bundle, radius), base,

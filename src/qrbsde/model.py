@@ -272,12 +272,6 @@ def truncate_rows(z, n: float) -> tuple:
     return z * np.divide(rho, r, out=np.ones_like(r), where=outside), moved
 
 
-def truncation_active(z, n: float) -> np.ndarray:
-    """Where h_n is not the identity: the rows of z, components on its last
-    axis, that ``truncate_rows`` moves."""
-    return truncate_rows(z, n)[1]
-
-
 def smooth_truncation(z, n: float):
     """Radial truncation h_n: identity on |z| <= n, norm capped below n+1,
     as a new array (a float for a scalar z).

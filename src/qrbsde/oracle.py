@@ -24,10 +24,11 @@ keep it as ``GridSolution.off_grid``.
 
 The lattice and tree engines differ from the path solver only in how they
 take conditional expectations: each backward step goes through the scheme's
-own kernel (``implicit_y_step`` then ``reflect_step``), so all three engines
-raise the same errors on a non-contracting or non-finite driver.  The Snell
-recursion keeps its own transition and expectation code on purpose: it is
-the independent cross-check of that kernel.
+own kernel (``model.truncate_rows`` where a radius is given, then
+``implicit_y_step`` and ``reflect_step``), so all three engines truncate Z
+alike and raise the same errors on a non-contracting or non-finite driver.
+The Snell recursion keeps its own transition and expectation code on
+purpose: it is the independent cross-check of that kernel.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .forward import ReflectionSchedule, TimeGrid
-from .model import ProblemSpec, TruncationRadius, y_bound
+from .model import ProblemSpec, TruncationRadius, truncate_rows, y_bound
 from .scheme import implicit_y_step, reflect_step
 
 
@@ -233,7 +234,8 @@ def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSc
         off += np.count_nonzero((pts < nodes[0]) | (pts > nodes[-1]))
         vals = space.interpolate(y[i + 1], pts)   # (J, q)
         e, z[i] = _conditional_moments(spec, ti, dti, vals, u, w)
-        yi, _ = implicit_y_step(e, z[i], spec, ti, nodes, dti, radius, M)
+        hz = z[i] if radius is None else truncate_rows(z[i], radius.M_z)[0]
+        yi, _ = implicit_y_step(e, hz, spec, ti, nodes, dti, M)
         y[i], _ = reflect_step(yi, g_nodes, bool(refl[i]))
 
     return GridSolution(grid=grid, space=space, y=y, z=z, x0=spec.x0,
@@ -310,7 +312,8 @@ def brute_force_tiny(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSche
         dti = grid.dt[i]
         x = states[i]
         e, z = _conditional_moments(spec, ti, dti, yv.reshape(x.size, u.size), u, w)
-        yi, _ = implicit_y_step(e, z, spec, ti, x, dti, radius, M)
+        hz = z if radius is None else truncate_rows(z, radius.M_z)[0]
+        yi, _ = implicit_y_step(e, hz, spec, ti, x, dti, M)
         yv, _ = reflect_step(yi, np.asarray(spec.obstacle(x), dtype=float),
                              bool(refl[i]))
     return float(yv[0])

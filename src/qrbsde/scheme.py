@@ -38,8 +38,8 @@ import numpy as np
 
 from .forward import (PathBundle, ReflectionSchedule, TimeGrid, _ahead,
                       helper_pays, path_array)
-from .model import (AffineInY, ProblemSpec, TruncationRadius, smooth_truncation,
-                    truncate_rows, y_bound)
+from .model import (AffineInY, ProblemSpec, TruncationRadius, truncate_rows,
+                    y_bound)
 from .regress import (BasisSpec, DesignEvaluator, build_basis, factor_design,
                       fit_least_squares, localize_basis)
 
@@ -102,24 +102,22 @@ def z_projection_step(y_next, dW_i, dt_i, phi, xs, A=None, factor=None):
     return fit_least_squares(phi, xs, targets, A, factor, overwrite_ys=True)
 
 
-def implicit_y_step(e, zbar, spec: ProblemSpec, t_i: float, x_i, dt: float,
-                    radius: Optional[TruncationRadius], M: float):
-    """Solve y = e + dt f(t_i, x, y, h_{M_z}(zbar)).
+def implicit_y_step(e, hz, spec: ProblemSpec, t_i: float, x_i, dt: float,
+                    M: float):
+    """Solve y = e + dt f(t_i, x, y, hz), with hz the truncated Z h_{M_z}(Z)
+    (``model.truncate_rows``), or Z itself for an untruncated solve.
 
     A generator declared ``AffineInY(a, f0)`` is solved in closed form,
-    y = (e + dt f0(t_i, x, h(zbar))) / (1 - a dt), with one evaluation of
-    f0 and a count of 1; it raises RuntimeError where |a| dt >= 1, where
-    the iteration would not contract.  Any other generator goes through
-    Picard iteration, which requires L*dt < 1 (callers enforce it at
+    y = (e + dt f0(t_i, x, hz)) / (1 - a dt), with one evaluation of f0
+    and a count of 1; it raises RuntimeError where |a| dt >= 1, where the
+    iteration would not contract.  Any other generator goes through Picard
+    iteration, which requires L*dt < 1 (callers enforce it at
     configuration time) and raises RuntimeError if it does not converge.
-    ``radius=None`` leaves Z untruncated.  Returns the solution clamped to
-    [-M, M] and the iteration count; raises FloatingPointError on a
-    non-finite driver value.
+    Returns the solution clamped to [-M, M] and the iteration count; raises
+    FloatingPointError on a non-finite driver value.
     """
     e = np.asarray(e, dtype=float)
-    hz = np.asarray(zbar, dtype=float)
-    if radius is not None:
-        hz = smooth_truncation(hz, radius.M_z)
+    hz = np.asarray(hz, dtype=float)
     f = spec.generator
     if isinstance(f, AffineInY):
         if abs(f.a) * dt >= 1.0:
@@ -253,7 +251,7 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
                 hz, moved = truncate_rows(z, radius.M_z)
                 truncated = int(np.count_nonzero(moved))
                 del moved
-            ytilde, picard = implicit_y_step(e, hz, spec, ti, xs, dti, None, M)
+            ytilde, picard = implicit_y_step(e, hz, spec, ti, xs, dti, M)
             del hz
             g = np.asarray(spec.obstacle(xs), dtype=float)
             # at a reflection date dK takes ytilde's buffer, which Ybar leaves

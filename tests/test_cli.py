@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qrbsde import lab
-from qrbsde.cli import (EXIT_CONFIG, EXIT_FLAGS, EXIT_OK, ConfigError,
-                        config_hash, main, parse_config)
+from qrbsde.cli import (EXIT_CONFIG, EXIT_FLAGS, EXIT_NUMERIC, EXIT_OK,
+                        ConfigError, config_hash, main, parse_config)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:quadrature points left the space grid")
@@ -279,6 +279,36 @@ def test_empty_reflection_sweep_kappas_exit_config_by_name(tmp_path, capsys):
     assert main(["reflect-sweep", "--config", config,
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert "kappas must not be empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"grid": {"N": 0}}, "/grid/N: must be >= 1"),
+    ({"truncation": {"M_z": -1}}, "/truncation/M_z: must be positive")])
+def test_out_of_range_grid_and_radius_exit_config_by_pointer(tmp_path, capsys,
+                                                             config, message):
+    assert main(["solve", "--config", json.dumps(config),
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_numeric_failure_exits_3_with_a_failed_manifest(tmp_path, capsys):
+    # 1000 cells of 10^4 paths with no ridge leave empty cells: the design
+    # is singular, which the solve raises and the CLI reports
+    config = {"grid": {"N": 4},
+              "mc": {"paths": 10000,
+                     "basis": {"kind": "piecewise-constant", "cells": 1000,
+                               "ridge": 0}}}
+    assert main(["solve", "--config", json.dumps(config),
+                 "--out", str(tmp_path)]) == EXIT_NUMERIC == 3
+    error = "LinAlgError: numerically singular design matrix"
+    assert f"numeric failure: {error}" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["results"]["error"].startswith(error)
+    assert summary["pass"] is False
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == summary["results"]["error"]
 
 
 def test_subcommand_and_seed_conflicts_exit_config(tmp_path):

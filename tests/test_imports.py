@@ -13,13 +13,14 @@ half and by a fit given no factor, ``z_projection_step`` only by the
 one backward-step kernel, ``backward_steps`` only by the solve, the
 convergence cell, the stability legs (the base leg in each of the two
 kinds, the second leg in the one coupled-leg helper) and the diagnostics,
-``estimate_Mz_auto``, the one auto radius rule, only by the set-up's radius,
-``solve_backward`` only by the CLI's one Monte Carlo solve, and ``_deltas``
-only by the one coupled stability leg, ``_ahead``, the one helper-thread
-primitive, only by the draw-and-step pass, the backward loop and the
-convergence cell, the Euler step only by the draw-and-step pass, and the
-h_n rule, ``truncate_rows``, only by the two public truncation functions
-and the backward loop.  The callers are read with ``_callers`` below.
+``estimate_Mz_auto``, the one auto radius rule, only by the one Monte Carlo
+set-up, ``solve_backward`` only by the CLI's solve, and ``_deltas`` only by
+the one coupled stability leg, ``_ahead``, the one helper-thread primitive,
+only by the draw-and-step pass, the backward loop and the convergence cell,
+each of which also asks ``helper_pays`` first, the Euler step only by the
+draw-and-step pass, and the h_n rule, ``truncate_rows``, only by the public
+truncation function and the backward step of each engine: the path loop,
+the lattice and the tree.  The callers are read with ``_callers`` below.
 
 The package runs on numpy alone: no module imports scipy, at module level
 or inside a function.  A fresh interpreter that imports the package and runs
@@ -145,9 +146,9 @@ HOMES = {
                        "lab.run_diagnostics", "scheme.solve_backward"],
     # one auto radius rule, read where the set-up sizes the radius: a
     # second rule, such as one sized off a walk, would be a second caller
-    "estimate_Mz_auto": ["lab._mc_radius"],
+    "estimate_Mz_auto": ["lab._mc_setup"],
     # the only caller of the solve that records each step is the CLI's solve
-    "solve_backward": ["lab._solve_mc"],
+    "solve_backward": ["cli._run_solve"],
     "_deltas": ["lab._coupled_cell"],
     # the one helper thread: two of every three steps' draws, the next
     # step's state half, and the convergence cell's whole walk (inside it,
@@ -157,18 +158,28 @@ HOMES = {
     # one Euler step, in the one draw-and-step pass that serves
     # sample_and_simulate, sample_increments and euler_simulate alike
     "_euler_step": ["forward._forward_pass"],
-    # h_n and its 1 + 4 eps edge have one home, read by the two public
-    # truncation functions and by the backward step's one-norm truncation
-    "truncate_rows": ["model.truncation_active", "model.smooth_truncation",
-                      "scheme.backward_steps"],
+    # h_n and its 1 + 4 eps edge have one home, read by the public
+    # truncation function and by every engine's backward step: the path
+    # step's one-norm truncation and the lattice's and the tree's
+    "truncate_rows": ["model.smooth_truncation", "oracle.exact_scheme_solve",
+                      "oracle.brute_force_tiny", "scheme.backward_steps"],
 }
+
+
+def _package_callers(name: str) -> list:
+    return [c for path in MODULES
+            for c in _callers(path.read_text(), name, path.stem + ".")]
 
 
 @pytest.mark.parametrize("name", HOMES)
 def test_one_home(name):
-    callers = [c for path in MODULES
-               for c in _callers(path.read_text(), name, path.stem + ".")]
-    assert callers == HOMES[name]
+    assert _package_callers(name) == HOMES[name]
+
+
+def test_every_helper_stage_asks_whether_a_helper_pays():
+    # a stage that starts ``_ahead`` without ``helper_pays`` would start a
+    # helper thread at any path count, and nest one on a helper
+    assert set(_package_callers("_ahead")) == set(_package_callers("helper_pays"))
 
 
 _COLD_START = """

@@ -14,7 +14,7 @@ from scipy.special import stdtrit
 from qrbsde import forward, lab, oracle, regress, scheme
 from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
                             sample_increments)
-from qrbsde.model import build_preset, truncation_active
+from qrbsde.model import build_preset, truncate_rows
 from qrbsde.regress import BasisSpec
 from qrbsde.scheme import (SKOROKHOD_CONDITIONS, backward_steps, skorokhod_check,
                            y0_estimates)
@@ -176,8 +176,7 @@ def test_convergence_stores_no_path_solution(monkeypatch):
     def no_stored_solve(*args, **kwargs):
         raise AssertionError("run_convergence reached a stored path solve")
 
-    monkeypatch.setattr(lab, "solve_backward", no_stored_solve)
-    monkeypatch.setattr(lab, "_solve_mc", no_stored_solve)
+    monkeypatch.setattr(scheme, "solve_backward", no_stored_solve)
     rep = lab.run_convergence(build_preset("P1-pure-quadratic"), [4, 8, 16, 32],
                               lab.MCConfig(n_paths=500, seed=0, basis=BasisSpec(degree=2)))
     assert [c["N"] for c in rep.cells] == [4, 8, 16, 32]
@@ -209,7 +208,7 @@ def _whole_array_cell(stacked, spec, N, mc, space, ref, stride, y0_ref):
         "mc_y0_gap": abs(y0_fit - orc.y0), "mc_y_sup_err": mc_sup_y,
         "mc_z_gap": float(np.mean(mc_z_terms)), "M_z": radius.M_z,
         "trunc_active_frac":
-            np.count_nonzero(truncation_active(Zbar, radius.M_z)) / (N * mc.n_paths),
+            np.count_nonzero(truncate_rows(Zbar, radius.M_z)[1]) / (N * mc.n_paths),
     }
 
 
@@ -235,14 +234,30 @@ def test_streamed_convergence_cell_matches_the_stored_solve(M_z, stacked):
 def test_convergence_is_bit_identical_to_the_serial_walk(monkeypatch):
     # the worker thread changes only where the path recursion runs
     spec = build_preset("P1-pure-quadratic")
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
     threaded = lab.run_convergence(spec, [4, 8, 16, 32], SMALL_MC).to_dict()
-    monkeypatch.setattr(lab, "_ahead", iter)
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 10 ** 9)
     assert lab.run_convergence(spec, [4, 8, 16, 32], SMALL_MC).to_dict() == threaded
 
 
-def _convergence_raises(error, match):
-    """Run a small convergence study that must raise ``error``; afterwards
-    no thread it started may be left."""
+def test_convergence_below_the_helper_threshold_starts_no_thread(monkeypatch):
+    # a small cell walks serially: a hand-off would cost more than it saves
+    started, start = [], threading.Thread.start
+
+    def recorded(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 10 ** 9)
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    lab.run_convergence(build_preset("P1-pure-quadratic"), [4, 8, 16, 32], SMALL_MC)
+    assert started == []
+
+
+def _convergence_raises(monkeypatch, error, match):
+    """Run a small convergence study, its walks on helpers, that must raise
+    ``error``; afterwards no thread it started may be left."""
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
     before = set(threading.enumerate())
     with pytest.raises(error, match=match):
         lab.run_convergence(build_preset("P1-pure-quadratic"), [4, 8, 16, 32],
@@ -260,7 +275,7 @@ def test_convergence_raises_a_failing_path_walk_as_it_was(monkeypatch):
             yield step
 
     monkeypatch.setattr(lab, "backward_steps", failing)
-    _convergence_raises(RuntimeError, "^walk failed at its third step$")
+    _convergence_raises(monkeypatch, RuntimeError, "^walk failed at its third step$")
 
 
 def test_convergence_joins_the_walk_when_a_lookup_fails(monkeypatch):
@@ -275,7 +290,7 @@ def test_convergence_joins_the_walk_when_a_lookup_fails(monkeypatch):
         return original(self, values, x)
 
     monkeypatch.setattr(oracle.SpaceGrid, "interpolate", failing)
-    _convergence_raises(ValueError, "^lookup failed$")
+    _convergence_raises(monkeypatch, ValueError, "^lookup failed$")
     assert len(calls) == 3
 
 
@@ -511,7 +526,7 @@ def test_deltas_match_the_whole_array_formulas_bit_for_bit(m, stacked):
     arrays = [stacked(*leg) for leg in legs]
     assert got == _descending_deltas(grid, XA, XB, *arrays)
     # the count of path-steps that h_{M_z} moved, over both walked legs
-    assert truncated == sum(np.count_nonzero(truncation_active(Zbar, radius.M_z))
+    assert truncated == sum(np.count_nonzero(truncate_rows(Zbar, radius.M_z)[1])
                             for _, Zbar, _ in arrays)
     want = _whole_array_deltas(grid, XA, XB, *arrays)
     for key in ("dx_proxy", "D_Y"):
@@ -659,7 +674,6 @@ def test_stability_rejects_empty_levels_before_any_solve(kind, monkeypatch):
         raise AssertionError("solved before checking the levels")
 
     monkeypatch.setattr(lab, "_mc_setup", no_solve)
-    monkeypatch.setattr(lab, "_mc_paths", no_solve)
     with pytest.raises(ValueError, match="levels must not be empty"):
         lab.run_stability(build_preset("P2-mixed-quadratic"), kind, [], SMALL_MC)
 
@@ -669,7 +683,7 @@ def test_stability_rejects_non_integer_levels_before_any_solve(monkeypatch):
         raise AssertionError("solved before checking the levels")
 
     with monkeypatch.context() as patched:
-        patched.setattr(lab, "_mc_paths", no_solve)
+        patched.setattr(lab, "_mc_setup", no_solve)
         with pytest.raises(ValueError, match="N levels must be integers"):
             lab.run_stability(build_preset("P2-mixed-quadratic"), "euler-vs-exact",
                               [4.9, 8, 16, 32], SMALL_MC)
@@ -700,7 +714,6 @@ def test_stability_rejects_a_degenerate_exact_coupling_before_any_solve(monkeypa
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking the coupling")
 
-    monkeypatch.setattr(lab, "_mc_setup", no_solve)
     monkeypatch.setattr(lab, "backward_steps", no_solve)
     with pytest.raises(ValueError, match="coupling is degenerate"):
         lab.run_stability(build_preset("P1-pure-quadratic"), "euler-vs-exact",
@@ -837,7 +850,7 @@ def _diagnostics_reference(spec, N, mc, setup):
     active = False
     for step in backward_steps(spec, grid, sched, bundle, mc.basis, radius):
         xs = X[:, step.i]
-        active |= bool(np.any(truncation_active(step.z, radius.M_z)))
+        active |= bool(np.any(truncate_rows(step.z, radius.M_z)[1]))
         S += np.sum(step.z ** 2, axis=-1) * grid.dt[step.i]
         phi = regress.build_basis(regress.localize_basis(mc.basis, xs), xs)
         fitted = regress.fit_least_squares(phi, xs, S).fitted

@@ -10,7 +10,7 @@ from scipy.stats import qmc
 from qrbsde.forward import euler_simulate, make_grid, sample_increments
 from qrbsde.model import (AffineInY, TruncationRadius, _sobol, build_preset,
                           clip_obstacle, smooth_truncation, soft_clip_obstacle,
-                          truncation_active, validate_assumptions, y_bound)
+                          truncate_rows, validate_assumptions, y_bound)
 from qrbsde.regress import BasisSpec
 from qrbsde.scheme import solve_backward
 
@@ -96,7 +96,10 @@ def test_truncation_rejects_nonpositive_radius():
         smooth_truncation(1.0, 0.0)
 
 
-@pytest.mark.parametrize("function", [smooth_truncation, truncation_active])
+# the second case is the moved-rows mask, truncate_rows(z, n)[1]
+@pytest.mark.parametrize("function", [
+    smooth_truncation,
+    pytest.param(lambda z, n: truncate_rows(z, n)[1], id="truncation_active")])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_truncation_rejects_a_non_finite_or_nonpositive_level(function, bad):
     # a NaN level would compare False everywhere and leave z unmoved
@@ -138,7 +141,7 @@ def test_truncation_active_is_where_h_moves_z(m):
     z = np.vstack([rng.uniform(-1.5, 1.5, size=(500, m)), [[1e-9, 0.1][-m:]]])
     for n in (0.1, 1.0):
         moved = np.any(smooth_truncation(z, n) != z, axis=1)
-        np.testing.assert_array_equal(truncation_active(z, n), moved)
+        np.testing.assert_array_equal(truncate_rows(z, n)[1], moved)
         assert 0 < np.count_nonzero(moved) < z.shape[0]
 
 

@@ -105,6 +105,23 @@ def test_snell_requires_pure_quadratic():
         snell_cole_hopf(spec, grid, sched, build_space_grid(spec))
 
 
+def test_snell_rejects_a_pure_quadratic_flag_on_another_generator():
+    # the flag is checked against the generator, not trusted
+    spec = dataclasses.replace(_p1(), generator=build_preset("P3-lipschitz").generator)
+    assert spec.pure_quadratic
+    grid, sched = make_grid(4, spec.T)
+    with pytest.raises(ValueError, match=re.escape("is not exactly (alpha/2)|z|^2")):
+        snell_cole_hopf(spec, grid, sched, build_space_grid(spec))
+
+
+def test_snell_solution_has_no_z():
+    spec = _p1()
+    grid, sched = make_grid(4, spec.T)
+    sol = snell_cole_hopf(spec, grid, sched, build_space_grid(spec))
+    with pytest.raises(ValueError, match="does not carry a Z component"):
+        sol.z_at(0, spec.x0)
+
+
 def test_snell_constant_obstacle():
     spec = dataclasses.replace(_p1(), obstacle=lambda x: np.full(np.shape(x), 0.25))
     grid, sched = make_grid(8, spec.T)

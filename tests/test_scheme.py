@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -14,7 +15,7 @@ from scipy.linalg import cho_factor, cho_solve
 from qrbsde.forward import (euler_simulate, exact_simulate, make_grid,
                             sample_increments)
 from qrbsde.model import (AffineInY, TruncationRadius, build_preset, clip_obstacle,
-                          truncation_active, y_bound)
+                          smooth_truncation, truncate_rows, y_bound)
 from qrbsde import forward, scheme
 from qrbsde.oracle import build_space_grid, exact_scheme_solve
 from qrbsde.regress import BasisSpec, DesignEvaluator, build_basis
@@ -99,7 +100,7 @@ def test_z_projection_fitted_columns_are_contiguous(m):
 def test_implicit_step_constant_driver():
     spec = dataclasses.replace(_p1(), generator=lambda t, x, y, z: np.full(np.shape(y), 3.0))
     y, k = implicit_y_step(np.array([0.1]), np.zeros((1, 1)), spec, 0.0,
-                           np.array([1.0]), 0.1, TruncationRadius(5.0), M=10.0)
+                           np.array([1.0]), 0.1, M=10.0)
     assert y[0] == pytest.approx(0.1 + 0.1 * 3.0)
     assert k <= 2
 
@@ -109,7 +110,7 @@ def test_implicit_step_linear_driver_fixed_point():
     spec = dataclasses.replace(_p1(), generator=lambda t, x, y, z: -L * np.asarray(y))
     e = np.array([0.4])
     y, _ = implicit_y_step(e, np.zeros((1, 1)), spec, 0.0, np.array([1.0]),
-                           0.5, TruncationRadius(5.0), M=10.0)
+                           0.5, M=10.0)
     assert y[0] == pytest.approx(0.4 / (1.0 + L * 0.5), abs=1e-11)
 
 
@@ -117,7 +118,7 @@ def test_implicit_step_p1_single_iteration_formula():
     spec = _p1()
     zbar = np.array([[0.7]])
     y, k = implicit_y_step(np.array([0.2]), zbar, spec, 0.0, np.array([1.0]),
-                           0.25, TruncationRadius(5.0), M=10.0)
+                           0.25, M=10.0)
     assert y[0] == pytest.approx(0.2 + 0.25 * 0.7 ** 2 / 2.0, abs=1e-14)
 
 
@@ -135,8 +136,8 @@ def test_closed_form_equals_picard_on_the_plain_driver(e, z, x, a_dt, dt):
     affine = dataclasses.replace(spec, generator=AffineInY(a_dt / dt,
                                                            spec.generator.f0))
     plain = dataclasses.replace(affine, generator=_plain(affine.generator))
-    args = (np.array([e]), np.array([[z]]), 0.3, np.array([x]), dt,
-            TruncationRadius(2.0), 10.0)
+    args = (np.array([e]), smooth_truncation(np.array([[z]]), 2.0), 0.3,
+            np.array([x]), dt, 10.0)
     y, k = implicit_y_step(args[0], args[1], affine, *args[2:])
     y_picard, _ = implicit_y_step(args[0], args[1], plain, *args[2:])
     assert k == 1
@@ -147,10 +148,10 @@ def test_closed_form_is_bit_identical_to_picard_on_p1():
     spec = _p1()
     rng = np.random.default_rng(4)
     e, zbar, x = rng.normal(size=500), rng.normal(size=(500, 1)), rng.normal(size=500)
-    y, k = implicit_y_step(e, zbar, spec, 0.2, x, 1 / 64, TruncationRadius(0.5), 10.0)
+    hz = smooth_truncation(zbar, 0.5)
+    y, k = implicit_y_step(e, hz, spec, 0.2, x, 1 / 64, 10.0)
     plain = dataclasses.replace(spec, generator=_plain(spec.generator))
-    y_picard, k_picard = implicit_y_step(e, zbar, plain, 0.2, x, 1 / 64,
-                                         TruncationRadius(0.5), 10.0)
+    y_picard, k_picard = implicit_y_step(e, hz, plain, 0.2, x, 1 / 64, 10.0)
     assert (k, k_picard) == (1, 2)
     assert y.tobytes() == y_picard.tobytes()
 
@@ -161,7 +162,7 @@ def test_closed_form_raises_without_contraction(a):
     spec = dataclasses.replace(_p1(), generator=AffineInY(a, _p1().generator.f0))
     with pytest.raises(RuntimeError, match="contract"):
         implicit_y_step(np.array([0.1]), np.zeros((1, 1)), spec, 0.0,
-                        np.array([1.0]), 0.4, None, 10.0)
+                        np.array([1.0]), 0.4, 10.0)
 
 
 def test_closed_form_raises_on_non_finite_f0():
@@ -169,7 +170,7 @@ def test_closed_form_raises_on_non_finite_f0():
         -0.1, lambda t, x, z: np.where(np.asarray(x) > 0, np.inf, 0.0)))
     with pytest.raises(FloatingPointError):
         implicit_y_step(np.zeros(2), np.zeros((2, 1)), spec, 0.0,
-                        np.array([-1.0, 1.0]), 0.1, None, 10.0)
+                        np.array([-1.0, 1.0]), 0.1, 10.0)
 
 
 def test_replaced_generator_takes_the_picard_path():
@@ -178,7 +179,7 @@ def test_replaced_generator_takes_the_picard_path():
     spec = dataclasses.replace(build_preset("P3-lipschitz"),
                                generator=lambda t, x, y, z: -0.5 * np.asarray(y))
     y, k = implicit_y_step(np.array([0.4]), np.zeros((1, 1)), spec, 0.0,
-                           np.array([1.0]), 0.5, None, 10.0)
+                           np.array([1.0]), 0.5, 10.0)
     assert k > 1
     assert y[0] == pytest.approx(0.4 / 1.25, abs=1e-11)
 
@@ -309,6 +310,25 @@ def test_contraction_precondition_enforced():
                        TruncationRadius(5.0))
 
 
+def test_backward_steps_reject_a_bundle_with_no_euler_states():
+    spec = _p1()
+    grid, sched = make_grid(4, spec.T)
+    bundle = sample_increments(grid, 100, 0, spec.m)
+    with pytest.raises(ValueError, match="must be Euler-simulated before solving"):
+        next(scheme.backward_steps(spec, grid, sched, bundle, BasisSpec(degree=1),
+                                   None))
+
+
+def test_backward_steps_reject_a_grid_past_the_normalization():
+    # L = 0.5 on T = 1: L*|pi| = 1/8 contracts, but N*|pi| = 1 > L
+    spec = build_preset("P1-pure-quadratic", {"L": 0.5})
+    grid, sched = make_grid(4, spec.T)
+    bundle = euler_simulate(spec, sample_increments(grid, 100, 0, spec.m))
+    with pytest.raises(ValueError, match=re.escape("N*|pi| <= L")):
+        next(scheme.backward_steps(spec, grid, sched, bundle, BasisSpec(degree=1),
+                                   None))
+
+
 def test_truncation_noop_bit_identical(stacked):
     args = _inputs(_p1(), N=8, P=4000, seed=6, radius=TruncationRadius(8.0))
     Ybar_a, Zbar_a, dK_a = stacked(*args)
@@ -409,7 +429,7 @@ def test_each_step_counts_the_paths_that_h_moves_and_carries_its_design(M_z, m):
                    seed=5)[:-1] + (radius,)
     X, counts = args[3].X_euler, []
     for step in scheme.backward_steps(*args):
-        want = 0 if M_z is None else np.count_nonzero(truncation_active(step.z, M_z))
+        want = 0 if M_z is None else np.count_nonzero(truncate_rows(step.z, M_z)[1])
         assert step.truncated == want
         counts.append(step.truncated)
         # until the next step is requested, A is the state half's design
@@ -499,8 +519,8 @@ def _reference_backward(spec, grid, sched, bundle, basis, radius):
         fitted = A @ coef
         Zbar[:, i, :] = np.clip(fitted[:, :m], -(radius.M_z + 1.0), radius.M_z + 1.0)
         ytilde, picard[i] = implicit_y_step(
-            np.clip(fitted[:, m], -M, M), Zbar[:, i, :], spec, grid.times[i], xs,
-            dti, radius, M)
+            np.clip(fitted[:, m], -M, M), smooth_truncation(Zbar[:, i, :], radius.M_z),
+            spec, grid.times[i], xs, dti, M)
         Ybar[:, i], dK[:, i] = reflect_step(ytilde, spec.obstacle(xs),
                                             bool(sched.mask[i]))
     return Ybar, Zbar, dK, picard
