@@ -355,10 +355,12 @@ def run(cfg: RunConfig, out_dir: str, dump_paths: bool = False,
     Returns the manifest.  ``threads`` is recorded for bookkeeping only.
     Whatever it says, a bundle of at least 3 * 10^4 paths
     (``forward.AHEAD_MIN_PATHS``) draws its increments and walks its
-    backward recursion with one helper thread beside the caller, and a
-    convergence cell of that size walks its whole path recursion on one
-    helper beside the lattice lookups.  Helpers never nest, so a walk on a
-    helper stays on it alone, and results never depend on any of them.
+    backward recursion with one helper thread beside the caller; a
+    convergence study of that size draws its one set of normals on one
+    helper beside its lattice solves, and each of its cells walks its whole
+    path recursion on one helper beside the lattice lookups.  Helpers never
+    nest, so a walk on a helper stays on it alone, and results never
+    depend on any of them.
     """
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
@@ -444,8 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recorded in the manifest only; from 3*10^4 "
                             "paths the sampling and the backward walk share "
                             "their work with one helper thread, a "
-                            "convergence cell of that size walks its paths "
-                            "on one, and results never depend on either")
+                            "convergence study draws its normals on one "
+                            "beside its lattice solves and each of its "
+                            "cells walks its paths on one, and results "
+                            "never depend on any of them")
         p.add_argument("--dump-paths", action="store_true",
                        help="solve, diagnose: also write the paths as CSV")
     return parser

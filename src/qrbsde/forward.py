@@ -8,12 +8,15 @@ draw-and-step pass, ``_forward_pass``, builds every bundle: a solve's
 increments and Euler states together (``sample_and_simulate``), the
 increments alone (``sample_increments``), or the Euler states on given
 increments (``euler_simulate``), all from one draw schedule and one Euler
-step, so each way gives the same bits.  ``_ahead`` is the package's one
+step, so each way gives the same bits; a convergence study draws its
+standard normals once, as a pass on unit steps, and each of its cells
+scales them to its own grid in the pass.  ``_ahead`` is the package's one
 helper primitive: it runs a generator one item ahead on one helper thread.
-It serves three stages, each only where ``helper_pays``: two of every
+It serves four stages, each only where ``helper_pays``: two of every
 three steps' draws here (the caller draws the third and steps Euler), the
-next backward step's state half in ``scheme.backward_steps``, and the
-convergence cell's whole walk.  A thread runs at most one
+next backward step's state half in ``scheme.backward_steps``, a
+convergence study's one draw while its caller solves the lattices, and
+the convergence cell's whole walk.  A thread runs at most one
 helper at a time: helpers never nest, and a thread that holds an open
 ``_ahead`` runs its other stages serially.  No helper outlives the call that
 started it, and no result depends on one.  Euler states follow the
@@ -44,7 +47,8 @@ SEED_BOUND = 2 ** 64    # a seed has 64 key bits; a larger one aliases a tag
 # each hand-off costs about 0.7 ms (queue.Queue and the interpreter lock), so
 # the break-even of the backward walk's state halves is about 2 * 10^4 paths
 # on a 2-core host; the forward pass hands over one pair of draws per three
-# steps, and the convergence cell its whole walk, on the same threshold
+# steps, a convergence study its one draw and the convergence cell its whole
+# walk, on the same threshold
 AHEAD_MIN_PATHS = 30_000
 
 
@@ -286,16 +290,25 @@ def sample_and_simulate(spec: ProblemSpec, grid: TimeGrid, P: int,
 
 def _forward_pass(grid: TimeGrid, P: int, seed: int, m: int,
                   spec: Optional[ProblemSpec] = None,
-                  dW: Optional[np.ndarray] = None) -> PathBundle:
+                  dW: Optional[np.ndarray] = None,
+                  normals: Optional[np.ndarray] = None) -> PathBundle:
     """The one draw-and-step pass: draw the increments unless ``dW`` holds
     them, and where ``spec`` is given advance its Euler states in step
     order, each new column written in place.
 
-    The caller draws every third step, i = 0, 3, 6, ...; the two steps
-    after each of those are drawn together, as one item of a generator that
-    ``_ahead``'s helper runs one item ahead where ``helper_pays(P)``, while
-    the caller steps Euler through the steps drawn already.  Each step has
-    its own stream, so no draw depends on the thread that made it."""
+    ``normals``, where given, holds this pass's standard normals of at
+    least N steps, drawn once for several grids (a convergence study's
+    draw): step i's increments are then normals[:, i, :] times sqrt(dt_i),
+    the multiply of the draw itself, so the bits are the drawn ones.  With
+    exactly N steps the normals are scaled in place and become the
+    bundle's ``dW``.
+
+    Otherwise the caller draws every third step, i = 0, 3, 6, ..., and
+    where ``helper_pays(P)`` the two steps after each of those are drawn
+    together, as one item of a generator that ``_ahead``'s helper runs one
+    item ahead, while the caller steps Euler through the steps drawn
+    already; below that the caller draws every step.  Each step has its own
+    stream, so no draw depends on the thread that made it."""
     N, times, dt = grid.N, grid.times, grid.dt
     draw = pairs = None
     if dW is None:
@@ -303,16 +316,18 @@ def _forward_pass(grid: TimeGrid, P: int, seed: int, m: int,
             raise ValueError("need at least one path")
         if not 0 <= seed < SEED_BOUND:
             raise ValueError("seed must be in 0..2**64 - 1")
-        dW = path_array(P, N, m, mapped=True)
+        in_place = normals is not None and normals.shape[1] == N
+        dW = normals if in_place else path_array(P, N, m, mapped=True)
 
         def draw(*steps):
             for i in steps:
-                rng = _step_rng(seed, i, _STREAM_EULER)
-                np.multiply(rng.standard_normal((P, m)), math.sqrt(dt[i]),
-                            out=dW[:, i, :])
+                # no name holds a drawn block, so it is freed before the next
+                np.multiply(normals[:, i, :] if normals is not None else
+                            _step_rng(seed, i, _STREAM_EULER).standard_normal((P, m)),
+                            math.sqrt(dt[i]), out=dW[:, i, :])
 
-        pairs = (draw(*range(i, min(i + 2, N))) for i in range(1, N, 3))
-        pairs = _ahead(pairs) if N > 1 and helper_pays(P) else pairs
+        if normals is None and N > 1 and helper_pays(P):
+            pairs = _ahead(draw(*range(i, min(i + 2, N))) for i in range(1, N, 3))
     X = None
     if spec is not None:
         X = path_array(P, N + 1, mapped=True)
@@ -320,7 +335,7 @@ def _forward_pass(grid: TimeGrid, P: int, seed: int, m: int,
     try:
         for i in range(N):
             if draw is not None:
-                if i % 3 == 0:
+                if pairs is None or i % 3 == 0:
                     draw(i)
                 elif i % 3 == 1:
                     next(pairs)     # steps i and i + 1

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forward import (TimeGrid, _ahead, _integers, euler_simulate, exact_simulate,
-                      helper_pays, make_grid, sample_and_simulate)
+from .forward import (TimeGrid, _ahead, _forward_pass, _integers, euler_simulate,
+                      exact_simulate, helper_pays, make_grid, sample_and_simulate)
 from .model import ProblemSpec, TruncationRadius, y_bound
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec, fit_least_squares
@@ -42,11 +42,18 @@ class MCConfig:
             TruncationRadius(self.M_z)   # rejects a non-finite or nonpositive M_z
 
 
-def _mc_setup(spec, N, mc: MCConfig, reflection="all"):
+def _mc_setup(spec, N, mc: MCConfig, reflection="all", normals=None):
     """Grid, schedule, Euler bundle and truncation radius of a path solve:
-    the user's M_z, else the declared rule's (``estimate_Mz_auto``)."""
+    the user's M_z, else the declared rule's (``estimate_Mz_auto``).  Given
+    ``normals``, a convergence study's one draw, the bundle's increments
+    are those scaled to this grid by ``forward._forward_pass``, bit for bit
+    the bundle's own draw (in place where the draw has N steps)."""
     grid, sched = make_grid(N, spec.T, reflection)
-    bundle = sample_and_simulate(spec, grid, mc.n_paths, mc.seed)
+    if normals is None:
+        bundle = sample_and_simulate(spec, grid, mc.n_paths, mc.seed)
+    else:
+        bundle = _forward_pass(grid, mc.n_paths, mc.seed, spec.m, spec,
+                               normals=normals)
     if mc.M_z is not None:
         return grid, sched, bundle, TruncationRadius(float(mc.M_z), "user-supplied")
     return grid, sched, bundle, estimate_Mz_auto(spec, grid, sched, bundle, mc.basis)
@@ -190,24 +197,25 @@ class ConvergenceReport(_CellReport):
                 "slopes_fitted": all(v is not None for v in self.slopes.values())}
 
 
-def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
-                      stride: int, y0_ref: float):
-    """One grid size of ``run_convergence``: the path scheme, read as each
-    ``backward_steps`` step is yielded and kept nowhere, and the lattice solve
-    at N, compared with each other and with the reference on the path cloud.
-    Returns the cell and the lattice solve's off-grid count.
+def _convergence_cell(spec: ProblemSpec, mc: MCConfig, orc, ref, y0_ref: float,
+                      normals=None) -> dict:
+    """One grid size of ``run_convergence``: the path scheme on the grid of
+    ``orc`` (the lattice solve at that N), read as each ``backward_steps``
+    step is yielded and kept nowhere, and compared with ``orc`` and with
+    the reference ``ref`` on the path cloud.  The bundle scales the study's
+    ``normals`` where given (``_mc_setup``).
 
     Where ``helper_pays``, the path recursion walks on ``_ahead``'s helper
     thread, which starts no helper of its own: while it computes step i-1,
     this thread interpolates the lattice columns at step i and adds its
     sums, still in descending i, so the cell is bit for bit the serial one
-    that it runs below ``forward.AHEAD_MIN_PATHS`` paths.  The lattice
-    solve runs before the walk starts, and during it this thread calls only
-    ``SpaceGrid.interpolate`` and numpy: the benchmark's tracer keeps one
-    span stack per process."""
-    grid, sched, bundle, radius = _mc_setup(spec, N, mc)
+    that it runs below ``forward.AHEAD_MIN_PATHS`` paths.  During the walk
+    this thread calls only ``SpaceGrid.interpolate`` and numpy: the
+    benchmark's tracer keeps one span stack per process."""
+    N = orc.grid.N
+    stride, space = ref.grid.N // N, ref.space
+    grid, sched, bundle, radius = _mc_setup(spec, N, mc, normals=normals)
     X = bundle.X_euler
-    orc = exact_scheme_solve(spec, grid, sched, space)
     y0_orc = orc.y0
 
     sup_y = 0.0           # quadrature-at-N vs fine reference
@@ -228,7 +236,7 @@ def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
         mc_z_terms += np.sum((step.z - z_orc_i) ** 2, axis=-1) * grid.dt[i]
     y0_fit, y0_se = y0_estimates(step.y, step.y_next)   # the last step is i = 0
 
-    cell = {
+    return {
         "N": N, "mesh": grid.mesh,
         "y0_scheme": y0_fit, "y0_se": y0_se,
         "y0_oracle": y0_orc, "y0_ref": y0_ref,
@@ -241,7 +249,19 @@ def _convergence_cell(spec: ProblemSpec, N: int, mc: MCConfig, space, ref,
         "M_z": radius.M_z,
         "trunc_active_frac": truncated / (N * mc.n_paths),
     }
-    return cell, orc.off_grid
+
+
+def _study_draw(spec: ProblemSpec, N: int, mc: MCConfig, share: bool):
+    """A convergence study's one draw, as a generator: None at once, then
+    the standard normals of N steps (None where the cells do not ``share``
+    one), the dW of a pass on unit steps, whose scale sqrt(1) = 1 leaves
+    each step's normals as every cell draws them.  On ``_ahead``'s helper
+    it overlaps the caller's lattice solves and calls only
+    ``forward._forward_pass`` and numpy: the benchmark's tracer keeps one
+    span stack per process."""
+    yield None
+    yield (_forward_pass(TimeGrid(np.arange(N + 1.0)), mc.n_paths, mc.seed,
+                         spec.m).dW if share else None)
 
 
 def _off_grid_total(counts) -> list:
@@ -268,10 +288,23 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
     Spatial L2 norms are taken over the simulated path cloud, so both layers
     use the same (forward-law) weighting.
 
-    Memory: a cell keeps its increments, Euler states, lattice solve and a
-    few (P,) sums; it reads the path scheme one step at a time, storing none.
-    A large walk runs one step ahead on a helper thread (``_ahead``), so at
-    most two yielded steps are alive at once; results do not depend on it.
+    Every lattice solve, the references at N_ref and each cell's at its N,
+    runs before the first cell.  Step i's standard normals are the same at
+    every N, so the study draws the largest N's once and each cell scales
+    them to its grid, bit for bit its own draw.  Where ``helper_pays``, a
+    helper thread (``_ahead``) draws them while this thread solves the
+    lattices, and is joined before the first cell starts.
+
+    Memory: the study keeps its lattice solves and, where the cells share
+    the draw, the normals; a cell keeps its increments, Euler states and a
+    few (P,) sums, and reads the path scheme one step at a time, storing
+    none.  The cells share the draw only where every N but the largest is
+    at most half of it (any doubling ladder): the normals and a smaller
+    cell's bundle then fit in the largest cell's bundle, which scales the
+    normals in place, so the peak does not rise.  Otherwise (the one other
+    N that divides N_ref is 2/3 of the largest) each cell draws its own.
+    A large walk runs one step ahead on a helper thread, so at most two
+    yielded steps are alive at once; results depend on no helper.
     """
     Ns = _integers(Ns, "grid sizes N")
     if len(Ns) < 4:
@@ -291,15 +324,27 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
             raise ValueError(f"N={n} must divide the reference grid {N_ref}")
 
     space = build_space_grid(spec)
-    grid_ref, sched_ref = make_grid(N_ref, spec.T, "all")
-    ref = exact_scheme_solve(spec, grid_ref, sched_ref, space)
+    share = 2 * Ns[-2] <= Ns[-1]   # the half-ladder rule under "Memory"
+    draws = _study_draw(spec, Ns[-1], mc, share)
+    if share and helper_pays(mc.n_paths):
+        draws = _ahead(draws)
+    try:
+        next(draws)   # a helper draws from here on, beside the lattice solves
+        grid_ref, sched_ref = make_grid(N_ref, spec.T, "all")
+        ref = exact_scheme_solve(spec, grid_ref, sched_ref, space)
+        snell = (snell_cole_hopf(spec, grid_ref, sched_ref, space)
+                 if spec.pure_quadratic else None)
+        orcs = [exact_scheme_solve(spec, *make_grid(N, spec.T, "all"), space)
+                for N in Ns]
+        normals = next(draws)
+    finally:
+        draws.close()   # joins the helper on every exit
     # GridSolution.y0 is a lookup, not a field: read it once per solution
     y0_ref = ref.y0
     reference = {"y0_oracle": "exact-scheme", "N_ref": N_ref,
                  "exact_scheme_y0": y0_ref}
     off_grid = [ref.off_grid]
-    if spec.pure_quadratic:
-        snell = snell_cole_hopf(spec, grid_ref, sched_ref, space)
+    if snell is not None:
         off_grid.append(snell.off_grid)
         snell_y0 = reference["snell_y0"] = snell.y0
         if oracle in ("auto", "snell"):
@@ -307,10 +352,10 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
             y0_ref = snell_y0
 
     cells = []
-    for N in Ns:
-        cell, off = _convergence_cell(spec, N, mc, space, ref, N_ref // N, y0_ref)
-        cells.append(cell)
-        off_grid.append(off)
+    while orcs:   # each lattice solve is released after its cell
+        orc = orcs.pop(0)
+        cells.append(_convergence_cell(spec, mc, orc, ref, y0_ref, normals))
+        off_grid.append(orc.off_grid)
 
     slopes = _slopes(cells, "mesh",
                      ("y0_err", "y_sup_err", "z_err", "mc_y0_gap", "mc_z_gap"))

@@ -278,6 +278,10 @@ def smooth_truncation(z, n: float):
 
     Outside the ball the norm is remapped by rho(r) = n + 1 - exp(-(r - n)),
     which keeps h_n C^1, 1-Lipschitz, and |h_n(z)| <= n + 1.
+
+    No engine calls it: each truncates a step's rows with ``truncate_rows``,
+    which it wraps.  It stays as the public form of h_n, exported by the
+    package's ``__init__``, and the benchmark's tracer wraps it by name.
     """
     z = np.asarray(z, dtype=float)
     zv = np.atleast_1d(z)

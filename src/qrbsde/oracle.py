@@ -18,9 +18,13 @@ for bit, so ``scipy.interpolate`` is never imported; it keeps the name by which
 the one-home import test, the benchmark tracer and a build-counting test find
 the interpolant.  The nodes are evenly spaced (``SpaceGrid`` checks), so each
 point's interval comes from the spacing rather than a search, and the values
-are bit-identical to calling scipy's interpolant.  The lattice solvers count
-the quadrature points that leave the grid, warn once with that count and
-keep it as ``GridSolution.off_grid``.
+are bit-identical to calling scipy's interpolant.  ``SpaceGrid.locate``
+does that search once for points looked up again: a lattice solve's
+quadrature points repeat from step to step where drift and volatility are
+constant in time, and each solver locates them, and counts those off the
+grid, only where they differ from the step before.  The lattice solvers
+warn once with the count of quadrature points that left the grid and keep
+it as ``GridSolution.off_grid``.
 
 The lattice and tree engines differ from the path solver only in how they
 take conditional expectations: each backward step goes through the scheme's
@@ -74,6 +78,19 @@ class PchipInterpolator:
         self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
+@dataclass(frozen=True, eq=False)
+class LocatedPoints:
+    """Points located on a ``SpaceGrid`` (``SpaceGrid.locate``), which
+    ``SpaceGrid.interpolate`` takes in their place: their shape, each flat
+    point's interval ``i`` and its offset ``s`` from the interval's left
+    node, with s^2 and s^3."""
+    shape: tuple
+    i: np.ndarray
+    s: np.ndarray
+    s2: np.ndarray
+    s3: np.ndarray
+
+
 @dataclass(frozen=True)
 class SpaceGrid:
     nodes: np.ndarray
@@ -87,8 +104,8 @@ class SpaceGrid:
             raise ValueError("quadrature order must be >= 7")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        # interpolate() computes each interval index from the spacing, which
-        # is exact up to the one-step correction only on evenly spaced nodes
+        # locate() computes each interval index from the spacing, which is
+        # exact up to the one-step correction only on evenly spaced nodes
         even = np.linspace(nodes[0], nodes[-1], nodes.size)
         if np.max(np.abs(nodes - even)) > 1e-6 * (even[1] - even[0]):
             raise ValueError("nodes must be evenly spaced")
@@ -98,19 +115,11 @@ class SpaceGrid:
     def J(self) -> int:
         return self.nodes.size
 
-    def interpolate(self, values, x):
-        """PCHIP of values (J, ...) along the nodes at x, constant beyond the grid.
-
-        Bit-identical to scipy's ``PchipInterpolator(...)(clip(x))``: the
-        coefficients come from this module's class, the interval of each point
-        is read off the even spacing, corrected by one step to scipy's rule
-        nodes[i] <= x < nodes[i+1] (the last interval closed), and the cubic
-        is evaluated in scipy's order, one column at a time.  The result has
-        shape x.shape + values.shape[1:], and each of its columns (one index
-        of the trailing axes) is one contiguous block.
-        """
+    def locate(self, x) -> LocatedPoints:
+        """x clipped to the grid, each point's interval read off the even
+        spacing and corrected by one step to scipy's rule nodes[i] <= x <
+        nodes[i+1] (the last interval closed), and its offset's powers."""
         nodes = self.nodes
-        interp = PchipInterpolator(nodes, values)
         x = np.clip(np.asarray(x, dtype=float), nodes[0], nodes[-1])
         xf = x.ravel()
         last = nodes.size - 2
@@ -119,18 +128,33 @@ class SpaceGrid:
         # buf >= 0, so the cast floors; fmin also sends NaN to a valid
         # interval, where s and so the value stay NaN
         i = np.fmin(buf, last, out=buf).astype(np.intp)
-        # one step to scipy's interval: nodes[i] <= x < nodes[i+1], the last
-        # closed; every index taken is in range, and mode="clip" lets take
-        # write into out without an intermediate copy
+        # every index taken is in range, and mode="clip" lets take write
+        # into out without an intermediate copy
         i += xf >= np.take(nodes[1:], i, out=buf, mode="clip")
         i -= xf < np.take(nodes, i, out=buf, mode="clip")
         np.minimum(i, last, out=i)
         s = np.subtract(xf, np.take(nodes, i, out=buf, mode="clip"), out=buf)
         s2 = s * s
-        s3 = s2 * s
+        return LocatedPoints(x.shape, i, s, s2, s2 * s)
+
+    def interpolate(self, values, x):
+        """PCHIP of values (J, ...) along the nodes at x, constant beyond the grid.
+
+        ``x`` is the points or their ``locate``d form, which a caller that
+        looks up several slices at the same points computes once.
+        Bit-identical to scipy's ``PchipInterpolator(...)(clip(x))``: the
+        coefficients come from this module's class, each point's interval
+        is ``locate``'s, and the cubic is evaluated in scipy's order, one
+        column at a time.  The result has shape x.shape + values.shape[1:],
+        and each of its columns (one index of the trailing axes) is one
+        contiguous block.
+        """
+        interp = PchipInterpolator(self.nodes, values)
+        at = x if isinstance(x, LocatedPoints) else self.locate(x)
+        i, s, s2, s3 = at.i, at.s, at.s2, at.s3
         tail = interp.c.shape[2:]
-        c = interp.c.reshape(4, last + 1, -1)    # (power, interval, column)
-        out = np.empty((c.shape[2], xf.size))
+        c = interp.c.reshape(4, self.J - 1, -1)    # (power, interval, column)
+        out = np.empty((c.shape[2], i.size))
         term = np.empty_like(s)
         for k, col in enumerate(out):
             c0, c1, c2, c3 = np.ascontiguousarray(c[:, :, k])
@@ -139,13 +163,20 @@ class SpaceGrid:
             col += np.multiply(np.take(c2, i, out=term, mode="clip"), s, out=term)
             col += np.multiply(np.take(c1, i, out=term, mode="clip"), s2, out=term)
             col += np.multiply(np.take(c0, i, out=term, mode="clip"), s3, out=term)
-        return np.moveaxis(out.reshape(tail + x.shape),
+        return np.moveaxis(out.reshape(tail + at.shape),
                            range(len(tail)), range(-len(tail), 0))
 
 
 def build_space_grid(spec: ProblemSpec, J: int = 401,
                      quad_order: int = 15) -> SpaceGrid:
-    """Nodes covering x0 +/- 6 sigma_bar sqrt(T), padded for drift."""
+    """Nodes covering x0 +/- 6 sigma_bar sqrt(T), padded for drift.
+
+    A finer J needs a higher quad_order: q Gauss-Hermite points resolve a
+    reflected slice's kink only so far, and refining J alone moves the
+    lattice away.  At q = 15, J = 401 -> 3201 takes P1's N = 64
+    exact-scheme Y0 from 0.1338528 to 0.1337437, while J = 1601 at q = 61
+    reads 0.1338628.  Refine both together (J -> 4J - 3, q -> 4q + 1); the
+    defaults stay J = 401, q = 15."""
     sigma_bar = max(spec.sigma_norm(t) for t in np.linspace(0.0, spec.T, 9))
     half = 6.0 * sigma_bar * math.sqrt(spec.T)
     lo, hi = spec.x0 - half, spec.x0 + half
@@ -211,6 +242,18 @@ def _off_grid(count: int, total: int) -> tuple:
     return int(count), int(total)
 
 
+def _located(space: SpaceGrid, pts, last):
+    """(pts, their ``SpaceGrid.locate``d form, the count of them off the
+    grid), or ``last``, the previous step's triple, where its points equal
+    pts bit for bit, as on a uniform time grid with drift and volatility
+    constant in time."""
+    if last is not None and np.array_equal(pts, last[0]):
+        return last
+    nodes = space.nodes
+    return (pts, space.locate(pts),
+            np.count_nonzero((pts < nodes[0]) | (pts > nodes[-1])))
+
+
 def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedule,
                        space: SpaceGrid, radius: Optional[TruncationRadius] = None
                        ) -> GridSolution:
@@ -227,12 +270,13 @@ def exact_scheme_solve(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSc
     z = np.zeros((N, J, m))
     y[N] = g_nodes
 
+    at = None
     for i in range(N - 1, -1, -1):
         ti = grid.times[i]
         dti = grid.dt[i]
-        pts = _transition_points(spec, ti, dti, nodes, u)
-        off += np.count_nonzero((pts < nodes[0]) | (pts > nodes[-1]))
-        vals = space.interpolate(y[i + 1], pts)   # (J, q)
+        at = _located(space, _transition_points(spec, ti, dti, nodes, u), at)
+        off += at[2]
+        vals = space.interpolate(y[i + 1], at[1])   # (J, q)
         e, z[i] = _conditional_moments(spec, ti, dti, vals, u, w)
         hz = z[i] if radius is None else truncate_rows(z[i], radius.M_z)[0]
         yi, _ = implicit_y_step(e, hz, spec, ti, nodes, dti, M)
@@ -269,14 +313,15 @@ def snell_cole_hopf(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSched
     payoff = np.exp(spec.alpha * np.asarray(spec.obstacle(nodes), dtype=float))
     S = np.empty((N + 1, space.J))
     S[N] = payoff
+    at = None
     for i in range(N - 1, -1, -1):
         ti = grid.times[i]
         dti = grid.dt[i]
         s = spec.sigma_norm(ti)
         mean = nodes + np.asarray(spec.drift(ti, nodes), dtype=float) * dti
-        pts = mean[:, None] + s * math.sqrt(dti) * u[None, :]
-        off += np.count_nonzero((pts < nodes[0]) | (pts > nodes[-1]))
-        cont = space.interpolate(S[i + 1], pts) @ w
+        at = _located(space, mean[:, None] + s * math.sqrt(dti) * u[None, :], at)
+        off += at[2]
+        cont = space.interpolate(S[i + 1], at[1]) @ w
         S[i] = np.maximum(payoff, cont) if refl[i] else cont
 
     return GridSolution(grid=grid, space=space, y=np.log(S) / spec.alpha, x0=spec.x0,

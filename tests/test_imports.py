@@ -16,8 +16,8 @@ kinds, the second leg in the one coupled-leg helper) and the diagnostics,
 ``estimate_Mz_auto``, the one auto radius rule, only by the one Monte Carlo
 set-up, ``solve_backward`` only by the CLI's solve, and ``_deltas`` only by
 the one coupled stability leg, ``_ahead``, the one helper-thread primitive,
-only by the draw-and-step pass, the backward loop and the convergence cell,
-each of which also asks ``helper_pays`` first, the Euler step only by the
+only by the draw-and-step pass, the backward loop, the convergence study
+and the convergence cell, each of which also asks ``helper_pays`` first, the Euler step only by the
 draw-and-step pass, and the h_n rule, ``truncate_rows``, only by the public
 truncation function and the backward step of each engine: the path loop,
 the lattice and the tree.  The callers are read with ``_callers`` below.
@@ -151,10 +151,11 @@ HOMES = {
     "solve_backward": ["cli._run_solve"],
     "_deltas": ["lab._coupled_cell"],
     # the one helper thread: two of every three steps' draws, the next
-    # step's state half, and the convergence cell's whole walk (inside it,
-    # the walk and its state halves stay on that one helper)
+    # step's state half, a convergence study's one draw beside its lattice
+    # solves, and the convergence cell's whole walk (inside it, the walk and
+    # its state halves stay on that one helper)
     "_ahead": ["forward._forward_pass", "lab._convergence_cell",
-               "scheme.backward_steps"],
+               "lab.run_convergence", "scheme.backward_steps"],
     # one Euler step, in the one draw-and-step pass that serves
     # sample_and_simulate, sample_increments and euler_simulate alike
     "_euler_step": ["forward._forward_pass"],

@@ -222,9 +222,9 @@ def test_streamed_convergence_cell_matches_the_stored_solve(M_z, stacked):
     space = oracle.build_space_grid(spec)
     grid_ref, sched_ref = make_grid(2 * N, spec.T, "all")
     ref = oracle.exact_scheme_solve(spec, grid_ref, sched_ref, space)
-    args = (spec, N, mc, space, ref, 2, ref.y0)
-    got, _ = lab._convergence_cell(*args)
-    want = _whole_array_cell(stacked, *args)
+    orc = oracle.exact_scheme_solve(spec, *make_grid(N, spec.T, "all"), space)
+    got = lab._convergence_cell(spec, mc, orc, ref, ref.y0)
+    want = _whole_array_cell(stacked, spec, N, mc, space, ref, 2, ref.y0)
     assert list(got) == list(want)
     for key in ("z_err", "mc_z_gap"):
         assert got.pop(key) == pytest.approx(want.pop(key), rel=1e-12, abs=0)
@@ -292,6 +292,85 @@ def test_convergence_joins_the_walk_when_a_lookup_fails(monkeypatch):
     monkeypatch.setattr(oracle.SpaceGrid, "interpolate", failing)
     _convergence_raises(monkeypatch, ValueError, "^lookup failed$")
     assert len(calls) == 3
+
+
+def test_convergence_joins_the_draw_when_a_lattice_solve_fails(monkeypatch):
+    # the third lattice solve fails while the helper draws the normals
+    solve, calls = lab.exact_scheme_solve, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ValueError("lattice failed")
+        return solve(*args)
+
+    monkeypatch.setattr(lab, "exact_scheme_solve", failing)
+    _convergence_raises(monkeypatch, ValueError, "^lattice failed$")
+    assert len(calls) == 3
+
+
+def test_convergence_raises_a_failing_draw_as_it_was(monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("draw failed")
+
+    monkeypatch.setattr(lab, "_forward_pass", failing)
+    _convergence_raises(monkeypatch, RuntimeError, "^draw failed$")
+
+
+def _path_streams(monkeypatch, Ns, min_paths=10 ** 9):
+    """The Euler-increment streams that a small convergence study over Ns
+    opens, as (step, on the main thread) pairs, and its report."""
+    opened, step_rng = [], forward._step_rng
+
+    def recorded(seed, i, stream):
+        if stream == forward._STREAM_EULER:
+            opened.append((i, threading.current_thread() is threading.main_thread()))
+        return step_rng(seed, i, stream)
+
+    monkeypatch.setattr(forward, "_step_rng", recorded)
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", min_paths)
+    rep = lab.run_convergence(build_preset("P1-pure-quadratic"), Ns,
+                              lab.MCConfig(n_paths=500, seed=0, basis=BasisSpec(degree=2)))
+    return opened, rep
+
+
+@pytest.mark.parametrize("min_paths", [0, 10 ** 9], ids=["helper", "serial"])
+def test_convergence_draws_each_step_once_for_all_cells(monkeypatch, min_paths):
+    # step i's normals are the same at every N: the study draws the largest
+    # N's once, on the helper where one pays, and each cell scales them
+    opened, rep = _path_streams(monkeypatch, [4, 8, 16, 32], min_paths)
+    assert [i for i, _ in opened] == list(range(32))
+    assert {main for _, main in opened} == {min_paths != 0}   # drawn on the helper
+    monkeypatch.undo()
+    drawn = lab.run_convergence(build_preset("P1-pure-quadratic"), [4, 8, 16, 32],
+                                lab.MCConfig(n_paths=500, seed=0,
+                                             basis=BasisSpec(degree=2)))
+    assert rep.to_dict() == drawn.to_dict()
+
+
+def test_convergence_cells_draw_their_own_where_a_ladder_is_not_halved(monkeypatch):
+    # 8 is above half of 12: shared normals would outgrow the largest cell's
+    # bundle, so each cell draws its own steps, as a lone solve would
+    opened, rep = _path_streams(monkeypatch, [4, 6, 8, 12])
+    assert sorted(i for i, _ in opened) == sorted(
+        i for n in (4, 6, 8, 12) for i in range(n))
+    assert [c["N"] for c in rep.cells] == [4, 6, 8, 12]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_scaled_normals_are_the_bundles_own_draw(m):
+    # a cell scales the study's normals with its draw's own multiply, in
+    # place where they have its N steps
+    spec = build_preset("P2-mixed-quadratic", {"m": m})
+    P, seed = 300, 4
+    normals = forward._forward_pass(forward.TimeGrid(np.arange(9.0)), P, seed, m).dW
+    for N in (4, 8):
+        grid, _ = make_grid(N, spec.T)
+        want = forward.sample_and_simulate(spec, grid, P, seed)
+        got = forward._forward_pass(grid, P, seed, m, spec, normals=normals)
+        assert got.dW.tobytes() == want.dW.tobytes()
+        assert got.X_euler.tobytes() == want.X_euler.tobytes()
+        assert (got.dW is normals) == (N == 8)
 
 
 def test_ahead_walks_in_the_callers_errstate():

@@ -413,3 +413,66 @@ def test_off_grid_points_are_counted_into_one_warning():
     assert int(re.search(r"grid: (\d+) of", msgs[0]).group(1)) == want
     assert sol.off_grid == (want, grid.N * space.J * u.size) == (6496, 96240)
     assert snell_cole_hopf(spec, grid, sched, space).off_grid == sol.off_grid
+
+
+def test_interpolate_at_located_points_is_the_lookup_at_the_points():
+    space = build_space_grid(_p1())
+    nodes = space.nodes
+    rng = np.random.default_rng(13)
+    values = np.cumsum(rng.normal(size=(space.J, 2)), axis=0)
+    for x in (rng.uniform(nodes[0] - 0.2, nodes[-1] + 0.2, (space.J, 15)),
+              np.float64(0.7)):
+        at = space.locate(x)
+        assert np.size(at) == 1   # the located form is no sequence of points
+        for v in (values, values[:, 0]):
+            want = space.interpolate(v, x)
+            got = space.interpolate(v, at)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _time_dependent_vol(spec):
+    sig = np.asarray(spec.vol(0.0), dtype=float)
+    return dataclasses.replace(spec, vol=lambda t: sig * (1.0 + 0.5 * t))
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["constant", "moving-sigma"])
+@pytest.mark.parametrize("solve", [exact_scheme_solve, snell_cole_hopf])
+def test_lattice_solves_locate_repeated_points_once(monkeypatch, solve, moving):
+    # P1's transition points repeat at every step and are located once; a
+    # volatility that moves in time moves them, and they are located at
+    # every step; either way the solve is the one looked up at raw points
+    spec = _time_dependent_vol(_p1()) if moving else _p1()
+    grid, sched = make_grid(16, spec.T)
+    space = build_space_grid(spec)
+    with monkeypatch.context() as raw:
+        raw.setattr(oracle, "_located", lambda space, pts, last: (
+            pts, pts, np.count_nonzero((pts < space.nodes[0]) | (pts > space.nodes[-1]))))
+        want = solve(spec, grid, sched, space)
+    located, locate = [], SpaceGrid.locate
+
+    def counted(self, x):
+        located.append(np.shape(x))
+        return locate(self, x)
+
+    monkeypatch.setattr(SpaceGrid, "locate", counted)
+    got = solve(spec, grid, sched, space)
+    assert located == [(space.J, space.quad_order)] * (16 if moving else 1)
+    assert got.y.tobytes() == want.y.tobytes() and got.off_grid == want.off_grid
+    assert (got.z is None and want.z is None) or got.z.tobytes() == want.z.tobytes()
+
+
+def test_snell_lattice_order_follows_the_obstacles_regularity():
+    # P1's Snell lattice at J = 801, q = 31 over N = 16 ... 512: the local
+    # order of successive Y0 differences reads 1.06-1.07 with the smooth
+    # obstacle and 0.55-0.71 with the kinked one, whose maximum at x = 0.5
+    # is a kink on the stopping region
+    Ns = [16, 32, 64, 128, 256, 512]
+    orders = {}
+    for smooth in (True, False):
+        spec = build_preset("P1-pure-quadratic", {"smooth_g": smooth})
+        space = build_space_grid(spec, 801, 31)
+        y0 = [snell_cole_hopf(spec, *make_grid(N, spec.T), space).y0 for N in Ns]
+        d = np.abs(np.diff(y0))
+        orders[smooth] = np.log2(d[:-1] / d[1:])
+    assert np.all(orders[True] >= 0.9), orders
+    assert np.all(orders[False] <= 0.8), orders
