@@ -296,15 +296,17 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
     lattices, and is joined before the first cell starts.
 
     Memory: the study keeps its lattice solves and, where the cells share
-    the draw, the normals; a cell keeps its increments, Euler states and a
-    few (P,) sums, and reads the path scheme one step at a time, storing
-    none.  The cells share the draw only where every N but the largest is
-    at most half of it (any doubling ladder): the normals and a smaller
-    cell's bundle then fit in the largest cell's bundle, which scales the
-    normals in place, so the peak does not rise.  Otherwise (the one other
-    N that divides N_ref is 2/3 of the largest) each cell draws its own.
-    A large walk runs one step ahead on a helper thread, so at most two
-    yielded steps are alive at once; results depend on no helper.
+    the draw, the normals (P * m * N_max floats); a cell keeps its
+    increments (P * m * N), Euler states (P * (N + 1)) and a few (P,) sums,
+    and reads the path scheme one step at a time, storing none.  The
+    largest cell scales the normals in place, so it holds what it holds
+    when it draws its own; a smaller cell holds them beside its bundle,
+    which stays within the largest cell's only where (m + 1) * N <= N_max.
+    So the cells share the draw only where every N but the largest meets
+    that (at m = 1 any doubling ladder, at m = 2 no doubling ladder), and
+    the peak does not rise; otherwise each cell draws its own.  A large
+    walk runs one step ahead on a helper thread, so at most two yielded
+    steps are alive at once; results depend on no helper.
     """
     Ns = _integers(Ns, "grid sizes N")
     if len(Ns) < 4:
@@ -324,7 +326,7 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
             raise ValueError(f"N={n} must divide the reference grid {N_ref}")
 
     space = build_space_grid(spec)
-    share = 2 * Ns[-2] <= Ns[-1]   # the half-ladder rule under "Memory"
+    share = (spec.m + 1) * Ns[-2] <= Ns[-1]   # the rule under "Memory"
     draws = _study_draw(spec, Ns[-1], mc, share)
     if share and helper_pays(mc.n_paths):
         draws = _ahead(draws)

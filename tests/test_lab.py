@@ -317,9 +317,10 @@ def test_convergence_raises_a_failing_draw_as_it_was(monkeypatch):
     _convergence_raises(monkeypatch, RuntimeError, "^draw failed$")
 
 
-def _path_streams(monkeypatch, Ns, min_paths=10 ** 9):
-    """The Euler-increment streams that a small convergence study over Ns
-    opens, as (step, on the main thread) pairs, and its report."""
+def _path_streams(monkeypatch, Ns, min_paths=10 ** 9,
+                  spec=build_preset("P1-pure-quadratic")):
+    """The Euler-increment streams that a small convergence study of spec
+    over Ns opens, as (step, on the main thread) pairs, and its report."""
     opened, step_rng = [], forward._step_rng
 
     def recorded(seed, i, stream):
@@ -329,8 +330,8 @@ def _path_streams(monkeypatch, Ns, min_paths=10 ** 9):
 
     monkeypatch.setattr(forward, "_step_rng", recorded)
     monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", min_paths)
-    rep = lab.run_convergence(build_preset("P1-pure-quadratic"), Ns,
-                              lab.MCConfig(n_paths=500, seed=0, basis=BasisSpec(degree=2)))
+    rep = lab.run_convergence(spec, Ns, lab.MCConfig(n_paths=500, seed=0,
+                                                     basis=BasisSpec(degree=2)))
     return opened, rep
 
 
@@ -348,13 +349,19 @@ def test_convergence_draws_each_step_once_for_all_cells(monkeypatch, min_paths):
     assert rep.to_dict() == drawn.to_dict()
 
 
-def test_convergence_cells_draw_their_own_where_a_ladder_is_not_halved(monkeypatch):
-    # 8 is above half of 12: shared normals would outgrow the largest cell's
-    # bundle, so each cell draws its own steps, as a lone solve would
-    opened, rep = _path_streams(monkeypatch, [4, 6, 8, 12])
-    assert sorted(i for i, _ in opened) == sorted(
-        i for n in (4, 6, 8, 12) for i in range(n))
-    assert [c["N"] for c in rep.cells] == [4, 6, 8, 12]
+@pytest.mark.parametrize("m, Ns, shared", [
+    (1, [4, 6, 8, 12], False), (2, [4, 8, 16, 32], False), (2, [4, 8, 16, 48], True)])
+def test_convergence_cells_share_a_draw_only_where_the_peak_cannot_rise(
+        monkeypatch, m, Ns, shared):
+    # a smaller cell holds the shared normals (m * N_max steps) beside its
+    # own bundle, which fits in the largest cell's only where
+    # (m + 1) * N <= N_max; elsewhere each cell draws its own steps, as a
+    # lone solve would
+    spec = build_preset("P2-mixed-quadratic", {"m": m})
+    opened, rep = _path_streams(monkeypatch, Ns, spec=spec)
+    want = range(Ns[-1]) if shared else [i for n in Ns for i in range(n)]
+    assert sorted(i for i, _ in opened) == sorted(want)
+    assert [c["N"] for c in rep.cells] == Ns
 
 
 @pytest.mark.parametrize("m", [1, 2])
