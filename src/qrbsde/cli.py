@@ -352,15 +352,10 @@ def run(cfg: RunConfig, out_dir: str, dump_paths: bool = False,
         threads: int = 1) -> dict:
     """Execute the configured experiment and write artifacts under out_dir.
 
-    Returns the manifest.  ``threads`` is recorded for bookkeeping only.
-    Whatever it says, a bundle of at least 3 * 10^4 paths
-    (``forward.AHEAD_MIN_PATHS``) draws its increments and walks its
-    backward recursion with one helper thread beside the caller; a
-    convergence study of that size draws its one set of normals on one
-    helper beside its lattice solves, and each of its cells walks its whole
-    path recursion on one helper beside the lattice lookups.  Helpers never
-    nest, so a walk on a helper stays on it alone, and results never
-    depend on any of them.
+    Returns the manifest.  ``threads`` is recorded for bookkeeping only:
+    whatever it says, each stage that ``forward._ahead`` serves starts its
+    one helper thread where that call finds one pays, and results never
+    depend on any helper.
     """
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
@@ -443,13 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="recorded in the manifest only; from 3*10^4 "
-                            "paths the sampling and the backward walk share "
-                            "their work with one helper thread, a "
-                            "convergence study draws its normals on one "
-                            "beside its lattice solves and each of its "
-                            "cells walks its paths on one, and results "
-                            "never depend on any of them")
+                       help="recorded in the manifest only; helper "
+                            "threads start where forward._ahead finds one "
+                            "pays, and results never depend on them")
         p.add_argument("--dump-paths", action="store_true",
                        help="solve, diagnose: also write the paths as CSV")
     return parser

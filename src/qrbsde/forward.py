@@ -10,19 +10,19 @@ increments alone (``sample_increments``), or the Euler states on given
 increments (``euler_simulate``), all from one draw schedule and one Euler
 step, so each way gives the same bits; a convergence study draws its
 standard normals once, as a pass on unit steps, and each of its cells
-scales them to its own grid in the pass.  ``_ahead`` is the package's one
-helper primitive: it runs a generator one item ahead on one helper thread.
-It serves four stages, each only where ``helper_pays``: two of every
-three steps' draws here (the caller draws the third and steps Euler), the
-next backward step's state half in ``scheme.backward_steps``, a
-convergence study's one draw while its caller solves the lattices, and
-the convergence cell's whole walk.  A thread runs at most one
-helper at a time: helpers never nest, and a thread that holds an open
-``_ahead`` runs its other stages serially.  No helper outlives the call that
-started it, and no result depends on one.  Euler states follow the
-left-endpoint recursion; presets with affine, time-constant drift also admit
-exact transition sampling coupled to the same increments, which serves as
-the strong-error oracle.
+scales them to its own grid in the pass.  ``_ahead(items, n_paths)`` is
+the one call that starts a helper thread, and it decides whether one
+pays: from ``AHEAD_MIN_PATHS`` paths, never on a helper (helpers do not
+nest), and never on a thread that holds a walk open (one walk per
+thread).  Where none pays it hands back ``items`` and the stage runs
+serially.  Four stages call it: two of every three steps' draws here
+(the caller draws the third and steps Euler), the next backward step's
+state half in ``scheme.backward_steps``, a convergence study's one draw
+while its caller solves the lattices, and the convergence cell's whole
+walk.  No helper outlives the call that started it, and no result
+depends on one.  Euler states follow the left-endpoint recursion; presets
+with affine, time-constant drift also admit exact transition sampling
+coupled to the same increments, which serves as the strong-error oracle.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ from .model import ProblemSpec
 _STREAM_EULER = 0
 _STREAM_EXACT_RESIDUAL = 1
 SEED_BOUND = 2 ** 64    # a seed has 64 key bits; a larger one aliases a tag
-# a stage shares its work with a helper thread only from this many paths:
-# each hand-off costs about 0.7 ms (queue.Queue and the interpreter lock), so
-# the break-even of the backward walk's state halves is about 2 * 10^4 paths
-# on a 2-core host; the forward pass hands over one pair of draws per three
-# steps, a convergence study its one draw and the convergence cell its whole
-# walk, on the same threshold
+# a stage shares its work with a helper thread only from this many paths.
+# On a 2-core host a hand-off costs about 15 us in _ahead's queues, but a
+# prefetched walk also contends with its helper for the interpreter lock:
+# at 5 * 10^3 paths (P1, N = 64, degree 6) it takes about 45 ms against
+# about 25 ms serial, and the backward walk breaks even at about 2 * 10^4
+# paths.  Every stage runs on this one threshold.
 AHEAD_MIN_PATHS = 30_000
 
 
@@ -198,71 +198,76 @@ def _step_rng(seed: int, i: int, stream: int) -> np.random.Generator:
 
 
 _END = object()
-# per thread: .active is set on a helper thread, and "open" counts the
-# _ahead walks that the thread holds open
+# per thread: "open" counts the _ahead walks that the thread holds open; a
+# helper thread holds its own
 _helper = threading.local()
 
 
 def helper_pays(n_paths: int) -> bool:
     """Whether a stage over ``n_paths`` paths shares its work with a helper
-    thread: from AHEAD_MIN_PATHS paths on, never on a helper thread, so
-    helpers do not nest, and never on a thread that holds an open ``_ahead``,
-    so a thread runs one helper at a time."""
-    return (n_paths >= AHEAD_MIN_PATHS and not getattr(_helper, "active", False)
-            and not getattr(_helper, "open", 0))
+    thread: from AHEAD_MIN_PATHS paths on, and only on a thread that holds
+    no open ``_ahead`` walk, so helpers do not nest (a helper holds its
+    own) and a thread runs one helper at a time."""
+    return n_paths >= AHEAD_MIN_PATHS and not getattr(_helper, "open", 0)
 
 
-def _ahead(items):
-    """Iterate the generator ``items`` on one daemon helper thread, one item
-    ahead of the caller: while the caller holds item k, the helper computes
-    item k+1 and then waits, so at most two items are alive at once.
+def _ahead(items, n_paths: int):
+    """The one call that starts a helper thread, for each of the four
+    stages (the module docstring).  Where ``helper_pays(n_paths)`` is False
+    (below ``AHEAD_MIN_PATHS`` paths, on a helper, or on a thread that holds
+    a walk open) it returns ``items`` itself and starts no thread.
+    Otherwise it starts a daemon helper on the generator's first item at
+    once and returns the walk, which the helper keeps one item ahead of the
+    caller: while the caller holds item k, the helper computes item k+1 and
+    then waits, so at most two items are alive at once.
 
     The helper runs in a copy of the caller's context, so ``np.errstate``
     holds there too.  An exception from ``items`` is raised in the caller as
     it was raised.  On any exit, early ones included, the helper is told to
-    stop, closes ``items`` and is joined, so no thread outlives the walk.
-    While the walk is open, ``helper_pays`` is False on the caller."""
-    box = queue.Queue(maxsize=1)
-    wanted = threading.Semaphore(0)
-    stop = threading.Event()
+    stop and joined, and then ``items`` is closed, so no thread outlives the
+    walk.  While the walk is open, ``helper_pays`` is False on the caller."""
+    if not helper_pays(n_paths):
+        return items
+    requests, results = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def walk():
-        _helper.active = True
+    def run():
+        _helper.open = 1
         try:
-            while True:
-                wanted.acquire()
-                if stop.is_set():
-                    return
+            while requests.get():
                 item = next(items, _END)
-                box.put((item, None))
+                results.put((item, None))
                 if item is _END:
                     return
         except BaseException as exc:   # handed to the caller, which raises it
-            box.put((_END, exc))
-        finally:
-            items.close()
+            results.put((_END, exc))
 
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(walk,), daemon=True)
-    worker.start()
-    # this thread's namespace, even where another thread closes the walk
-    holds = _helper.__dict__
-    holds["open"] = holds.get("open", 0) + 1
-    try:
-        wanted.release()
-        while True:
-            item, exc = box.get()
-            if exc is not None:
-                raise exc
-            if item is _END:
-                return
-            wanted.release()
-            yield item
-    finally:
-        stop.set()
-        wanted.release()
-        worker.join()
-        holds["open"] -= 1
+    def walk():
+        worker = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(run,), daemon=True)
+        worker.start()
+        # this thread's namespace, even where another thread closes the walk
+        holds = _helper.__dict__
+        holds["open"] = holds.get("open", 0) + 1
+        try:
+            requests.put(True)
+            yield   # the priming step: from here on a close joins the helper
+            while True:
+                item, exc = results.get()
+                if exc is not None:
+                    raise exc
+                if item is _END:
+                    return
+                requests.put(True)
+                yield item
+        finally:
+            requests.put(False)
+            worker.join()
+            items.close()
+            holds["open"] -= 1
+
+    started = walk()
+    next(started)
+    return started
 
 
 def sample_increments(grid: TimeGrid, P: int, seed: int, m: int = 1) -> PathBundle:
@@ -303,14 +308,15 @@ def _forward_pass(grid: TimeGrid, P: int, seed: int, m: int,
     exactly N steps the normals are scaled in place and become the
     bundle's ``dW``.
 
-    Otherwise the caller draws every third step, i = 0, 3, 6, ..., and
-    where ``helper_pays(P)`` the two steps after each of those are drawn
-    together, as one item of a generator that ``_ahead``'s helper runs one
-    item ahead, while the caller steps Euler through the steps drawn
-    already; below that the caller draws every step.  Each step has its own
-    stream, so no draw depends on the thread that made it."""
+    The caller draws the steps i = 0, 3, 6, ... and steps Euler in order;
+    the two steps after each of those are drawn together, as one item of
+    a generator that ``_ahead`` runs one item ahead on its helper, or here
+    where no helper pays.  A pass that scales ``normals`` runs that
+    generator here too: a pair of multiplies is cheaper than a hand-off.
+    Each step has its own stream, so no draw depends on the thread that
+    made it."""
     N, times, dt = grid.N, grid.times, grid.dt
-    draw = pairs = None
+    drawn = range(0)    # the steps this pass draws: none where dW is given
     if dW is None:
         if P < 1:
             raise ValueError("need at least one path")
@@ -318,32 +324,31 @@ def _forward_pass(grid: TimeGrid, P: int, seed: int, m: int,
             raise ValueError("seed must be in 0..2**64 - 1")
         in_place = normals is not None and normals.shape[1] == N
         dW = normals if in_place else path_array(P, N, m, mapped=True)
+        drawn = range(N)
 
-        def draw(*steps):
-            for i in steps:
-                # no name holds a drawn block, so it is freed before the next
-                np.multiply(normals[:, i, :] if normals is not None else
-                            _step_rng(seed, i, _STREAM_EULER).standard_normal((P, m)),
-                            math.sqrt(dt[i]), out=dW[:, i, :])
+    def draw(*steps):
+        for i in steps:
+            # no name holds a drawn block, so it is freed before the next
+            np.multiply(normals[:, i, :] if normals is not None else
+                        _step_rng(seed, i, _STREAM_EULER).standard_normal((P, m)),
+                        math.sqrt(dt[i]), out=dW[:, i, :])
 
-        if normals is None and N > 1 and helper_pays(P):
-            pairs = _ahead(draw(*range(i, min(i + 2, N))) for i in range(1, N, 3))
     X = None
     if spec is not None:
         X = path_array(P, N + 1, mapped=True)
         X[:, 0] = spec.x0
+    pairs = (draw(*drawn[i:i + 2]) for i in drawn[1::3])
     try:
+        pairs = _ahead(pairs, P if normals is None and drawn[1::3] else 0)
         for i in range(N):
-            if draw is not None:
-                if pairs is None or i % 3 == 0:
-                    draw(i)
-                elif i % 3 == 1:
-                    next(pairs)     # steps i and i + 1
+            if i in drawn[::3]:
+                draw(i)
+            elif i in drawn[1::3]:
+                next(pairs)     # steps i and i + 1
             if X is not None:
                 _euler_step(spec, times[i], dt[i], X, dW[:, i, :], i)
     finally:
-        if pairs is not None:
-            pairs.close()   # joins the helper on an early exit
+        pairs.close()   # joins a helper on every exit
     return PathBundle(grid=grid, n_paths=P, seed=seed, m=m, dW=dW, X_euler=X)
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .forward import (TimeGrid, _ahead, _forward_pass, _integers, euler_simulate,
-                      exact_simulate, helper_pays, make_grid, sample_and_simulate)
+                      exact_simulate, make_grid, sample_and_simulate)
 from .model import ProblemSpec, TruncationRadius, y_bound
 from .oracle import build_space_grid, exact_scheme_solve, snell_cole_hopf
 from .regress import BasisSpec, fit_least_squares
@@ -205,13 +205,12 @@ def _convergence_cell(spec: ProblemSpec, mc: MCConfig, orc, ref, y0_ref: float,
     the reference ``ref`` on the path cloud.  The bundle scales the study's
     ``normals`` where given (``_mc_setup``).
 
-    Where ``helper_pays``, the path recursion walks on ``_ahead``'s helper
-    thread, which starts no helper of its own: while it computes step i-1,
-    this thread interpolates the lattice columns at step i and adds its
-    sums, still in descending i, so the cell is bit for bit the serial one
-    that it runs below ``forward.AHEAD_MIN_PATHS`` paths.  During the walk
-    this thread calls only ``SpaceGrid.interpolate`` and numpy: the
-    benchmark's tracer keeps one span stack per process."""
+    The cell's walk is one of ``forward._ahead``'s stages: where a helper
+    pays, the path recursion walks on it while this thread interpolates
+    the lattice columns at step i and adds its sums, still in descending
+    i, so the cell is bit for bit the serial one.  During the walk this
+    thread calls only ``SpaceGrid.interpolate`` and numpy: the benchmark's
+    tracer keeps one span stack per process."""
     N = orc.grid.N
     stride, space = ref.grid.N // N, ref.space
     grid, sched, bundle, radius = _mc_setup(spec, N, mc, normals=normals)
@@ -223,7 +222,7 @@ def _convergence_cell(spec: ProblemSpec, mc: MCConfig, orc, ref, y0_ref: float,
     z_terms, mc_z_terms = np.zeros(mc.n_paths), np.zeros(mc.n_paths)
     truncated = 0
     steps = backward_steps(spec, grid, sched, bundle, mc.basis, radius)
-    for step in _ahead(steps) if helper_pays(mc.n_paths) else steps:
+    for step in _ahead(steps, mc.n_paths):
         i = step.i
         truncated += step.truncated
         v = space.interpolate(np.column_stack(
@@ -249,19 +248,6 @@ def _convergence_cell(spec: ProblemSpec, mc: MCConfig, orc, ref, y0_ref: float,
         "M_z": radius.M_z,
         "trunc_active_frac": truncated / (N * mc.n_paths),
     }
-
-
-def _study_draw(spec: ProblemSpec, N: int, mc: MCConfig, share: bool):
-    """A convergence study's one draw, as a generator: None at once, then
-    the standard normals of N steps (None where the cells do not ``share``
-    one), the dW of a pass on unit steps, whose scale sqrt(1) = 1 leaves
-    each step's normals as every cell draws them.  On ``_ahead``'s helper
-    it overlaps the caller's lattice solves and calls only
-    ``forward._forward_pass`` and numpy: the benchmark's tracer keeps one
-    span stack per process."""
-    yield None
-    yield (_forward_pass(TimeGrid(np.arange(N + 1.0)), mc.n_paths, mc.seed,
-                         spec.m).dW if share else None)
 
 
 def _off_grid_total(counts) -> list:
@@ -291,9 +277,9 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
     Every lattice solve, the references at N_ref and each cell's at its N,
     runs before the first cell.  Step i's standard normals are the same at
     every N, so the study draws the largest N's once and each cell scales
-    them to its grid, bit for bit its own draw.  Where ``helper_pays``, a
-    helper thread (``_ahead``) draws them while this thread solves the
-    lattices, and is joined before the first cell starts.
+    them to its grid, bit for bit its own draw.  That draw is one of
+    ``forward._ahead``'s stages: where a helper pays, it draws while this
+    thread solves the lattices, and is joined before the first cell starts.
 
     Memory: the study keeps its lattice solves and, where the cells share
     the draw, the normals (P * m * N_max floats); a cell keeps its
@@ -304,9 +290,9 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
     which stays within the largest cell's only where (m + 1) * N <= N_max.
     So the cells share the draw only where every N but the largest meets
     that (at m = 1 any doubling ladder, at m = 2 no doubling ladder), and
-    the peak does not rise; otherwise each cell draws its own.  A large
-    walk runs one step ahead on a helper thread, so at most two yielded
-    steps are alive at once; results depend on no helper.
+    the peak does not rise; otherwise each cell draws its own.  A walk on
+    a helper runs one step ahead, so at most two yielded steps are alive
+    at once; results depend on no helper.
     """
     Ns = _integers(Ns, "grid sizes N")
     if len(Ns) < 4:
@@ -327,20 +313,22 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
 
     space = build_space_grid(spec)
     share = (spec.m + 1) * Ns[-2] <= Ns[-1]   # the rule under "Memory"
-    draws = _study_draw(spec, Ns[-1], mc, share)
-    if share and helper_pays(mc.n_paths):
-        draws = _ahead(draws)
+    # the study's one draw, at most one item: the dW of a pass on unit
+    # steps, whose scale sqrt(1) = 1 leaves each step's normals as every
+    # cell draws them; on a helper it calls only _forward_pass and numpy
+    draws = (_forward_pass(TimeGrid(np.arange(Ns[-1] + 1.0)), mc.n_paths,
+                           mc.seed, spec.m).dW for _ in range(share))
     try:
-        next(draws)   # a helper draws from here on, beside the lattice solves
+        draws = _ahead(draws, mc.n_paths)
         grid_ref, sched_ref = make_grid(N_ref, spec.T, "all")
         ref = exact_scheme_solve(spec, grid_ref, sched_ref, space)
         snell = (snell_cole_hopf(spec, grid_ref, sched_ref, space)
                  if spec.pure_quadratic else None)
         orcs = [exact_scheme_solve(spec, *make_grid(N, spec.T, "all"), space)
                 for N in Ns]
-        normals = next(draws)
+        normals = next(draws, None)
     finally:
-        draws.close()   # joins the helper on every exit
+        draws.close()   # joins a helper on every exit
     # GridSolution.y0 is a lookup, not a field: read it once per solution
     y0_ref = ref.y0
     reference = {"y0_oracle": "exact-scheme", "N_ref": N_ref,

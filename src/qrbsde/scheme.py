@@ -13,19 +13,16 @@ basis (its quantiles selected, not sorted), the design and its Gram's
 factor.  Its value half is the recursion: the projection onto that factor,
 one norm per row of Z, which gives both h_{M_z}(Z) (Z itself where no row
 moves) and the step's count of truncated paths, the implicit step on
-h_{M_z}(Z), and the reflection against g(X_{t_i}).  Where
-``forward.helper_pays`` holds (at least ``forward.AHEAD_MIN_PATHS`` paths,
-not on a helper thread, and not on a thread that holds a helper open
-already, as it does for the first of two legs walked in lockstep),
-``forward._ahead`` computes the state half of step i-1 on one helper
-thread while the caller runs step i's value half and its own work on the
-yielded step; the designs then alternate between two per-walk blocks.
-Every other walk is serial, with one block.  On either walk a block is
-refilled only after the consumer asks for the step after the one whose
-design it holds, so a yielded step's design is valid until then.  The
-halves run the same operations on either path, so no result depends on
-the helper.  At a reflection date dK is written into the buffer of the
-unreflected value, which no later use reads.
+h_{M_z}(Z), and the reflection against g(X_{t_i}).  The state half of
+step i-1 is one of ``forward._ahead``'s stages: where a helper pays, it
+runs on the helper thread while the caller runs step i's value half and
+its own work on the yielded step, and the designs alternate between two
+per-walk blocks.  Every other walk is serial, with one block.  On
+either walk a block is refilled only after the consumer asks for the step
+after the one whose design it holds, so a yielded step's design is valid
+until then.  The halves run the same operations on either path, so no
+result depends on the helper.  At a reflection date dK is written into
+the buffer of the unreflected value, which no later use reads.
 """
 
 from __future__ import annotations
@@ -224,14 +221,14 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
     M = y_bound(spec)
     mask = schedule.mask
     z_hi = np.inf if radius is None else radius.M_z + 1.0
-    ahead = helper_pays(bundle.n_paths)
-    # step i's design lives in block i % 2 while the helper fills the other
-    blocks = [path_array(bundle.n_paths, basis.dimension) for _ in range(1 + ahead)]
+    # step i's design lives in block i % 2 while a helper fills the other
+    blocks = [path_array(bundle.n_paths, basis.dimension)
+              for _ in range(1 + helper_pays(bundle.n_paths))]
     states = (step_state(basis, X, i, blocks[i % len(blocks)])
               for i in range(grid.N - 1, -1, -1))
-    states = _ahead(states) if ahead else states
     y_next = np.asarray(spec.obstacle(X[:, grid.N]), dtype=float)
     try:
+        states = _ahead(states, bundle.n_paths)
         for state in states:
             i = state.i
             ti = grid.times[i]
@@ -263,7 +260,7 @@ def backward_steps(spec: ProblemSpec, grid: TimeGrid, schedule: ReflectionSchedu
             yield step
             y_next = y
     finally:
-        states.close()   # joins the helper on an early exit
+        states.close()   # joins a helper on every exit
 
 
 def y0_estimates(y0: np.ndarray, y1: np.ndarray) -> tuple:

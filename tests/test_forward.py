@@ -2,6 +2,7 @@ import dataclasses
 import math
 import mmap
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -124,14 +125,60 @@ def test_no_helper_pays_on_a_thread_that_holds_an_open_ahead(monkeypatch):
             yield k
 
     assert forward.helper_pays(1)
-    walk = forward._ahead(items())
+    walk = forward._ahead(items(), 1)
     assert next(walk) == 0 and not forward.helper_pays(1)
     assert list(walk) == [1, 2] and forward.helper_pays(1)
     assert seen == [False] * 3
-    walk = forward._ahead(items())
+    walk = forward._ahead(items(), 1)
     next(walk)
     walk.close()   # an early close gives the thread its helper back too
     assert forward.helper_pays(1)
+
+
+def test_ahead_hands_back_its_items_where_no_helper_pays(monkeypatch):
+    # below AHEAD_MIN_PATHS, on a helper, and beside an open walk, _ahead
+    # returns its argument itself and starts no thread
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 10)
+    started, start = [], threading.Thread.start
+
+    def recorded(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    below = (k for k in range(2))
+    assert forward._ahead(below, 9) is below and started == []
+    on_helper = []
+
+    def outer():
+        inner = (k for k in range(2))
+        on_helper.append(forward._ahead(inner, 10) is inner)
+        yield 0
+
+    walk = forward._ahead(outer(), 10)
+    beside = (k for k in range(2))
+    assert forward._ahead(beside, 10) is beside
+    assert list(walk) == [0]
+    assert on_helper == [True] and len(started) == 1
+
+
+def test_ahead_starts_its_helper_on_the_first_item_at_once(monkeypatch):
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 10)
+    made = []
+
+    def items():
+        for k in range(3):
+            made.append(threading.current_thread() is threading.main_thread())
+            yield k
+
+    before = set(threading.enumerate())
+    walk = forward._ahead(items(), 10)
+    deadline = time.monotonic() + 5.0
+    while not made and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert made == [False]   # the first item, on the helper, before any next
+    assert list(walk) == [0, 1, 2]
+    assert set(threading.enumerate()) == before
 
 
 def test_a_draw_inside_an_open_ahead_is_serial_and_bit_equal(monkeypatch):
@@ -146,7 +193,7 @@ def test_a_draw_inside_an_open_ahead_is_serial_and_bit_equal(monkeypatch):
 
     monkeypatch.setattr(forward, "_step_rng", recorded)
     monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
-    walk = forward._ahead(k for k in range(2))
+    walk = forward._ahead((k for k in range(2)), 1)
     next(walk)
     try:
         assert sample_increments(grid, 300, 5, 2).dW.tobytes() == want

@@ -15,9 +15,11 @@ convergence cell, the stability legs (the base leg in each of the two
 kinds, the second leg in the one coupled-leg helper) and the diagnostics,
 ``estimate_Mz_auto``, the one auto radius rule, only by the one Monte Carlo
 set-up, ``solve_backward`` only by the CLI's solve, and ``_deltas`` only by
-the one coupled stability leg, ``_ahead``, the one helper-thread primitive,
-only by the draw-and-step pass, the backward loop, the convergence study
-and the convergence cell, each of which also asks ``helper_pays`` first, the Euler step only by the
+the one coupled stability leg, ``_ahead``, the one call that starts a
+helper thread, only by the draw-and-step pass, the backward loop, the
+convergence study and the convergence cell, ``helper_pays`` only by
+``_ahead``, which asks it for every stage, and by the backward loop, which
+sizes its design blocks by it, the Euler step only by the
 draw-and-step pass, and the h_n rule, ``truncate_rows``, only by the public
 truncation function and the backward step of each engine: the path loop,
 the lattice and the tree.  The callers are read with ``_callers`` below.
@@ -156,6 +158,10 @@ HOMES = {
     # its state halves stay on that one helper)
     "_ahead": ["forward._forward_pass", "lab._convergence_cell",
                "lab.run_convergence", "scheme.backward_steps"],
+    # _ahead asks whether a helper pays for every stage, so no stage can
+    # start one at any path count or on a helper; the backward loop asks
+    # only to size its design blocks
+    "helper_pays": ["forward._ahead", "scheme.backward_steps"],
     # one Euler step, in the one draw-and-step pass that serves
     # sample_and_simulate, sample_increments and euler_simulate alike
     "_euler_step": ["forward._forward_pass"],
@@ -175,12 +181,6 @@ def _package_callers(name: str) -> list:
 @pytest.mark.parametrize("name", HOMES)
 def test_one_home(name):
     assert _package_callers(name) == HOMES[name]
-
-
-def test_every_helper_stage_asks_whether_a_helper_pays():
-    # a stage that starts ``_ahead`` without ``helper_pays`` would start a
-    # helper thread at any path count, and nest one on a helper
-    assert set(_package_callers("_ahead")) == set(_package_callers("helper_pays"))
 
 
 _COLD_START = """

@@ -380,7 +380,9 @@ def test_scaled_normals_are_the_bundles_own_draw(m):
         assert (got.dW is normals) == (N == 8)
 
 
-def test_ahead_walks_in_the_callers_errstate():
+def test_ahead_walks_in_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
+
     def overflowing():
         yield np.float64(1.0)
         yield np.float64(1e308) * 10.0
@@ -388,11 +390,12 @@ def test_ahead_walks_in_the_callers_errstate():
     before = threading.active_count()
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            list(lab._ahead(overflowing()))
+            list(lab._ahead(overflowing(), 1))
     assert threading.active_count() == before
 
 
-def test_ahead_runs_one_item_ahead_and_closes_the_walk_on_early_exit():
+def test_ahead_runs_one_item_ahead_and_closes_the_walk_on_early_exit(monkeypatch):
+    monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
     made, closed = [], []
 
     def counting():
@@ -405,7 +408,7 @@ def test_ahead_runs_one_item_ahead_and_closes_the_walk_on_early_exit():
 
     before = threading.active_count()
     steps = counting()   # held here, so only an explicit close ends it
-    walk = lab._ahead(steps)
+    walk = lab._ahead(steps, 1)
     for k in walk:
         deadline = time.monotonic() + 5.0
         while len(made) < k + 2 and time.monotonic() < deadline:

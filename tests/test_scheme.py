@@ -732,7 +732,7 @@ def test_a_walk_on_a_helper_starts_no_second_helper(monkeypatch):
     monkeypatch.setattr(scheme, "step_state", counted)
     monkeypatch.setattr(forward, "AHEAD_MIN_PATHS", 0)
     before = threading.active_count()
-    steps = list(forward._ahead(scheme.backward_steps(*_walk_inputs(1))))
+    steps = list(forward._ahead(scheme.backward_steps(*_walk_inputs(1)), 2000))
     assert [s.i for s in steps] == list(range(8, -1, -1))
     assert counts == [before + 1] * 9
     assert threading.active_count() == before
