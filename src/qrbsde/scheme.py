@@ -83,17 +83,26 @@ class SchemeSolution:
 
 def z_projection_step(y_next, dW_i, dt_i, phi, xs, A=None, factor=None):
     """The step's one projection: the RegressionFit on phi(xs) of Z, the m
-    columns y_next * dW_i / dt_i (dW_i of shape (P, m)), and last the mean
-    column y_next, with one design, one eigh of its Gram and phi's ridge;
-    the design A and its factor are the step state's when given."""
+    columns (y_next - mean(y_next)) * dW_i / dt_i (dW_i of shape (P, m)),
+    and last the mean column y_next, with one design, one eigh of its Gram
+    and phi's ridge; the design A and its factor are the step state's when
+    given.
+
+    The Z target is centred on the cross-path mean because E[dW_i] = 0
+    leaves the true Z unchanged while a constant in y_next would enter the
+    regression only as noise: uncentred, raising the obstacle by c adds
+    c * dW_i / dt_i to the target, and its in-sample fit pushes Y up
+    (by 7e-2 on P1 at c = 4, N = 64), so Y(g + c) = Y(g) + c fails for a
+    driver free of y.  Centred, it holds to rounding."""
     if dt_i <= 0:
         raise ValueError("dt must be positive")
     y_next = np.asarray(y_next, dtype=float)
     m = dW_i.shape[1]
     # column-major (P, m+1) like a path_array, left unfilled: each column is
-    # written below
+    # written below, the last first as the centred values' scratch
     targets = np.empty((m + 1, y_next.shape[0])).T
-    np.multiply(y_next[:, None], dW_i, out=targets[:, :m])
+    centred = np.subtract(y_next, np.mean(y_next), out=targets[:, m])
+    np.multiply(centred[:, None], dW_i, out=targets[:, :m])
     targets[:, :m] /= dt_i
     targets[:, m] = y_next
     return fit_least_squares(phi, xs, targets, A, factor, overwrite_ys=True)

@@ -8,10 +8,10 @@
   quadratic BSDEs; Kobylanski, Lepeltier, Quenez and Torres 2002 for
   reflected ones), checked as the sign of Delta Y0 on paths and on the
   lattice.
-
-Translation (Y(g + c) = Y(g) + c for a driver free of y) is not here yet:
-the path solver does not keep it (ROADMAP item 13), and its mend moves
-every path output.
+* Translation: Y(g + c) = Y(g) + c for a driver free of y, checked on P1's
+  paths to rounding.  The path solver keeps it because the Z target is
+  centred on its cross-path mean (``scheme.z_projection_step``); P2 and
+  P3's -0.1 y term makes it no invariance there.
 """
 
 import dataclasses
@@ -96,3 +96,22 @@ def test_a_larger_obstacle_gives_a_larger_y0(eps, p1_values):
     paths_eps, lattice_eps = values(_bumped(eps))
     assert paths_eps - paths > 0
     assert lattice_eps - lattice > 0
+
+
+def _raised(c):
+    """P1 with the obstacle raised by c, and M_g with it."""
+    spec = build_preset(P1, {"M_g": 0.5 + c})
+    return dataclasses.replace(spec, obstacle=lambda x: clip_obstacle(x) + c)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_path_solver_keeps_translation_of_the_obstacle(N):
+    mc = lab.MCConfig(n_paths=50_000, seed=42, M_z=10.0)
+
+    def y0(spec):
+        grid, sched, bundle, radius = lab._mc_setup(spec, N, mc)
+        return solve_backward(spec, grid, sched, bundle, mc.basis, radius).y0_fit
+
+    base = y0(build_preset(P1))
+    for c in (1.0, 4.0):
+        assert abs(y0(_raised(c)) - c - base) < 1e-9

@@ -493,7 +493,8 @@ def test_every_time_slice_is_contiguous(m):
 def _reference_backward(spec, grid, sched, bundle, basis, radius):
     """The backward recursion with the earlier projection kernel spelled out:
     np.quantile localization, np.vander design, A.T @ A Gram, column_stack
-    targets; Picard and reflection are the shared scheme steps."""
+    targets, the Z target centred on its cross-path mean; Picard and
+    reflection are the shared scheme steps."""
     X = bundle.X_euler
     P, N, m = bundle.n_paths, grid.N, bundle.m
     M = y_bound(spec)
@@ -509,7 +510,8 @@ def _reference_backward(spec, grid, sched, bundle, basis, radius):
             lo, hi = np.quantile(xs, [0.005, 0.995])
             u = (np.clip(xs, lo, hi) - np.mean(xs)) / np.std(xs)
             A = np.vander(u, basis.degree + 1, increasing=True)
-        ys = np.column_stack([Ybar[:, i + 1][:, None] * bundle.dW[:, i, :] / dti,
+        centred = Ybar[:, i + 1] - np.mean(Ybar[:, i + 1])
+        ys = np.column_stack([centred[:, None] * bundle.dW[:, i, :] / dti,
                               Ybar[:, i + 1]])
         G = A.T @ A
         G[np.diag_indices(A.shape[1])] += basis.ridge
