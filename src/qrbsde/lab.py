@@ -315,7 +315,8 @@ def run_convergence(spec: ProblemSpec, Ns: Sequence[int], mc: MCConfig,
     share = (spec.m + 1) * Ns[-2] <= Ns[-1]   # the rule under "Memory"
     # the study's one draw, at most one item: the dW of a pass on unit
     # steps, whose scale sqrt(1) = 1 leaves each step's normals as every
-    # cell draws them; on a helper it calls only _forward_pass and numpy
+    # cell draws them.  On a helper it calls only _forward_pass and numpy:
+    # the benchmark's tracer keeps one span stack per process
     draws = (_forward_pass(TimeGrid(np.arange(Ns[-1] + 1.0)), mc.n_paths,
                            mc.seed, spec.m).dW for _ in range(share))
     try:
